@@ -8,6 +8,10 @@
 // timed-out task is retried up to the configured budget and then committed
 // as `failed`/`timeout` with its error text -- sibling shards never notice.
 //
+// Batch-eligible specs (batch.hpp) claim slabs instead of single tasks:
+// up to kMaxSlabReplicas adjacent pending tasks of one instance, run in
+// lockstep and committed as one group, with the scalar path's records.
+//
 // Shard completions commit to the WAL immediately, in completion order --
 // no reordering, so a finished task never waits on a slower earlier one
 // (the old head-of-line block before the store went binary).  Each record
@@ -52,8 +56,6 @@ struct EngineOptions {
   /// completion).  The simulated mid-run kill: the store is left a valid
   /// prefix checkpoint, exactly like a crash between appends.
   std::size_t stop_after = 0;
-  /// Override spec.backend when non-empty ("scalar" | "batch").
-  std::string backend;
   /// Live progress sink (see header comment); may be null.
   trace::TraceSink* progress = nullptr;
   /// Print one status line per `echo_every` commits and per failure to
@@ -81,8 +83,9 @@ struct CampaignResult {
 };
 
 /// Runs (or resumes -- the store decides) a campaign against the store at
-/// `store_path`.  Throws CheckError for spec/store mismatches; task
-/// failures never throw.
+/// `store_path`.  A store whose intact header embeds JSON that parses equal
+/// to `spec` (e.g. one that still carries "backend") keeps that header.
+/// Throws CheckError for spec/store mismatches; task failures never throw.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const std::string& store_path,
                             const EngineOptions& options = {});

@@ -89,11 +89,6 @@ struct CampaignSpec {
   PlacementAxis placements;
   std::vector<std::uint64_t> color_seeds = {1};
   std::string scheduler = "random";  // random | round-robin | lockstep | counter
-  /// Execution backend: "scalar" (one coroutine World per task) or "batch"
-  /// (same-instance elect tasks grouped into lockstep BatchWorld slabs;
-  /// per-task records are identical either way).  Serialized only when not
-  /// "scalar", so existing spec hashes are unchanged.
-  std::string backend = "scalar";
   std::size_t max_steps = 0;         // 0 = simulator default
   int retries = 1;                   // re-attempts after a failed attempt
   double timeout_seconds = 0;        // cooperative per-attempt deadline; 0 = off
@@ -115,8 +110,13 @@ struct CampaignSpec {
   /// FNV-1a of to_json(); the store's spec-compatibility check.
   std::uint64_t spec_hash() const;
 
-  /// Parses a spec from JSON text (any field order; unknown keys rejected).
+  /// Parses a spec from JSON text (any field order; unknown keys rejected
+  /// except the retired "backend", which is ignored).
   static CampaignSpec from_json_text(const std::string& text);
 };
+
+/// FNV-1a of spec JSON text; spec_hash() is spec_json_hash(to_json()).  A
+/// store header's integrity is this hash of the JSON it was written with.
+std::uint64_t spec_json_hash(const std::string& json);
 
 }  // namespace qelect::campaign

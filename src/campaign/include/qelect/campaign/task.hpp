@@ -39,6 +39,8 @@ struct GraphRef {
 
   /// "ring(6)", "torus(3,3)", "all-connected(5,12)", ...
   std::string label() const;
+
+  bool operator==(const GraphRef&) const = default;
 };
 
 /// One executable unit.  `workload` here is always concrete (the "table1"

@@ -1,7 +1,5 @@
 #include "qelect/campaign/batch.hpp"
 
-#include <sstream>
-
 #include "qelect/campaign/workloads.hpp"
 #include "qelect/core/elect_batch.hpp"
 #include "qelect/core/elect_batch_cache.hpp"
@@ -25,7 +23,6 @@ BatchStats& batch_stats() {
 }
 
 bool batch_eligible(const CampaignSpec& spec, double timeout_seconds) {
-  if (spec.backend != "batch") return false;
   if (spec.workload != "elect") return false;
   if (!spec.inject.match.empty()) return false;
   // Fault campaigns go through the scalar path: the slab engine has no
@@ -34,14 +31,6 @@ bool batch_eligible(const CampaignSpec& spec, double timeout_seconds) {
   if (timeout_seconds > 0) return false;
   return spec.scheduler == "random" || spec.scheduler == "round-robin" ||
          spec.scheduler == "lockstep" || spec.scheduler == "counter";
-}
-
-std::string slab_key(const TaskSpec& task) {
-  std::ostringstream out;
-  out << task.graph.label() << '|';
-  for (const graph::NodeId b : task.home_bases) out << b << ',';
-  out << '|' << task.scheduler << '|' << task.max_steps;
-  return out.str();
 }
 
 std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
@@ -58,7 +47,7 @@ run_elect_slab(const std::vector<const TaskSpec*>& tasks) {
   replicas.reserve(tasks.size());
   for (const TaskSpec* task : tasks) {
     // The color seed doubles as the scheduler seed, matching the scalar
-    // run_config (and so the whole record matches the scalar backend's).
+    // run_config (and so the whole record matches the scalar path's).
     replicas.push_back({task->color_seed, 0});
   }
   sim::BatchConfig config;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -66,6 +65,12 @@ TaskRecord execute_task(const TaskSpec& task, const CampaignSpec& spec,
   return record;
 }
 
+/// Tasks that differ at most in their color seed: one slab's worth.
+bool same_instance(const TaskSpec& a, const TaskSpec& b) {
+  return a.graph == b.graph && a.home_bases == b.home_bases &&
+         a.scheduler == b.scheduler && a.max_steps == b.max_steps;
+}
+
 }  // namespace
 
 CampaignResult run_campaign(const CampaignSpec& spec,
@@ -81,6 +86,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   // Load-before-write: terminal keys are skipped, everything else runs.
   const LoadedStore prior = load_store(store_path);
+  // An intact header whose JSON serializes differently but describes this
+  // very spec (a dropped field such as "backend") keeps its own hash.
+  if (prior.has_header && prior.header.spec_hash != header.spec_hash &&
+      spec_json_hash(prior.header.spec_json) == prior.header.spec_hash &&
+      CampaignSpec::from_json_text(prior.header.spec_json) == spec) {
+    header = prior.header;
+  }
   const auto done = prior.by_key();
   std::vector<std::size_t> pending;  // indices into tasks, in task order
   pending.reserve(tasks.size());
@@ -100,32 +112,29 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   const double timeout_seconds = options.timeout_seconds >= 0
                                      ? options.timeout_seconds
                                      : spec.timeout_seconds;
-  CampaignSpec resolved = spec;
-  if (!options.backend.empty()) resolved.backend = options.backend;
-  const bool use_batch = batch_eligible(resolved, timeout_seconds);
+  const bool batch = batch_eligible(spec, timeout_seconds);
 
-  // Units of claiming: scalar backends claim single tasks; the batch
-  // backend claims whole slabs (same-instance task groups).  Completions
-  // commit as they finish -- the WAL records task_index, so resume
-  // identity holds at logical-task granularity without task-order commits.
-  std::vector<std::vector<std::size_t>> slabs;  // values: pending slots
-  if (use_batch) {
-    std::map<std::string, std::size_t> slab_of;
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      const std::string key = slab_key(tasks[pending[slot]]);
-      const auto [it, inserted] = slab_of.emplace(key, slabs.size());
-      if (inserted) slabs.emplace_back();
-      slabs[it->second].push_back(slot);
+  // Claim units are contiguous ranges of `pending`: unit u is slots
+  // [bounds[u], bounds[u + 1]).  A scalar unit is one task; a slab is a run
+  // of adjacent same-instance tasks (expansion puts color seeds innermost),
+  // capped at kMaxSlabReplicas.  Completions commit as they finish -- the
+  // WAL records task_index, so resume identity holds at logical-task
+  // granularity without task-order commits.
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t slot = 0; slot < pending.size();) {
+    const TaskSpec& head = tasks[pending[slot]];
+    std::size_t end = slot + 1;
+    while (batch && end < pending.size() && end - slot < kMaxSlabReplicas &&
+           same_instance(head, tasks[pending[end]])) {
+      ++end;
     }
-  } else {
-    slabs.reserve(pending.size());
-    for (std::size_t slot = 0; slot < pending.size(); ++slot) {
-      slabs.push_back({slot});
-    }
+    bounds.push_back(end);
+    slot = end;
   }
+  const std::size_t units = bounds.size() - 1;
 
-  const unsigned shards = resolve_parallel_threads(
-      options.shards, slabs.empty() ? 1 : slabs.size());
+  const unsigned shards =
+      resolve_parallel_threads(options.shards, units == 0 ? 1 : units);
 
   if (options.progress != nullptr) {
     trace::RunMetadata meta;
@@ -201,81 +210,81 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     return true;
   };
 
-  // Executes one slab on the batch backend; any task whose replica failed
-  // (and the whole slab if compilation throws) falls back to the scalar
-  // path, so worst case equals the scalar backend plus one failed attempt.
-  auto execute_slab_batch = [&](const std::vector<std::size_t>& slots)
-      -> std::vector<TaskRecord> {
-    std::vector<const TaskSpec*> slab_tasks;
-    slab_tasks.reserve(slots.size());
-    for (const std::size_t slot : slots) {
-      slab_tasks.push_back(&tasks[pending[slot]]);
+  // Runs slots [begin, end) as one slab into `records`; any task whose
+  // replica failed (and the whole slab if compilation throws) falls back
+  // to the scalar path, so worst case equals the scalar path plus one
+  // failed attempt.
+  auto execute_slab = [&](std::size_t begin, std::size_t end,
+                          std::vector<TaskRecord>& records) {
+    std::vector<const TaskSpec*> slab;
+    slab.reserve(end - begin);
+    for (std::size_t slot = begin; slot < end; ++slot) {
+      slab.push_back(&tasks[pending[slot]]);
     }
     const Clock::time_point t0 = Clock::now();
     std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
         metrics;
     try {
-      metrics = run_elect_slab(slab_tasks);
+      metrics = run_elect_slab(slab);
     } catch (const std::exception&) {
-      metrics.assign(slots.size(), std::nullopt);
-      batch_stats().scalar_fallbacks.fetch_add(slots.size(),
+      metrics.assign(slab.size(), std::nullopt);
+      batch_stats().scalar_fallbacks.fetch_add(slab.size(),
                                                std::memory_order_relaxed);
     }
     const double share =
         options.deterministic
             ? 0
-            : seconds_since(t0) / static_cast<double>(slots.size());
-    std::vector<TaskRecord> records;
-    records.reserve(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
+            : seconds_since(t0) / static_cast<double>(slab.size());
+    for (std::size_t i = 0; i < slab.size(); ++i) {
       if (!metrics[i].has_value()) {
-        records.push_back(execute_task(*slab_tasks[i], spec, retries,
+        records.push_back(execute_task(*slab[i], spec, retries,
                                        timeout_seconds,
                                        options.deterministic));
         continue;
       }
-      TaskRecord record;
-      record.key = slab_tasks[i]->key;
+      TaskRecord& record = records.emplace_back();
+      record.key = slab[i]->key;
       record.outcome = "ok";
       record.attempts = 1;
       record.duration_seconds = share;
       record.metrics = std::move(*metrics[i]);
-      records.push_back(std::move(record));
     }
-    return records;
   };
 
   auto worker = [&](unsigned shard) {
+    std::vector<TaskRecord> records;
     for (;;) {
       if (stop_token.cancelled()) return;
-      const std::size_t slab =
+      const std::size_t unit =
           next_claim.fetch_add(1, std::memory_order_relaxed);
-      if (slab >= slabs.size()) return;
-      const std::vector<std::size_t>& slots = slabs[slab];
-      std::vector<TaskRecord> records;
-      if (use_batch) {
-        records = execute_slab_batch(slots);
+      if (unit >= units) return;
+      const std::size_t begin = bounds[unit];
+      const std::size_t end = bounds[unit + 1];
+      records.clear();
+      if (batch) {
+        execute_slab(begin, end, records);
       } else {
-        records.push_back(execute_task(tasks[pending[slots[0]]], spec,
-                                       retries, timeout_seconds,
+        records.push_back(execute_task(tasks[pending[begin]], spec, retries,
+                                       timeout_seconds,
                                        options.deterministic));
       }
       bool staged_any = false;
       {
         std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-          records[i].task_index = pending[slots[i]];
-          if (!stage_locked(shard, pending[slots[i]], records[i])) break;
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          TaskRecord& record = records[slot - begin];
+          record.task_index = pending[slot];
+          if (!stage_locked(shard, pending[slot], record)) break;
           staged_any = true;
         }
       }
       // Group commit outside the engine lock: the fdatasync for this
-      // slab coalesces with whatever sibling shards staged meanwhile.
+      // unit coalesces with whatever sibling shards staged meanwhile.
       if (staged_any) writer.commit();
     }
   };
 
-  if (shards <= 1 || slabs.size() <= 1) {
+  if (shards <= 1 || units <= 1) {
     worker(0);
   } else {
     std::vector<std::thread> pool;

@@ -471,7 +471,7 @@ void print_report(const std::string& store_path,
   // A report over a stale store silently mis-groups, so mismatches are
   // hard errors (nonzero qelect exit), not warnings.
   QELECT_CHECK(
-      spec.spec_hash() == store.header.spec_hash,
+      spec_json_hash(store.header.spec_json) == store.header.spec_hash,
       "store " + store_path +
           ": embedded spec does not hash to the recorded spec hash (the "
           "header was edited or corrupted); re-run the campaign into a "

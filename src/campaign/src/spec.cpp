@@ -84,11 +84,8 @@ std::string CampaignSpec::to_json() const {
   append_number_array(out, placements.fixed);
   out << "},\"color_seeds\":";
   append_number_array(out, color_seeds);
-  out << ",\"scheduler\":" << json_quote(scheduler);
-  // Emitted only when non-default so pre-backend spec JSON (and its hash,
-  // which gates store resume) is byte-identical.
-  if (backend != "scalar") out << ",\"backend\":" << json_quote(backend);
-  out << ",\"max_steps\":" << max_steps << ",\"retries\":" << retries
+  out << ",\"scheduler\":" << json_quote(scheduler)
+      << ",\"max_steps\":" << max_steps << ",\"retries\":" << retries
       << ",\"timeout_seconds\":" << json_number(timeout_seconds)
       << ",\"labeling_budget\":" << json_number(labeling_budget)
       << ",\"inject\":{\"match\":" << json_quote(inject.match)
@@ -118,13 +115,17 @@ std::string CampaignSpec::to_json() const {
   return out.str();
 }
 
-std::uint64_t CampaignSpec::spec_hash() const {
+std::uint64_t spec_json_hash(const std::string& json) {
   std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : to_json()) {
+  for (const unsigned char c : json) {
     h ^= c;
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::uint64_t CampaignSpec::spec_hash() const {
+  return spec_json_hash(to_json());
 }
 
 CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
@@ -177,9 +178,6 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
   QELECT_CHECK(!spec.color_seeds.empty(),
                "campaign spec: color_seeds must be non-empty");
   spec.scheduler = root.string_or("scheduler", "random");
-  spec.backend = root.string_or("backend", "scalar");
-  QELECT_CHECK(spec.backend == "scalar" || spec.backend == "batch",
-               "campaign spec: unknown backend '" + spec.backend + "'");
   spec.max_steps = static_cast<std::size_t>(root.int_or("max_steps", 0));
   spec.retries = static_cast<int>(root.int_or("retries", 1));
   QELECT_CHECK(spec.retries >= 0, "campaign spec: retries must be >= 0");

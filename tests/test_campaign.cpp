@@ -91,6 +91,39 @@ CampaignSpec small_spec() {
   return spec;
 }
 
+/// ELECT on rings 6 .. 5 + `instances`, home bases {0, 2}, color seeds
+/// 1..`seeds`: one instance per ring, its seeds adjacent in the expansion.
+CampaignSpec seed_sweep(std::size_t instances, std::uint64_t seeds) {
+  CampaignSpec spec;
+  spec.name = "test-seed-sweep";
+  spec.workload = "elect";
+  spec.graphs.push_back({"ring", 6, 5 + instances, {}});
+  spec.placements.mode = PlacementAxis::Mode::Fixed;
+  spec.placements.fixed = {0, 2};
+  spec.color_seeds.clear();
+  for (std::uint64_t s = 1; s <= seeds; ++s) spec.color_seeds.push_back(s);
+  return spec;
+}
+
+/// `spec` as JSON from when specs carried a backend: the field sat right
+/// after the scheduler.
+std::string with_backend(const CampaignSpec& spec,
+                         const std::string& backend) {
+  std::string json = spec.to_json();
+  json.insert(json.find(",\"max_steps\""),
+              ",\"backend\":\"" + backend + "\"");
+  return json;
+}
+
+/// The store header run_campaign writes for `spec`.
+StoreHeader header_of(const CampaignSpec& spec) {
+  StoreHeader header;
+  header.name = spec.name;
+  header.spec_json = spec.to_json();
+  header.spec_hash = spec.spec_hash();
+  return header;
+}
+
 TEST(CampaignSpec, JsonRoundTripIsExact) {
   CampaignSpec spec = small_spec();
   spec.color_seeds = {1, 9};
@@ -451,21 +484,18 @@ TEST(CampaignWorkloads, AnalyzeClassifiesKnownInstances) {
   EXPECT_EQ(record.metric_or("class", -1), kClassElect);
 }
 
-TEST(CampaignSpec, BackendFieldRoundTripsAndDefaultPreservesHash) {
-  // The backend axis must not disturb pre-existing spec hashes: a default
-  // ("scalar") spec serializes without the key at all.
-  CampaignSpec spec = small_spec();
+TEST(CampaignSpec, LegacyBackendFieldIsParsedAndIgnored) {
+  // Spec files from when slabs were opt-in still load: the field is
+  // dropped, so the spec (and its hash) is as if it had never been there.
+  const CampaignSpec spec = small_spec();
   EXPECT_EQ(spec.to_json().find("backend"), std::string::npos);
-  CampaignSpec batch = spec;
-  batch.backend = "batch";
-  EXPECT_NE(batch.to_json().find("\"backend\":\"batch\""),
-            std::string::npos);
-  EXPECT_NE(batch.spec_hash(), spec.spec_hash());
-  const CampaignSpec back = CampaignSpec::from_json_text(batch.to_json());
-  EXPECT_EQ(back, batch);
-  EXPECT_THROW(CampaignSpec::from_json_text(
-                   R"({"name":"x","workload":"elect","backend":"gpu"})"),
-               CheckError);
+  EXPECT_EQ(spec_json_hash(spec.to_json()), spec.spec_hash());
+  for (const char* backend : {"scalar", "batch"}) {
+    const CampaignSpec back =
+        CampaignSpec::from_json_text(with_backend(spec, backend));
+    EXPECT_EQ(back, spec) << backend;
+    EXPECT_EQ(back.spec_hash(), spec.spec_hash()) << backend;
+  }
 }
 
 TEST(CampaignSpec, CounterSchedulerRoundTrips) {
@@ -477,47 +507,54 @@ TEST(CampaignSpec, CounterSchedulerRoundTrips) {
 }
 
 TEST(CampaignEngine, BatchBackendStoreMatchesScalarByteForByte) {
-  // The batch backend's defining guarantee: same tasks, same records.
-  // Deterministic mode zeroes durations, so the exports must be identical
-  // bytes -- across every scheduler the batch engine supports.
+  // Elect campaigns run on batch slabs by default; their store must be the
+  // one the scalar path writes.  The reference is run_task -- one
+  // coroutine World per task -- over the whole expansion.  Deterministic
+  // mode zeroes durations, so the exports must be identical bytes, for
+  // every scheduler the batch engine supports.
   for (const std::string scheduler :
        {"random", "round-robin", "lockstep", "counter"}) {
     ScratchDir scratch("batch_parity_" + scheduler);
     CampaignSpec spec = small_spec();
     spec.scheduler = scheduler;
-    spec.color_seeds = {1, 7};
+    spec.color_seeds = {1, 7, 12};
     EngineOptions options;
     options.deterministic = true;
     options.shards = 2;
 
-    const std::string scalar_store = scratch.path("scalar.qws");
-    run_campaign(spec, scalar_store, options);
-
-    spec.backend = "batch";
-    const std::string batch_store = scratch.path("batch.qws");
-    const CampaignResult result = run_campaign(spec, batch_store, options);
+    const std::uint64_t slabs0 = batch_stats().slabs_run.load();
+    const std::string engine_store = scratch.path("engine.qws");
+    const CampaignResult result = run_campaign(spec, engine_store, options);
     EXPECT_TRUE(result.complete()) << scheduler;
     EXPECT_EQ(result.failed, 0u) << scheduler;
+    EXPECT_GT(batch_stats().slabs_run.load(), slabs0) << scheduler;
 
-    // Store headers differ (the batch spec embeds its backend); every
-    // exported record line after the header must match exactly.
-    const std::string scalar_text = export_of(scalar_store);
-    const std::string batch_text = export_of(batch_store);
-    EXPECT_EQ(scalar_text.substr(scalar_text.find('\n')),
-              batch_text.substr(batch_text.find('\n')))
-        << scheduler;
+    const std::string scalar_store = scratch.path("scalar.qws");
+    {
+      StoreWriter writer(scalar_store, header_of(spec));
+      const std::vector<TaskSpec> tasks = expand_tasks(spec);
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        TaskRecord record;
+        record.key = tasks[i].key;
+        record.outcome = "ok";
+        record.task_index = i;
+        record.metrics = run_task(tasks[i], {});
+        writer.append(record);
+      }
+      writer.commit();
+    }
+    EXPECT_EQ(export_of(engine_store), export_of(scalar_store)) << scheduler;
   }
 }
 
 TEST(CampaignEngine, BatchBackendKilledThenResumedIsLogicallyIdentical) {
   // Slab claiming must preserve the engine's crash contract: a stop_after
   // kill leaves a store holding exactly 5 records whose logical identity
-  // matches the uninterrupted run, and resuming (which re-slabs only the
-  // pending suffix) produces the identical export.
+  // matches the uninterrupted run, and resuming re-slabs only the pending
+  // tasks and produces the identical export.
   ScratchDir scratch("batch_resume");
-  CampaignSpec spec = small_spec();
-  spec.backend = "batch";
-  spec.color_seeds = {1, 7};
+  CampaignSpec spec = small_spec();  // 52 instances x 3 seeds
+  spec.color_seeds = {1, 7, 12};
   EngineOptions options;
   options.deterministic = true;
 
@@ -525,44 +562,65 @@ TEST(CampaignEngine, BatchBackendKilledThenResumedIsLogicallyIdentical) {
   run_campaign(spec, uninterrupted, options);
   const std::string full_export = export_of(uninterrupted);
 
+  // One shard: the kill lands inside the second instance's slab.
   const std::string killed = scratch.path("killed.qws");
   EngineOptions stop = options;
+  stop.shards = 1;
   stop.stop_after = 5;
   const CampaignResult partial = run_campaign(spec, killed, stop);
   EXPECT_TRUE(partial.stopped_early);
   const LoadedStore full_store = load_store(uninterrupted);
   const auto full_by_key = full_store.by_key();
   const LoadedStore killed_store = load_store(killed);
+  EXPECT_EQ(killed_store.records.size(), 5u);
   for (const TaskRecord& r : killed_store.records) {
     const auto it = full_by_key.find(r.key);
     ASSERT_NE(it, full_by_key.end()) << r.key;
     EXPECT_EQ(r.to_json(), it->second->to_json());
   }
 
+  BatchStats& stats = batch_stats();
+  const std::uint64_t slabs0 = stats.slabs_run.load();
+  const std::uint64_t replicas0 = stats.replicas_run.load();
   const CampaignResult resumed = run_campaign(spec, killed, options);
   EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.skipped, 5u);
+  EXPECT_EQ(stats.replicas_run.load() - replicas0, resumed.executed);
+  // The cut slab's last replica, then the 50 untouched instances.
+  EXPECT_EQ(stats.slabs_run.load() - slabs0, 51u);
   EXPECT_EQ(export_of(killed), full_export);
 }
 
 TEST(CampaignEngine, BatchStatsCountSlabsAndReplicas) {
+  // Slabs hold at most kMaxSlabReplicas adjacent tasks of one instance.
   ScratchDir scratch("batch_stats");
-  CampaignSpec spec = small_spec();  // 52 tasks over 26 instances
-  spec.backend = "batch";
-  spec.color_seeds = {1, 7};
+  ASSERT_EQ(kMaxSlabReplicas, 64u);
+  BatchStats& stats = batch_stats();
   EngineOptions options;
   options.deterministic = true;
-  BatchStats& stats = batch_stats();
-  const std::uint64_t slabs0 = stats.slabs_run.load();
-  const std::uint64_t replicas0 = stats.replicas_run.load();
-  const CampaignResult result =
-      run_campaign(spec, scratch.path("s.jsonl"), options);
-  EXPECT_TRUE(result.complete());
-  const std::uint64_t slabs = stats.slabs_run.load() - slabs0;
-  const std::uint64_t replicas = stats.replicas_run.load() - replicas0;
-  EXPECT_GT(slabs, 0u);
-  EXPECT_EQ(replicas, result.executed);
-  // Two color seeds per instance => every slab holds 2 replicas.
-  EXPECT_EQ(replicas, slabs * 2);
+  using Count = std::pair<std::uint64_t, std::uint64_t>;  // slabs, replicas
+  auto run = [&](const CampaignSpec& spec, const std::string& file,
+                 const EngineOptions& opts) {
+    const std::uint64_t slabs0 = stats.slabs_run.load();
+    const std::uint64_t replicas0 = stats.replicas_run.load();
+    run_campaign(spec, scratch.path(file), opts);
+    return Count(stats.slabs_run.load() - slabs0,
+                 stats.replicas_run.load() - replicas0);
+  };
+
+  // 100 seeds on one instance: 2 slabs, 64 + 36.  A one-shard run that
+  // stops at its first commit has run exactly the first slab.
+  const CampaignSpec one = seed_sweep(1, 100);
+  EngineOptions first = options;
+  first.shards = 1;
+  first.stop_after = 1;
+  EXPECT_EQ(run(one, "first.qws", first), Count(1, 64));
+  EXPECT_EQ(run(one, "one.qws", options), Count(2, 100));
+
+  // Two instances of 70 seeds: 64 + 6 each.  A slab spanning the
+  // boundary would need only 3 slabs for the 140 tasks.
+  EXPECT_EQ(run(seed_sweep(2, 70), "two.qws", options), Count(4, 140));
+
   EXPECT_EQ(BatchStats::bucket_of(1), 0u);
   EXPECT_EQ(BatchStats::bucket_of(2), 1u);
   EXPECT_EQ(BatchStats::bucket_of(8), 3u);
@@ -570,19 +628,86 @@ TEST(CampaignEngine, BatchStatsCountSlabsAndReplicas) {
 }
 
 TEST(CampaignEngine, BatchIneligibleSpecsFallBackToScalar) {
-  // Fault injection forces the scalar path even under backend=batch: the
-  // injected failure must still fire (slab execution would bypass it).
-  ScratchDir scratch("batch_inject");
-  CampaignSpec spec = small_spec();
-  spec.backend = "batch";
-  spec.inject = {"ring(4)", 1};
-  spec.retries = 1;
+  // Fail injection, a per-attempt deadline, a faults axis and non-elect
+  // workloads need the scalar path: none of them may run a slab.
+  CampaignSpec inject = small_spec();
+  inject.inject = {"ring(4)", 1};
+  inject.retries = 1;
+  CampaignSpec timeout = small_spec();
+  timeout.timeout_seconds = 60;
+  CampaignSpec faulty = small_spec();
+  faulty.faults.push_back({"none", {}});
+  CampaignSpec analyze = small_spec();
+  analyze.workload = "analyze";
   EngineOptions options;
   options.deterministic = true;
-  const CampaignResult result =
-      run_campaign(spec, scratch.path("s.jsonl"), options);
-  EXPECT_TRUE(result.complete());
-  EXPECT_GT(result.retried, 0u);
+  EngineOptions timeout_flag = options;
+  timeout_flag.timeout_seconds = 60;
+  const struct {
+    const char* name;
+    const CampaignSpec& spec;
+    const EngineOptions& options;
+  } cases[] = {{"inject", inject, options},
+               {"timeout", timeout, options},
+               {"timeout-flag", small_spec(), timeout_flag},
+               {"faults", faulty, options},
+               {"analyze", analyze, options}};
+  for (const auto& c : cases) {
+    ScratchDir scratch(std::string("batch_ineligible_") + c.name);
+    const std::uint64_t slabs0 = batch_stats().slabs_run.load();
+    const CampaignResult result =
+        run_campaign(c.spec, scratch.path("s.qws"), c.options);
+    EXPECT_TRUE(result.complete()) << c.name;
+    EXPECT_EQ(batch_stats().slabs_run.load(), slabs0) << c.name;
+    // The injected failure fired: slab execution would have bypassed it.
+    if (c.spec.inject.fail_attempts > 0) {
+      EXPECT_GT(result.retried, 0u);
+    }
+  }
+}
+
+TEST(CampaignEngine, StoreWithLegacyBackendHeaderResumes) {
+  // A store begun from a spec file that set "backend":"batch" embeds that
+  // JSON, and its hash, in its header.  It parses equal to the current
+  // spec, so the engine resumes under the stored header and the report's
+  // integrity check still passes.
+  ScratchDir scratch("legacy_header");
+  CampaignSpec spec = small_spec();
+  spec.color_seeds = {1, 7};
+  EngineOptions options;
+  options.deterministic = true;
+  const std::string full = scratch.path("full.qws");
+  run_campaign(spec, full, options);
+  const LoadedStore done = load_store(full);
+
+  StoreHeader legacy;
+  legacy.name = spec.name;
+  legacy.spec_json = with_backend(spec, "batch");
+  legacy.spec_hash = spec_json_hash(legacy.spec_json);
+  auto begin_store = [&](const std::string& path, const StoreHeader& h) {
+    StoreWriter writer(path, h);
+    for (std::size_t i = 0; i < 5; ++i) writer.append(done.records[i]);
+    writer.commit();
+  };
+  const std::string path = scratch.path("legacy.qws");
+  begin_store(path, legacy);
+  const CampaignSpec stored =
+      CampaignSpec::from_json_text(load_store(path).header.spec_json);
+  const CampaignResult resumed = run_campaign(stored, path, options);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.skipped, 5u);
+  EXPECT_EQ(load_store(path).header.spec_json, legacy.spec_json);
+  const std::string a = export_of(full);
+  const std::string b = export_of(path);
+  EXPECT_EQ(a.substr(a.find('\n')), b.substr(b.find('\n')));
+  EXPECT_NO_THROW(print_report(path));
+
+  // A legacy header whose hash no longer matches its text is refused.
+  StoreHeader tampered = legacy;
+  tampered.spec_hash ^= 1;
+  const std::string bad = scratch.path("tampered.qws");
+  begin_store(bad, tampered);
+  EXPECT_THROW(run_campaign(stored, bad, options), CheckError);
 }
 
 }  // namespace

@@ -62,7 +62,6 @@ int usage() {
       "  --shards N              worker shards (default: hardware concurrency)\n"
       "  --retries N             attempts beyond the first per task\n"
       "  --timeout-seconds S     cooperative per-attempt deadline\n"
-      "  --backend B             scalar | batch (override spec.backend)\n"
       "  --deterministic         zero durations (byte-reproducible stores)\n"
       "  --stop-after N          commit N tasks then stop (simulated kill)\n"
       "  --progress-jsonl PATH   stream progress events to a JSONL trace\n"
@@ -113,11 +112,6 @@ EngineFlags parse_engine_flags(int argc, char** argv, int from) {
       flags.options.retries = std::stoi(value(i));
     } else if (flag == "--timeout-seconds") {
       flags.options.timeout_seconds = std::stod(value(i));
-    } else if (flag == "--backend") {
-      flags.options.backend = value(i);
-      QELECT_CHECK(flags.options.backend == "scalar" ||
-                       flags.options.backend == "batch",
-                   "--backend must be 'scalar' or 'batch'");
     } else if (flag == "--deterministic") {
       flags.options.deterministic = true;
     } else if (flag == "--stop-after") {
