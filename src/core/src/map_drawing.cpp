@@ -36,6 +36,14 @@ BoardGlance glance(const sim::Whiteboard& wb, const sim::Color& self) {
   return out;
 }
 
+/// The port through which the last move entered the current node.  An
+/// edge cut on an agent's first move leaves it on its home-base with no
+/// entry port yet; the agent cannot tell the cut from a traversal, so
+/// that case reads as port 0.
+PortId arrival_port(const sim::AgentCtx& ctx) {
+  return ctx.entry_port().value_or(0);
+}
+
 }  // namespace
 
 sim::Task<void> follow_ports(sim::AgentCtx& ctx,
@@ -77,7 +85,7 @@ sim::Task<AgentMap> map_drawing(sim::AgentCtx& ctx) {
     }
     if (next < port_map[current].size()) {
       co_await ctx.move(next);
-      const PortId back = *ctx.entry_port();
+      const PortId back = arrival_port(ctx);
       BoardGlance seen;
       bool fresh = false;
       const std::int64_t fresh_index =
@@ -196,7 +204,7 @@ sim::Task<AgentMap> map_drawing_bfs(sim::AgentCtx& ctx) {
       co_await follow_ports(ctx, tree_route(here, v));
       here = v;
       co_await ctx.move(p);
-      const PortId back = *ctx.entry_port();
+      const PortId back = arrival_port(ctx);
       BoardGlance seen;
       bool fresh = false;
       const std::int64_t fresh_index =

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "qelect/graph/graph.hpp"
@@ -51,10 +52,19 @@ class EdgeLabeling {
   std::vector<std::vector<Symbol>> labels_;
 };
 
-/// All locally-distinct labelings of `g` over an alphabet of `alphabet`
-/// symbols, enumerated exhaustively.  Exponential; intended for the small
-/// graphs of the symmetricity experiments (TH21).  The count is
-/// prod_x P(alphabet, deg(x)) so callers must keep sizes tiny.
+/// Visits every locally-distinct labeling of `g` over an alphabet of
+/// `alphabet` symbols, depth first over the (node, port) slots in order,
+/// and stops at the first labeling for which `visit` returns true.  The
+/// labeling passed to `visit` is reused between calls; copy it to keep it.
+/// Returns true iff `visit` stopped the enumeration.  Exponential: the
+/// count is prod_x P(alphabet, deg(x)), so callers must keep sizes tiny.
+/// Throws CheckError when `alphabet` is smaller than the max degree.
+bool for_each_labeling(const Graph& g, std::size_t alphabet,
+                       const std::function<bool(const EdgeLabeling&)>& visit);
+
+/// All labelings for_each_labeling visits, in its order.  Intended for the
+/// small graphs of the symmetricity experiments (TH21); searches that can
+/// stop early should stream through for_each_labeling instead.
 std::vector<EdgeLabeling> enumerate_labelings(const Graph& g,
                                               std::size_t alphabet);
 

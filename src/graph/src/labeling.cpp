@@ -41,9 +41,15 @@ void EdgeLabeling::set(NodeId x, PortId p, Symbol s) {
 bool EdgeLabeling::locally_distinct(const Graph& g) const {
   if (labels_.size() != g.node_count()) return false;
   for (NodeId x = 0; x < g.node_count(); ++x) {
-    if (labels_[x].size() != g.degree(x)) return false;
-    std::set<Symbol> seen(labels_[x].begin(), labels_[x].end());
-    if (seen.size() != labels_[x].size()) return false;
+    const std::vector<Symbol>& row = labels_[x];
+    if (row.size() != g.degree(x)) return false;
+    // Pairwise: degrees are small, and the exhaustive searches call this
+    // once per visited labeling.
+    for (std::size_t i = 1; i < row.size(); ++i) {
+      if (std::find(row.begin(), row.begin() + i, row[i]) != row.begin() + i) {
+        return false;
+      }
+    }
   }
   return true;
 }
@@ -56,16 +62,14 @@ std::size_t EdgeLabeling::alphabet_size() const {
 
 namespace {
 
-// Depth-first assignment over the flattened (node, port) slots.
-void enumerate_rec(const Graph& g, std::size_t alphabet, NodeId x, PortId p,
-                   EdgeLabeling& current, std::vector<EdgeLabeling>& out) {
-  if (x == g.node_count()) {
-    out.push_back(current);
-    return;
-  }
+// Depth-first assignment over the flattened (node, port) slots; true once
+// `visit` has asked to stop.
+bool for_each_rec(const Graph& g, std::size_t alphabet, NodeId x, PortId p,
+                  EdgeLabeling& current,
+                  const std::function<bool(const EdgeLabeling&)>& visit) {
+  if (x == g.node_count()) return visit(current);
   if (p == g.degree(x)) {
-    enumerate_rec(g, alphabet, x + 1, 0, current, out);
-    return;
+    return for_each_rec(g, alphabet, x + 1, 0, current, visit);
   }
   for (Symbol s = 0; s < alphabet; ++s) {
     bool clash = false;
@@ -77,22 +81,31 @@ void enumerate_rec(const Graph& g, std::size_t alphabet, NodeId x, PortId p,
     }
     if (clash) continue;
     current.set(x, p, s);
-    enumerate_rec(g, alphabet, x, p + 1, current, out);
+    if (for_each_rec(g, alphabet, x, p + 1, current, visit)) return true;
   }
   current.set(x, p, 0);
+  return false;
 }
 
 }  // namespace
 
-std::vector<EdgeLabeling> enumerate_labelings(const Graph& g,
-                                              std::size_t alphabet) {
+bool for_each_labeling(const Graph& g, std::size_t alphabet,
+                       const std::function<bool(const EdgeLabeling&)>& visit) {
   for (NodeId x = 0; x < g.node_count(); ++x) {
     QELECT_CHECK(g.degree(x) <= alphabet,
-                 "enumerate_labelings: alphabet smaller than max degree");
+                 "for_each_labeling: alphabet smaller than max degree");
   }
-  std::vector<EdgeLabeling> out;
   EdgeLabeling current = EdgeLabeling::zeros(g);
-  enumerate_rec(g, alphabet, 0, 0, current, out);
+  return for_each_rec(g, alphabet, 0, 0, current, visit);
+}
+
+std::vector<EdgeLabeling> enumerate_labelings(const Graph& g,
+                                              std::size_t alphabet) {
+  std::vector<EdgeLabeling> out;
+  for_each_labeling(g, alphabet, [&](const EdgeLabeling& l) {
+    out.push_back(l);
+    return false;
+  });
   return out;
 }
 

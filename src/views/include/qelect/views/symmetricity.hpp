@@ -39,12 +39,26 @@ std::vector<std::vector<graph::NodeId>> label_equivalence_classes(
     const graph::Graph& g, const graph::Placement& p,
     const graph::EdgeLabeling& l);
 
-/// max over enumerated labelings (alphabet symbols) of sigma_l.  Exhaustive
-/// and exponential: small graphs only.  With `alphabet` >= the max degree
-/// every port-locally-distinct equality pattern on symbols drawn from that
-/// alphabet is covered; larger alphabets can only lower symmetricity of the
-/// extra labelings, so max-degree alphabets give sigma(G) for the graphs
-/// used in the experiments (validated in the tests against known values).
+/// True iff every ~lab class of (G, p, l) has size > 1, i.e. iff every
+/// label_class_sizes entry is > 1, decided without canonical forms.  The
+/// argument behind Lemma 2.1: under locally distinct labels a label-
+/// preserving automorphism is fixed by where it sends one node.  So x has
+/// a nontrivial class iff some y != x of x's color passes a *label walk*:
+/// following equal labels out of x and y in step maps x's component onto
+/// y's, preserving colors and labels.  Each try costs O(|E| * max degree)
+/// and needs no search.  Exact for loops, multi-edges and disconnected
+/// graphs.
+bool label_classes_all_nontrivial(const graph::Graph& g,
+                                  const graph::Placement& p,
+                                  const graph::EdgeLabeling& l);
+
+/// max over enumerated labelings (alphabet symbols) of sigma_l, streamed
+/// through graph::for_each_labeling.  Exhaustive and exponential: small
+/// graphs only.  With `alphabet` >= the max degree every port-locally-
+/// distinct equality pattern on symbols drawn from that alphabet is
+/// covered; larger alphabets can only lower symmetricity of the extra
+/// labelings, so max-degree alphabets give sigma(G) for the graphs used in
+/// the experiments (validated in the tests against known values).
 std::size_t max_symmetricity_exhaustive(const graph::Graph& g,
                                         const graph::Placement& p,
                                         std::size_t alphabet);
@@ -63,7 +77,9 @@ std::optional<graph::NodeId> yk_quantitative_leader(
 
 /// Theorem 2.1 premise, checked exhaustively: does some labeling over
 /// `alphabet` symbols make every ~lab class have size > 1?  If yes, election
-/// on (G, p) is impossible in every model.
+/// on (G, p) is impossible in every model.  Streams the labelings and
+/// decides each with label_classes_all_nontrivial, stopping at the first
+/// witness.
 bool exists_labeling_with_all_classes_nontrivial(const graph::Graph& g,
                                                  const graph::Placement& p,
                                                  std::size_t alphabet);

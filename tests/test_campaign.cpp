@@ -231,7 +231,7 @@ TEST(CampaignSpec, RejectsUnknownKeys) {
 
 TEST(CampaignSpec, BuiltinsExpandAndHaveUniqueKeys) {
   for (const std::string& name : builtin_names()) {
-    if (name == "landscape") continue;  // n=6 enumeration; covered by bench
+    if (name == "landscape") continue;  // n = 6 enumeration; CI runs it whole
     const CampaignSpec spec = builtin_spec(name);
     const auto tasks = expand_tasks(spec);
     EXPECT_FALSE(tasks.empty()) << name;
@@ -243,6 +243,42 @@ TEST(CampaignSpec, BuiltinsExpandAndHaveUniqueKeys) {
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       EXPECT_EQ(again[i].key, tasks[i].key);
     }
+  }
+}
+
+TEST(CampaignLandscape, UpToFiveNodesMatchesExperiments) {
+  // The n = 2..5 rows of EXPERIMENTS.md § LAND, through the real engine.
+  // The n = 6 rows run in CI and in the benchmark.
+  ScratchDir scratch("landscape");
+  EngineOptions opts;
+  opts.deterministic = true;
+  const CampaignResult result = run_campaign(
+      builtin_spec("landscape-n5"), scratch.path("results.qws"), opts);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(result.failed + result.timeout, 0u);
+  const std::vector<LandscapeRow> rows =
+      landscape_rows(load_store(scratch.path("results.qws")));
+  ASSERT_EQ(rows.size(), 4u);
+  struct Expected {
+    std::size_t n, graphs, instances, elect, imposs_cayley, imposs_labeling;
+  };
+  const Expected expected[] = {{2, 1, 3, 2, 1, 0},
+                               {3, 2, 14, 13, 1, 0},
+                               {4, 6, 90, 70, 14, 6},
+                               {5, 21, 651, 649, 2, 0}};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const LandscapeRow& row = rows[i];
+    const Expected& want = expected[i];
+    SCOPED_TRACE("n = " + std::to_string(want.n));
+    EXPECT_EQ(row.n, want.n);
+    EXPECT_EQ(row.graphs, want.graphs);
+    EXPECT_EQ(row.instances, want.instances);
+    EXPECT_EQ(row.elect, want.elect);
+    EXPECT_EQ(row.imposs_cayley, want.imposs_cayley);
+    EXPECT_EQ(row.imposs_labeling, want.imposs_labeling);
+    EXPECT_EQ(row.open, 0u);
+    EXPECT_EQ(row.violations, 0u);
+    EXPECT_EQ(row.failed, 0u);
   }
 }
 

@@ -342,6 +342,86 @@ TEST(FaultReplay, MessageWorldFaultyRunReplaysIdentically) {
   EXPECT_TRUE(verification.identical) << verification.divergence;
 }
 
+// True iff the run's first fault is an edge cut of some agent's first
+// move: that agent is still on its home-base and has never entered a node
+// through a port, so MAP-DRAWING reads an empty entry port.
+bool first_fault_cuts_first_move(const Observed& run,
+                                 const Placement& p) {
+  if (run.result.fault_events.empty()) return false;
+  const fault::FaultEvent& cut = run.result.fault_events.front();
+  if (cut.kind != fault::FaultKind::EdgeCut ||
+      cut.node != p.home_bases()[cut.agent]) {
+    return false;
+  }
+  for (const trace::TraceEvent& e : run.events) {
+    if (e.step >= cut.step) break;
+    if (e.agent == cut.agent && e.kind == trace::TraceEvent::Kind::Move) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(FaultReplay, FirstMoveCutReplaysIdentically) {
+  const Graph g = graph::ring(6);
+  const Placement p(6, {0, 3});
+  fault::FaultPlan plan;
+  plan.edge_cut_rate = 0.05;
+  sim::RunConfig config;
+  config.seed = 1;
+  config.faults = &plan;
+
+  // The first fault seed whose run cuts an agent's first move and ends
+  // without a protocol check firing.
+  for (plan.fault_seed = 0; plan.fault_seed < 64; ++plan.fault_seed) {
+    const Observed run = traced_world_run(g, p, 3, config);
+    if (run.error.empty() && first_fault_cuts_first_move(run, p)) break;
+  }
+  ASSERT_LT(plan.fault_seed, 64u);
+
+  trace::VectorSink recorded_events;
+  config.sink = &recorded_events;
+  sim::World w(g, p, 3);
+  const sim::RecordedRun recorded =
+      sim::record_run(w, core::make_elect_protocol(), config);
+  sim::World replay_world(g, p, 3);
+  const auto verification =
+      sim::verify_replay(replay_world, core::make_elect_protocol(), config,
+                         recorded.result, recorded.schedule);
+  EXPECT_TRUE(verification.identical) << verification.divergence;
+
+  trace::VectorSink replayed_events;
+  sim::RunConfig replay_config = config;
+  replay_config.policy = sim::SchedulerPolicy::Replay;
+  replay_config.replay = &recorded.schedule;
+  replay_config.sink = &replayed_events;
+  sim::World again(g, p, 3);
+  const auto replayed = again.run(core::make_elect_protocol(), replay_config);
+  EXPECT_EQ(recorded_events.events(), replayed_events.events());
+  EXPECT_EQ(recorded.result.fault_events, replayed.fault_events);
+
+  // The cut is the run's first fault.  A cut leaves the agent where it
+  // was, so locality holds, and this run stays within the x16 Theorem 3.1
+  // certificate: the diagnosis finds no violation to blame, in the record
+  // and the replay alike.
+  ASSERT_FALSE(recorded.result.fault_events.empty());
+  const fault::FaultEvent& cut = recorded.result.fault_events.front();
+  EXPECT_EQ(cut.kind, fault::FaultKind::EdgeCut);
+  EXPECT_EQ(recorded.result.fault_summary.first, cut);
+  trace::InvariantSpec spec;
+  spec.graph = &g;
+  spec.home_bases = p.home_bases();
+  spec.theorem31_factor = 16.0;
+  const auto fv_recorded = fault::diagnose_first_violation(
+      trace::check_trace(recorded_events.events(), spec),
+      recorded.result.fault_events);
+  const auto fv_replayed = fault::diagnose_first_violation(
+      trace::check_trace(replayed_events.events(), spec),
+      replayed.fault_events);
+  EXPECT_FALSE(fv_recorded.violated) << fv_recorded.to_string();
+  EXPECT_EQ(fv_recorded, fv_replayed);
+}
+
 // ---- first-violation diagnosis ------------------------------------------
 
 TEST(Diagnosis, AttributesViolationToLatestPrecedingFault) {

@@ -2,8 +2,10 @@
 // Figure 2 example constructions, labelings, and placements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "qelect/campaign/workloads.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/graph/graph.hpp"
 #include "qelect/graph/labeling.hpp"
@@ -245,6 +247,57 @@ TEST(Labeling, EnumerateCountsForTinyGraphs) {
   const Graph p3 = path(3);
   EXPECT_EQ(enumerate_labelings(p3, 2).size(), 2u * 2u * 2u);
   EXPECT_THROW(enumerate_labelings(star(3), 2), CheckError);
+  // The degree check comes before the first visit.
+  std::size_t calls = 0;
+  EXPECT_THROW(for_each_labeling(star(3), 2,
+                                 [&](const EdgeLabeling&) {
+                                   ++calls;
+                                   return false;
+                                 }),
+               CheckError);
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(Labeling, ForEachVisitsEveryLabelingInEnumerationOrder) {
+  // Depth first over the (node, port) slots in order: the symbols read in
+  // that slot order strictly increase from one labeling to the next.
+  // figure2c() is a multigraph with a loop, whose two ports count toward
+  // its node's degree like any other pair of ports.
+  for (const Graph& g : {ring(4), star(3), figure2c().graph}) {
+    std::size_t alphabet = 0;
+    for (NodeId x = 0; x < g.node_count(); ++x) {
+      alphabet = std::max(alphabet, g.degree(x));
+    }
+    std::vector<EdgeLabeling> visited;
+    std::vector<Symbol> previous;
+    EXPECT_FALSE(for_each_labeling(g, alphabet, [&](const EdgeLabeling& l) {
+      EXPECT_TRUE(l.locally_distinct(g));
+      std::vector<Symbol> slots;
+      for (NodeId x = 0; x < g.node_count(); ++x) {
+        for (PortId p = 0; p < g.degree(x); ++p) slots.push_back(l.at(x, p));
+      }
+      EXPECT_TRUE(visited.empty() || previous < slots) << g.describe();
+      previous = std::move(slots);
+      visited.push_back(l);
+      return false;
+    }));
+    EXPECT_EQ(static_cast<double>(visited.size()),
+              campaign::labeling_count(g, alphabet))
+        << g.describe();
+    EXPECT_EQ(visited, enumerate_labelings(g, alphabet)) << g.describe();
+  }
+}
+
+TEST(Labeling, ForEachStopsAtFirstTrue) {
+  const Graph g = ring(4);
+  const std::vector<EdgeLabeling> all = enumerate_labelings(g, 2);
+  ASSERT_GT(all.size(), 5u);
+  std::size_t calls = 0;
+  EXPECT_TRUE(for_each_labeling(g, 2, [&](const EdgeLabeling& l) {
+    EXPECT_EQ(l, all[calls]);
+    return ++calls == 5;
+  }));
+  EXPECT_EQ(calls, 5u);
 }
 
 TEST(Placement, BasicsAndColors) {

@@ -9,6 +9,8 @@
 // corrected statement over every placement of every small Cayley graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "qelect/cayley/marking.hpp"
@@ -18,6 +20,7 @@
 #include "qelect/graph/families.hpp"
 #include "qelect/group/cayley_graph.hpp"
 #include "qelect/iso/automorphism.hpp"
+#include "qelect/iso/enumerate.hpp"
 #include "qelect/util/math.hpp"
 #include "qelect/util/rng.hpp"
 #include "qelect/views/symmetricity.hpp"
@@ -189,6 +192,76 @@ TEST(Theory, Lemma21AllLabelClassesSameSize) {
       }
     }
   }
+}
+
+// Every label_class_sizes entry is > 1: the canonical-certificate answer
+// that label_classes_all_nontrivial must reproduce.
+bool all_classes_nontrivial_by_certificates(const graph::Graph& g,
+                                            const Placement& p,
+                                            const graph::EdgeLabeling& l) {
+  const auto sizes = views::label_class_sizes(g, p, l);
+  return std::all_of(sizes.begin(), sizes.end(),
+                     [](std::uint64_t s) { return s > 1; });
+}
+
+// Compares the label walk with the certificates on every placement of at
+// most `max_agents` agents and every labeling over max-degree symbols;
+// returns how many (placement, labeling) pairs had all classes nontrivial.
+std::size_t expect_label_walk_matches(const graph::Graph& g,
+                                      std::size_t max_agents = SIZE_MAX) {
+  std::size_t alphabet = 0;
+  for (graph::NodeId x = 0; x < g.node_count(); ++x) {
+    alphabet = std::max(alphabet, g.degree(x));
+  }
+  std::size_t nontrivial = 0;
+  for (std::size_t r = 0; r <= std::min(max_agents, g.node_count()); ++r) {
+    for (const Placement& p : graph::enumerate_placements(g.node_count(), r)) {
+      graph::for_each_labeling(g, alphabet, [&](const graph::EdgeLabeling& l) {
+        const bool expected = all_classes_nontrivial_by_certificates(g, p, l);
+        EXPECT_EQ(views::label_classes_all_nontrivial(g, p, l), expected)
+            << g.describe() << " r=" << r;
+        nontrivial += expected ? 1 : 0;
+        return false;
+      });
+    }
+  }
+  return nontrivial;
+}
+
+TEST(Theory, Lemma21LabelWalkMatchesCertificatesConnected) {
+  // Under locally distinct labels a label-preserving automorphism is fixed
+  // by the image of one node, so a label walk decides each ~lab class.
+  std::size_t nontrivial = 0;
+  for (std::size_t n = 1; n <= 4; ++n) {
+    for (const graph::Graph& g : iso::all_connected_graphs(n)) {
+      nontrivial += expect_label_walk_matches(g);
+    }
+  }
+  EXPECT_GT(nontrivial, 0u);
+}
+
+TEST(Theory, Lemma21LabelWalkMatchesCertificatesMultigraph) {
+  // Figure 2(c): a loop and a double edge.  The loop node's degree is
+  // unique, so no labeling makes every class nontrivial.
+  EXPECT_EQ(expect_label_walk_matches(graph::figure2c().graph), 0u);
+  // Two looped nodes joined by a double edge: here the loop labels decide.
+  graph::Graph looped(2);
+  looped.add_edge(0, 0);
+  looped.add_edge(1, 1);
+  looped.add_edge(0, 1);
+  looped.add_edge(0, 1);
+  EXPECT_GT(expect_label_walk_matches(looped), 0u);
+}
+
+TEST(Theory, Lemma21LabelWalkMatchesCertificatesDisconnected) {
+  // A walk maps one component onto another, and a node whose component
+  // has no partner keeps a singleton class even when node 0's class is
+  // nontrivial.
+  const graph::Graph k2_k1 = graph::Graph::from_edges(3, {{0, 1}});
+  const graph::Graph c4_c4 = graph::Graph::from_edges(
+      8, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 7}, {7, 4}});
+  EXPECT_EQ(expect_label_walk_matches(k2_k1), 0u);
+  EXPECT_GT(expect_label_walk_matches(c4_c4, /*max_agents=*/2), 0u);
 }
 
 TEST(Theory, Theorem21ImpliesGcdObstruction) {

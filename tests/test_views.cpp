@@ -4,6 +4,7 @@
 
 #include "qelect/graph/families.hpp"
 #include "qelect/group/cayley_graph.hpp"
+#include "qelect/util/assert.hpp"
 #include "qelect/views/symmetricity.hpp"
 #include "qelect/views/views.hpp"
 
@@ -147,6 +148,21 @@ TEST(Symmetricity, RingWithAdjacentAgentsIsObstructed) {
   const graph::Graph g = graph::ring(4);
   const Placement p(4, {0, 1});
   EXPECT_TRUE(exists_labeling_with_all_classes_nontrivial(g, p, 2));
+}
+
+TEST(Symmetricity, LabelWalkRejectsInputsThatDoNotFit) {
+  const graph::Graph g = graph::ring(4);
+  const EdgeLabeling l = EdgeLabeling::from_ports(g);
+  EXPECT_THROW(label_classes_all_nontrivial(g, Placement::empty(5), l),
+               CheckError);
+  EXPECT_THROW(label_classes_all_nontrivial(
+                   g, Placement::empty(4),
+                   EdgeLabeling::from_ports(graph::ring(5))),
+               CheckError);
+  EdgeLabeling clash = l;
+  clash.set(0, 1, clash.at(0, 0));
+  EXPECT_THROW(label_classes_all_nontrivial(g, Placement::empty(4), clash),
+               CheckError);
 }
 
 TEST(Symmetricity, LabelClassesRefineViewClasses) {
