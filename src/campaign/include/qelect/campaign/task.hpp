@@ -14,9 +14,9 @@
 //
 // GraphRef rebuilds the instance graph from (family, params) on demand, so
 // tasks stay tiny; the "all-connected" family (every isomorphism class on
-// n nodes, the landscape sweep) memoizes iso::all_connected_graphs per n
-// behind a mutex because re-enumerating 2^15 edge subsets per task would
-// dwarf the task itself.
+// n nodes, the landscape sweep) indexes one immutable table of
+// iso::all_connected_graphs for n = 1..6, built on first use, because
+// re-enumerating 2^15 edge subsets per task would dwarf the task itself.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "qelect/campaign/task.hpp"
 
-#include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -14,17 +12,22 @@ namespace qelect::campaign {
 
 namespace {
 
-/// Memoized iso::all_connected_graphs: the landscape expansion and every
-/// all-connected task share one enumeration per n and per process.
+/// iso::all_connected_graphs(n): every n in [1, 6] is enumerated once per
+/// process on first use (about 20 ms) into a table that is read-only from
+/// then on, so the landscape expansion and every all-connected task share
+/// it without a lock.
 const std::vector<graph::Graph>& connected_graphs(std::size_t n) {
-  static std::mutex mu;
-  static std::map<std::size_t, std::vector<graph::Graph>> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    it = cache.emplace(n, iso::all_connected_graphs(n)).first;
+  static const std::vector<std::vector<graph::Graph>> table = [] {
+    std::vector<std::vector<graph::Graph>> by_n;
+    for (std::size_t k = 1; k <= 6; ++k) {
+      by_n.push_back(iso::all_connected_graphs(k));
+    }
+    return by_n;
+  }();
+  if (n == 0 || n > table.size()) {
+    (void)iso::all_connected_graphs(n);  // throws its range CheckError
   }
-  return it->second;
+  return table[n - 1];
 }
 
 std::size_t param_at(const std::vector<std::size_t>& params, std::size_t i,

@@ -59,10 +59,10 @@ std::size_t max_degree_of(const graph::Graph& g) {
 Metrics run_analyze(const graph::Graph& g, const graph::Placement& p,
                     double budget, const CancelToken& cancel) {
   Metrics out;
-  const auto plan = core::protocol_plan(g, p);
+  const std::uint64_t gcd = core::final_gcd(g, p);
   out.emplace_back("n", static_cast<double>(g.node_count()));
-  out.emplace_back("final_gcd", static_cast<double>(plan.final_gcd));
-  if (plan.final_gcd == 1) {
+  out.emplace_back("final_gcd", static_cast<double>(gcd));
+  if (gcd == 1) {
     out.emplace_back("class", kClassElect);
     return out;
   }

@@ -55,6 +55,15 @@ ProtocolClassPlan protocol_plan(const graph::Graph& g,
 std::shared_ptr<const ProtocolClassPlan> protocol_plan_shared(
     const graph::Graph& g, const graph::Placement& p);
 
+/// protocol_plan(g, p).final_gcd, with the same input checks, for callers
+/// that read nothing else.  Orbits refine the stable coloring of (G, p),
+/// so every refinement cell is a union of classes and the class gcd
+/// divides each cell size: on a connected G a cell gcd of 1 answers 1
+/// with no certificate.  Any other cell gcd computes the plan, because
+/// the converse fails (the Frucht graph with every node a home base is
+/// one cell of 12 singleton orbits).
+std::uint64_t final_gcd(const graph::Graph& g, const graph::Placement& p);
+
 /// Solvability verdicts for an election instance.
 enum class Verdict {
   Possible,    // ELECT elects (gcd of class sizes == 1, Theorem 3.1)

@@ -8,6 +8,7 @@
 
 #include "qelect/cayley/translation.hpp"
 #include "qelect/core/surrounding.hpp"
+#include "qelect/iso/refinement.hpp"
 #include "qelect/util/assert.hpp"
 #include "qelect/util/parallel.hpp"
 #include "qelect/util/math.hpp"
@@ -95,6 +96,20 @@ std::shared_ptr<const ProtocolClassPlan> protocol_plan_shared(
 ProtocolClassPlan protocol_plan(const graph::Graph& g,
                                 const graph::Placement& p) {
   return *protocol_plan_shared(g, p);
+}
+
+std::uint64_t final_gcd(const graph::Graph& g, const graph::Placement& p) {
+  QELECT_CHECK(p.agent_count() > 0, "final_gcd: no agents placed");
+  QELECT_CHECK(p.node_count() == g.node_count(),
+               "final_gcd: placement mismatch");
+  if (g.is_connected()) {
+    const iso::Coloring cells = iso::refine(iso::from_bicolored_graph(g, p));
+    std::vector<std::uint64_t> sizes(
+        *std::max_element(cells.begin(), cells.end()) + 1, 0);
+    for (const std::uint32_t c : cells) ++sizes[c];
+    if (gcd_all(sizes) == 1) return 1;
+  }
+  return protocol_plan_shared(g, p)->final_gcd;
 }
 
 std::string FeasibilityReport::verdict_string() const {

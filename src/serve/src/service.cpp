@@ -277,9 +277,9 @@ std::vector<std::uint8_t> Service::run_electable(const InstanceRef& inst) {
   // The cheap Theorem 3.1 side runs at any served size; the impossibility
   // machinery (Cayley recognition, exhaustive labelings) is the campaign
   // "analyze" workload and is only attempted at classification scale.
-  const auto plan = core::protocol_plan(built.g, built.p);
+  const std::uint64_t gcd = core::final_gcd(built.g, built.p);
   double classification = campaign::kClassElect;
-  if (plan.final_gcd != 1) {
+  if (gcd != 1) {
     if (built.g.node_count() <= limits_.max_deep_nodes) {
       const Metrics metrics =
           campaign::run_task(task_for(inst, "analyze"), CancelToken());
@@ -290,9 +290,9 @@ std::vector<std::uint8_t> Service::run_electable(const InstanceRef& inst) {
   }
   WireWriter w;
   w.u32(kStatusOk);
-  w.u8(plan.final_gcd == 1 ? 1 : 0);
+  w.u8(gcd == 1 ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(classification));
-  w.u64(plan.final_gcd);
+  w.u64(gcd);
   w.u64(built.g.node_count());
   return w.take();
 }

@@ -16,6 +16,13 @@
 // lands in the destroying thread's freelist -- blocks come from the global
 // operator new, so ownership is transferable.  Each thread's cache is
 // released back to operator delete at thread exit.
+//
+// Teardown: thread-local destructors run in reverse construction order,
+// and a thread's pooled Worlds (campaign::WorldPool::local()) are built
+// before its first frame builds the freelists, so those Worlds free their
+// last run's frames after ~Lists.  ~Lists therefore sets a trivially
+// destructible flag, and from then on the thread's frames go straight to
+// operator delete instead of into a destroyed freelist.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +34,7 @@ class FramePool {
  public:
   static void* allocate(std::size_t size) {
     const std::size_t b = bucket(size);
-    if (b >= kBuckets) return ::operator new(size);
+    if (b >= kBuckets || torn_down_) return ::operator new(size);
     Lists& l = lists();
     if (void* p = l.head[b]) {
       l.head[b] = *static_cast<void**>(p);
@@ -38,7 +45,7 @@ class FramePool {
 
   static void deallocate(void* p, std::size_t size) noexcept {
     const std::size_t b = bucket(size);
-    if (b >= kBuckets) {
+    if (b >= kBuckets || torn_down_) {
       ::operator delete(p);
       return;
     }
@@ -55,9 +62,12 @@ class FramePool {
     return (size + kGranularity - 1) / kGranularity - 1;
   }
 
+  static inline thread_local bool torn_down_ = false;
+
   struct Lists {
     void* head[kBuckets] = {};
     ~Lists() {
+      torn_down_ = true;
       for (void*& h : head) {
         while (h) {
           void* next = *static_cast<void**>(h);

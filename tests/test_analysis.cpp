@@ -3,13 +3,17 @@
 // Theorem 4.1 verdict.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "qelect/util/assert.hpp"
 
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/surrounding.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/iso/automorphism.hpp"
+#include "qelect/iso/enumerate.hpp"
 #include "qelect/iso/equivalence.hpp"
+#include "qelect/iso/refinement.hpp"
 
 namespace qelect::core {
 namespace {
@@ -101,6 +105,49 @@ TEST(Plan, SingleAgentExecutesZeroPhases) {
 
 TEST(Plan, RequiresAgents) {
   EXPECT_THROW(protocol_plan(graph::ring(4), Placement::empty(4)),
+               qelect::CheckError);
+}
+
+TEST(FinalGcd, EqualsThePlanOnEveryInstanceUpToSixNodes) {
+  // The whole landscape (n = 2..6, 7,814 instances) plus the one-node
+  // graph: every placement of every connected graph.
+  std::size_t instances = 0;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    for (const graph::Graph& g : iso::all_connected_graphs(n)) {
+      for (std::size_t r = 1; r <= n; ++r) {
+        for (const Placement& p : graph::enumerate_placements(n, r)) {
+          ASSERT_EQ(final_gcd(g, p), protocol_plan(g, p).final_gcd)
+              << g.describe() << " r=" << r;
+          ++instances;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(instances, 7814u + 1u);
+}
+
+TEST(FinalGcd, FallsBackWhenOneCellHoldsManyOrbits) {
+  // The Frucht graph (LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]) is cubic, so
+  // refinement leaves all 12 home bases in one cell, yet its only
+  // automorphism is the identity: 12 singleton classes, gcd 1.
+  std::vector<std::pair<NodeId, NodeId>> edges = {
+      {0, 7}, {1, 11}, {2, 10}, {3, 5}, {4, 9}, {6, 8}};
+  for (NodeId x = 0; x < 12; ++x) edges.emplace_back(x, (x + 1) % 12);
+  const graph::Graph frucht = graph::Graph::from_edges(12, edges);
+  std::vector<NodeId> everyone(12);
+  std::iota(everyone.begin(), everyone.end(), NodeId{0});
+  const Placement p(12, everyone);
+  const iso::ColoredDigraph d = iso::from_bicolored_graph(frucht, p);
+  ASSERT_EQ(iso::color_classes(iso::refine(d)).size(), 1u);
+  ASSERT_EQ(iso::automorphism_orbits(d).size(), 12u);
+  EXPECT_EQ(final_gcd(frucht, p), 1u);
+  EXPECT_EQ(protocol_plan(frucht, p).final_gcd, 1u);
+}
+
+TEST(FinalGcd, RequiresAgentsAndAMatchingPlacement) {
+  EXPECT_THROW(final_gcd(graph::ring(4), Placement::empty(4)),
+               qelect::CheckError);
+  EXPECT_THROW(final_gcd(graph::ring(4), Placement(5, {0})),
                qelect::CheckError);
 }
 

@@ -231,7 +231,6 @@ TEST(CampaignSpec, RejectsUnknownKeys) {
 
 TEST(CampaignSpec, BuiltinsExpandAndHaveUniqueKeys) {
   for (const std::string& name : builtin_names()) {
-    if (name == "landscape") continue;  // n = 6 enumeration; CI runs it whole
     const CampaignSpec spec = builtin_spec(name);
     const auto tasks = expand_tasks(spec);
     EXPECT_FALSE(tasks.empty()) << name;
@@ -244,6 +243,13 @@ TEST(CampaignSpec, BuiltinsExpandAndHaveUniqueKeys) {
       EXPECT_EQ(again[i].key, tasks[i].key);
     }
   }
+}
+
+TEST(CampaignSpec, AllConnectedIndexesEveryClassUpToSixNodes) {
+  EXPECT_EQ((GraphRef{"all-connected", {6, 111}}.build().edge_count()), 15u);
+  EXPECT_THROW((GraphRef{"all-connected", {6, 112}}.build()), CheckError);
+  EXPECT_THROW((GraphRef{"all-connected", {7, 0}}.build()), CheckError);
+  EXPECT_THROW((GraphRef{"all-connected", {0, 0}}.build()), CheckError);
 }
 
 TEST(CampaignLandscape, UpToFiveNodesMatchesExperiments) {

@@ -2,6 +2,8 @@
 // the wrapped butterfly, view depths (Norris), and graph IO.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "qelect/cayley/recognition.hpp"
 #include "qelect/cayley/translation.hpp"
 #include "qelect/core/analysis.hpp"
@@ -218,6 +220,41 @@ TEST(ViewQuotient, HalfEdgeCaseFlagged) {
   EXPECT_FALSE(q.realizable);
 }
 
+// Reference enumeration: certify every connected edge subset and keep the
+// first (smallest) subset of each certificate, in certificate order.
+std::vector<graph::Graph> connected_graphs_by_certificate(std::size_t n) {
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (graph::NodeId u = 0; u < n; ++u) {
+    for (graph::NodeId v = u + 1; v < n; ++v) pairs.emplace_back(u, v);
+  }
+  std::map<iso::Certificate, graph::Graph> found;
+  for (std::size_t mask = 0; mask < (std::size_t{1} << pairs.size());
+       ++mask) {
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (mask & (std::size_t{1} << i)) edges.push_back(pairs[i]);
+    }
+    graph::Graph g = graph::Graph::from_edges(n, edges);
+    if (!g.is_connected()) continue;
+    found.emplace(cert_of(g), std::move(g));
+  }
+  std::vector<graph::Graph> out;
+  for (auto& [cert, g] : found) out.push_back(std::move(g));
+  return out;
+}
+
+TEST(Enumerate, MatchesCertificateDedupePortByPort) {
+  for (std::size_t n = 1; n <= 6; ++n) {
+    const auto got = iso::all_connected_graphs(n);
+    const auto want = connected_graphs_by_certificate(n);
+    ASSERT_EQ(got.size(), want.size()) << n;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].node_count(), n);
+      EXPECT_EQ(got[i].edges(), want[i].edges()) << "n=" << n << " #" << i;
+    }
+  }
+}
+
 TEST(Enumerate, CountsMatchOeisA001349) {
   const std::size_t expected[] = {1, 1, 2, 6, 21, 112};
   for (std::size_t n = 1; n <= 6; ++n) {
@@ -227,17 +264,18 @@ TEST(Enumerate, CountsMatchOeisA001349) {
 }
 
 TEST(Enumerate, GraphsArePairwiseNonIsomorphicAndConnected) {
-  const auto graphs = iso::all_connected_graphs(5);
-  std::vector<iso::Certificate> certs;
-  for (const auto& g : graphs) {
-    EXPECT_TRUE(g.is_connected());
-    EXPECT_TRUE(g.is_simple());
-    EXPECT_EQ(g.node_count(), 5u);
-    certs.push_back(cert_of(g));
-  }
-  for (std::size_t i = 0; i < certs.size(); ++i) {
-    for (std::size_t j = i + 1; j < certs.size(); ++j) {
-      EXPECT_NE(certs[i], certs[j]);
+  for (std::size_t n = 5; n <= 6; ++n) {
+    std::vector<iso::Certificate> certs;
+    for (const auto& g : iso::all_connected_graphs(n)) {
+      EXPECT_TRUE(g.is_connected());
+      EXPECT_TRUE(g.is_simple());
+      EXPECT_EQ(g.node_count(), n);
+      certs.push_back(cert_of(g));
+    }
+    for (std::size_t i = 0; i < certs.size(); ++i) {
+      for (std::size_t j = i + 1; j < certs.size(); ++j) {
+        EXPECT_NE(certs[i], certs[j]) << "n=" << n;
+      }
     }
   }
 }

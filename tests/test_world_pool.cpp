@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "qelect/campaign/world_pool.hpp"
@@ -402,6 +403,23 @@ TEST(WorldPool, LocalPoolIsPerThread) {
   campaign::WorldPool& a = campaign::WorldPool::local();
   campaign::WorldPool& b = campaign::WorldPool::local();
   EXPECT_EQ(&a, &b);
+}
+
+TEST(WorldPool, ThreadExitFreesThePooledWorldsLastFrames) {
+  // The worker's pool exists before its first coroutine frame creates the
+  // frame freelists, so at thread exit the pooled World frees its last
+  // run's frames after the freelists are gone.  Under LeakSanitizer this
+  // test fails if those frames do not reach operator delete.
+  bool elected = false;
+  std::thread worker([&elected] {
+    sim::World& w =
+        campaign::WorldPool::local().acquire(elect_task({7}, 3), false);
+    elected = w.run(core::make_elect_protocol(),
+                    config_for(sim::SchedulerPolicy::Random, 3))
+                  .clean_election();
+  });
+  worker.join();
+  EXPECT_TRUE(elected);
 }
 
 }  // namespace
