@@ -10,13 +10,16 @@
 //
 // Batch-eligible specs (batch.hpp) claim slabs instead of single tasks:
 // up to kMaxSlabReplicas adjacent pending tasks of one instance, run in
-// lockstep and committed as one group, with the scalar path's records.
+// lockstep and staged as one group, with the scalar path's records.
 //
-// Shard completions commit to the WAL immediately, in completion order --
-// no reordering, so a finished task never waits on a slower earlier one
-// (the old head-of-line block before the store went binary).  Each record
-// carries its task_index, and the engine tracks the low-water mark (every
-// task below it is terminal).  Any kill point leaves a store whose records
+// Shards only stage their completions, in completion order -- so a
+// finished task never waits on a slower earlier one.  One commit thread
+// per run makes everything staged durable every 10 ms (one write and one
+// fdatasync, whatever the shard count), and once more after the shards
+// join; only then are those records acknowledged, in staging order.  A
+// kill loses at most the last ~10 ms of completions.  Each record carries
+// its task_index, and the engine tracks the low-water mark (every task
+// below it is terminal).  Any kill point leaves a store whose records
 // are an exact logical subset of the campaign: resuming runs exactly the
 // missing tasks, so `qelect export` of an interrupted-then-resumed store is
 // byte-identical to an uninterrupted one (with deterministic == true
@@ -24,9 +27,10 @@
 //
 // Live progress streams through the qelect_trace sink API: begin_run
 // carries the campaign shape (label = name, max_steps = task count,
-// agent_count = shards), one TaskOk/TaskFail event fires per commit
-// (step = commit index, agent = shard, node = task index), and end_run
-// summarizes (total_moves = ok count, total_board_accesses = failures).
+// agent_count = shards), the commit thread fires one TaskOk/TaskFail event
+// per durable record (step = acknowledgement index, agent = shard, node =
+// task index), and end_run summarizes (total_moves = ok count,
+// total_board_accesses = failures).
 // Attach a JsonlSink for a machine-readable progress feed or a
 // CountingSink for per-shard throughput, exactly as with simulator runs.
 #pragma once
@@ -52,14 +56,15 @@ struct EngineOptions {
   double timeout_seconds = -1;
   /// Write duration_seconds as 0 so stores are byte-reproducible.
   bool deterministic = false;
-  /// Stop committing after this many newly executed tasks (0 = run to
-  /// completion).  The simulated mid-run kill: the store is left a valid
-  /// prefix checkpoint, exactly like a crash between appends.
+  /// Stage exactly this many newly executed tasks, then stop; the final
+  /// commit makes them durable (0 = run to completion).  The simulated
+  /// mid-run kill: the store is left a valid prefix checkpoint, exactly
+  /// like a crash between commits.
   std::size_t stop_after = 0;
   /// Live progress sink (see header comment); may be null.
   trace::TraceSink* progress = nullptr;
-  /// Print one status line per `echo_every` commits and per failure to
-  /// stdout (0 = silent).
+  /// Print one status line per `echo_every` durable records and per
+  /// failure to stdout (0 = silent).
   std::size_t echo_every = 0;
   /// Store auto-compaction threshold (see StoreOptions::compact_every);
   /// 0 disables compaction during the run.
@@ -69,7 +74,7 @@ struct EngineOptions {
 struct CampaignResult {
   std::size_t total = 0;     // tasks in the expansion
   std::size_t skipped = 0;   // already terminal in the store (not re-run)
-  std::size_t executed = 0;  // committed by this invocation
+  std::size_t executed = 0;  // made durable by this invocation
   std::size_t ok = 0;        // of executed
   std::size_t failed = 0;    // of executed (exhausted retries)
   std::size_t timeout = 0;   // of executed (deadline tripped, all attempts)
@@ -85,7 +90,9 @@ struct CampaignResult {
 /// Runs (or resumes -- the store decides) a campaign against the store at
 /// `store_path`.  A store whose intact header embeds JSON that parses equal
 /// to `spec` (e.g. one that still carries "backend") keeps that header.
-/// Throws CheckError for spec/store mismatches; task failures never throw.
+/// Throws CheckError for spec/store mismatches and store I/O errors (the
+/// first error cancels the run and is rethrown once every thread has
+/// joined); task failures never throw.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const std::string& store_path,
                             const EngineOptions& options = {});

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -24,6 +27,22 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/// How often the commit thread makes staged records durable: a kill loses
+/// at most about this much of a run's completions, which resume re-runs.
+constexpr std::chrono::milliseconds kCommitInterval{10};
+
+/// A staged record as the commit thread acknowledges it.  At least 10 ms
+/// of completions queue at once (several thousand records on a many-seed
+/// elect campaign), and the two queues keep their peak capacity, so an ok
+/// record keeps only what the counts and the progress event need: staging
+/// whole TaskRecords costs such campaigns peak memory and CPU per task.
+struct Staged {
+  std::size_t task_index = 0;
+  unsigned shard = 0;
+  int attempts = 1;
+  std::unique_ptr<TaskRecord> not_ok;  // the record, when it is echoed
+};
 
 /// One task, all attempts.  Exceptions never escape: every failure mode
 /// becomes a record.
@@ -147,11 +166,19 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     options.progress->begin_run(meta);
   }
 
-  // Shared commit state: shard completions append to the WAL the moment
-  // they arrive (each record carries its task_index), so a slow task never
-  // blocks a finished one.  The low-water mark tracks the longest terminal
-  // task prefix; records above it are fine -- the WAL is identity-addressed.
+  // Workers only stage: each completed record is appended to the writer
+  // (encoded, not yet durable) and queued for acknowledgement, both under
+  // `mu`.  One commit thread makes the staged records durable every
+  // kCommitInterval and only then acknowledges them -- counts, progress
+  // event, echo line -- in staging order.  Records carry their
+  // task_index, so commit order need not be task order; the low-water
+  // mark tracks the longest acknowledged task prefix.
   std::mutex mu;
+  std::condition_variable workers_done_cv;
+  bool workers_done = false;
+  std::vector<Staged> staged;
+  std::size_t staged_count = 0;
+  std::exception_ptr first_error;
   std::vector<bool> terminal(tasks.size(), false);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (done.find(tasks[i].key) != done.end()) terminal[i] = true;
@@ -162,52 +189,75 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   const CancelToken stop_token = stop.token();
   std::atomic<std::size_t> next_claim{0};
 
-  // Appends one completed record under `mu` (staged, not yet durable --
-  // the caller group-commits after releasing the lock).  Returns false
-  // once the stop_after budget is exhausted.
-  auto stage_locked = [&](unsigned shard, std::size_t task_index,
-                          const TaskRecord& record) -> bool {
-    if (options.stop_after > 0 && result.executed >= options.stop_after) {
-      result.stopped_early = true;
-      stop.cancel();
-      return false;
+  // The first exception from any thread cancels the run; run_campaign
+  // rethrows it once every thread has joined.
+  auto fail = [&](std::exception_ptr error) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (!first_error) first_error = std::move(error);
     }
-    writer.append(record);
-    terminal[task_index] = true;
+    stop.cancel();
+  };
+
+  // Commit thread only: `s` is durable now.
+  auto acknowledge = [&](const Staged& s) {
+    terminal[s.task_index] = true;
     while (low_water < tasks.size() && terminal[low_water]) ++low_water;
     ++result.executed;
-    if (record.outcome == "ok") {
+    const bool ok = s.not_ok == nullptr;
+    if (ok) {
       ++result.ok;
-    } else if (record.outcome == "timeout") {
+    } else if (s.not_ok->outcome == "timeout") {
       ++result.timeout;
     } else {
       ++result.failed;
     }
-    result.retried += static_cast<std::size_t>(record.attempts - 1);
+    result.retried += static_cast<std::size_t>(s.attempts - 1);
     if (options.progress != nullptr) {
       trace::TraceEvent event;
       event.step = result.executed - 1;
-      event.agent = shard;
-      event.kind = record.ok() ? trace::TraceEvent::Kind::TaskOk
-                               : trace::TraceEvent::Kind::TaskFail;
-      event.node = static_cast<graph::NodeId>(task_index);
+      event.agent = s.shard;
+      event.kind = ok ? trace::TraceEvent::Kind::TaskOk
+                      : trace::TraceEvent::Kind::TaskFail;
+      event.node = static_cast<graph::NodeId>(s.task_index);
       options.progress->on_event(event);
     }
     if (options.echo_every > 0 &&
-        (!record.ok() || result.executed % options.echo_every == 0 ||
+        (!ok || result.executed % options.echo_every == 0 ||
          result.executed == pending.size())) {
-      if (record.ok()) {
+      if (ok) {
         std::printf("  [%zu/%zu] ok (%zu failed, %zu timeout)\n",
                     result.executed, pending.size(), result.failed,
                     result.timeout);
       } else {
         std::printf("  [%zu/%zu] %s %s: %s\n", result.executed,
-                    pending.size(), record.outcome.c_str(),
-                    record.key.c_str(), record.error.c_str());
+                    pending.size(), s.not_ok->outcome.c_str(),
+                    s.not_ok->key.c_str(), s.not_ok->error.c_str());
       }
       std::fflush(stdout);
     }
-    return true;
+  };
+
+  auto committer = [&] {
+    std::vector<Staged> batch;
+    bool last = false;
+    try {
+      while (!last) {
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          workers_done_cv.wait_for(lock, kCommitInterval,
+                                   [&] { return workers_done; });
+          last = workers_done;
+          batch.swap(staged);
+        }
+        if (batch.empty()) continue;
+        writer.commit();
+        for (const Staged& s : batch) acknowledge(s);
+        batch.clear();
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
   };
 
   // Runs slots [begin, end) as one slab into `records`; any task whose
@@ -251,39 +301,52 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
+  // Stages at most stop_after records in all: the one that would pass it
+  // cancels the run instead.
   auto worker = [&](unsigned shard) {
     std::vector<TaskRecord> records;
-    for (;;) {
-      if (stop_token.cancelled()) return;
-      const std::size_t unit =
-          next_claim.fetch_add(1, std::memory_order_relaxed);
-      if (unit >= units) return;
-      const std::size_t begin = bounds[unit];
-      const std::size_t end = bounds[unit + 1];
-      records.clear();
-      if (batch) {
-        execute_slab(begin, end, records);
-      } else {
-        records.push_back(execute_task(tasks[pending[begin]], spec, retries,
-                                       timeout_seconds,
-                                       options.deterministic));
-      }
-      bool staged_any = false;
-      {
-        std::lock_guard<std::mutex> lock(mu);
+    try {
+      for (;;) {
+        if (stop_token.cancelled()) return;
+        const std::size_t unit =
+            next_claim.fetch_add(1, std::memory_order_relaxed);
+        if (unit >= units) return;
+        const std::size_t begin = bounds[unit];
+        const std::size_t end = bounds[unit + 1];
+        records.clear();
+        if (batch) {
+          execute_slab(begin, end, records);
+        } else {
+          records.push_back(execute_task(tasks[pending[begin]], spec,
+                                         retries, timeout_seconds,
+                                         options.deterministic));
+        }
+        const std::lock_guard<std::mutex> lock(mu);
         for (std::size_t slot = begin; slot < end; ++slot) {
+          if (options.stop_after > 0 && staged_count >= options.stop_after) {
+            result.stopped_early = true;
+            stop.cancel();
+            break;
+          }
           TaskRecord& record = records[slot - begin];
           record.task_index = pending[slot];
-          if (!stage_locked(shard, pending[slot], record)) break;
-          staged_any = true;
+          writer.append(record);
+          ++staged_count;
+          Staged& s = staged.emplace_back();
+          s.task_index = pending[slot];
+          s.shard = shard;
+          s.attempts = record.attempts;
+          if (!record.ok()) {
+            s.not_ok = std::make_unique<TaskRecord>(std::move(record));
+          }
         }
       }
-      // Group commit outside the engine lock: the fdatasync for this
-      // unit coalesces with whatever sibling shards staged meanwhile.
-      if (staged_any) writer.commit();
+    } catch (...) {
+      fail(std::current_exception());
     }
   };
 
+  std::thread commit_thread(committer);
   if (shards <= 1 || units <= 1) {
     worker(0);
   } else {
@@ -292,6 +355,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     for (unsigned t = 0; t < shards; ++t) pool.emplace_back(worker, t);
     for (std::thread& th : pool) th.join();
   }
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    workers_done = true;
+  }
+  workers_done_cv.notify_one();
+  commit_thread.join();
+  if (first_error) std::rethrow_exception(first_error);
 
   result.low_water = low_water;
   result.wall_seconds = seconds_since(wall0);

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "qelect/campaign/world_pool.hpp"
-#include "qelect/cayley/recognition.hpp"
 #include "qelect/cayley/translation.hpp"
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/baselines.hpp"
@@ -67,20 +66,20 @@ Metrics run_analyze(const graph::Graph& g, const graph::Placement& p,
     return out;
   }
   cancel.throw_if_cancelled();
-  // Recognition only runs on obstructed instances: in the landscape sweep
-  // the gcd-1 majority never pays for it.
-  const auto rec = cayley::recognize_cayley(g);
+  // Recognition only runs on obstructed instances, and once per graph: in
+  // the landscape sweep the gcd-1 majority never pays for it.
+  const auto rec = core::recognize_cayley_shared(g);
   const std::size_t obstruction =
-      rec.is_cayley
-          ? cayley::max_translation_obstruction(rec.regular_subgroups, p)
+      rec->is_cayley
+          ? cayley::max_translation_obstruction(rec->regular_subgroups, p)
           : 0;
-  out.emplace_back("is_cayley", rec.is_cayley ? 1 : 0);
+  out.emplace_back("is_cayley", rec->is_cayley ? 1 : 0);
   out.emplace_back("obstruction", static_cast<double>(obstruction));
   if (obstruction > 1) {
     out.emplace_back("class", kClassImpossCayley);
     return out;
   }
-  if (rec.is_cayley) {
+  if (rec->is_cayley) {
     out.emplace_back("class", kClassViolation);
     return out;
   }
@@ -263,13 +262,13 @@ Metrics run_k2_exhaustive() {
 
 Metrics run_cayley_dichotomy(const graph::Graph& g,
                              const graph::Placement& p) {
-  const auto rec = cayley::recognize_cayley(g);
+  const auto rec = core::recognize_cayley_shared(g);
   const auto plan = core::protocol_plan(g, p);
   Metrics out{{"final_gcd", static_cast<double>(plan.final_gcd)},
-              {"is_cayley", rec.is_cayley ? 1 : 0}};
-  if (rec.is_cayley) {
+              {"is_cayley", rec->is_cayley ? 1 : 0}};
+  if (rec->is_cayley) {
     const std::size_t obstruction =
-        cayley::max_translation_obstruction(rec.regular_subgroups, p);
+        cayley::max_translation_obstruction(rec->regular_subgroups, p);
     out.emplace_back("obstruction", static_cast<double>(obstruction));
     out.emplace_back("agrees",
                      (plan.final_gcd > 1) == (obstruction > 1) ? 1 : 0);

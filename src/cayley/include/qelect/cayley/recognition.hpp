@@ -12,6 +12,11 @@
 // the effectual election test must consider *every* regular subgroup, not
 // one canonical choice -- see translation.hpp for why (a documented gap in
 // the paper's Theorem 4.1 as literally stated).
+//
+// The result depends on G alone, and it is costly (K_6 takes a few ms).
+// Callers that test many placements of one graph go through
+// core::recognize_cayley_shared, which memoizes this function on the
+// graph's port structure; recognize_cayley itself never caches.
 #pragma once
 
 #include <cstdint>

@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "qelect/cayley/recognition.hpp"
@@ -64,6 +66,48 @@ std::shared_ptr<const ProtocolClassPlan> protocol_plan_shared(
 /// one cell of 12 singleton orbits).
 std::uint64_t final_gcd(const graph::Graph& g, const graph::Placement& p);
 
+/// The word budget of the memo behind recognize_cayley_shared.
+inline constexpr std::size_t kRecognitionMemoWords = std::size_t{1} << 22;
+
+/// cayley::recognize_cayley(g) with its default limits, memoized on the
+/// exact port structure of g.  By Sabidussi the answer depends on G
+/// alone, while callers ask once per placement (the landscape makes 465
+/// calls on 45 graphs).  One process-wide RecognitionMemo with a budget of
+/// kRecognitionMemoWords.
+std::shared_ptr<const cayley::RecognitionResult> recognize_cayley_shared(
+    const graph::Graph& g);
+
+/// The memo behind recognize_cayley_shared; tests build their own to reach
+/// the budget paths.  Thread-safe: recognition runs outside the lock and an
+/// insert race keeps the incumbent.  The memo is bounded by the words it
+/// holds -- each entry's key plus one word per permutation entry of its
+/// regular subgroups -- and is cleared wholesale when an insert would pass
+/// the budget; a result larger than the whole budget is returned without
+/// being stored.
+class RecognitionMemo {
+ public:
+  explicit RecognitionMemo(std::size_t budget_words);
+
+  RecognitionMemo(const RecognitionMemo&) = delete;
+  RecognitionMemo& operator=(const RecognitionMemo&) = delete;
+
+  std::shared_ptr<const cayley::RecognitionResult> recognize(
+      const graph::Graph& g);
+
+ private:
+  using Key = std::vector<std::uint64_t>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept;
+  };
+
+  std::mutex mutex_;
+  std::unordered_map<Key, std::shared_ptr<const cayley::RecognitionResult>,
+                     KeyHash>
+      entries_;
+  std::size_t words_ = 0;  // summed costs of the entries
+  const std::size_t budget_;
+};
+
 /// Solvability verdicts for an election instance.
 enum class Verdict {
   Possible,    // ELECT elects (gcd of class sizes == 1, Theorem 3.1)
@@ -91,10 +135,11 @@ struct FeasibilityReport {
 
 /// Analyzes (G, p).  When `check_cayley` is set the Cayley machinery runs
 /// (exponential in the worst case; intended for the moderate sizes of the
-/// experiments).  When `exhaustive_alphabet` > 0 and the verdict is still
-/// open, the Theorem 2.1 labeling search runs over that alphabet (only
-/// feasible for tiny graphs: the labeling count is prod_x P(a, deg x));
-/// finding an all-nontrivial labeling upgrades the verdict to Impossible.
+/// experiments), with recognition through recognize_cayley_shared.  When
+/// `exhaustive_alphabet` > 0 and the verdict is still open, the Theorem
+/// 2.1 labeling search runs over that alphabet (only feasible for tiny
+/// graphs: the labeling count is prod_x P(a, deg x)); finding an
+/// all-nontrivial labeling upgrades the verdict to Impossible.
 FeasibilityReport analyze(const graph::Graph& g, const graph::Placement& p,
                           bool check_cayley = true,
                           std::size_t exhaustive_alphabet = 0);

@@ -98,6 +98,60 @@ ProtocolClassPlan protocol_plan(const graph::Graph& g,
   return *protocol_plan_shared(g, p);
 }
 
+namespace {
+
+/// What one memo entry costs: its key plus one word per permutation entry.
+/// The bound is in words, not entries: one served complete(8) holds 2,760
+/// regular subgroups, while a non-Cayley graph holds none.
+std::size_t recognition_words(const std::vector<std::uint64_t>& key,
+                              const cayley::RecognitionResult& result) {
+  std::size_t words = key.size();
+  for (const cayley::RegularSubgroup& r : result.regular_subgroups) {
+    words += r.order() * r.order();
+  }
+  return words;
+}
+
+}  // namespace
+
+RecognitionMemo::RecognitionMemo(std::size_t budget_words)
+    : budget_(budget_words) {}
+
+std::size_t RecognitionMemo::KeyHash::operator()(
+    const Key& key) const noexcept {
+  return detail::StructureKeyHash{}(key);
+}
+
+std::shared_ptr<const cayley::RecognitionResult> RecognitionMemo::recognize(
+    const graph::Graph& g) {
+  Key key;
+  detail::append_graph_structure(key, g);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) return it->second;
+  }
+  auto result = std::make_shared<const cayley::RecognitionResult>(
+      cayley::recognize_cayley(g));
+  const std::size_t words = recognition_words(key, *result);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (words > budget_) return result;
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) return it->second;  // the incumbent wins
+  if (words_ + words > budget_) {
+    entries_.clear();
+    words_ = 0;
+  }
+  words_ += words;
+  return entries_.emplace(std::move(key), std::move(result)).first->second;
+}
+
+std::shared_ptr<const cayley::RecognitionResult> recognize_cayley_shared(
+    const graph::Graph& g) {
+  static RecognitionMemo memo(kRecognitionMemoWords);
+  return memo.recognize(g);
+}
+
 std::uint64_t final_gcd(const graph::Graph& g, const graph::Placement& p) {
   QELECT_CHECK(p.agent_count() > 0, "final_gcd: no agents placed");
   QELECT_CHECK(p.node_count() == g.node_count(),
@@ -134,14 +188,14 @@ FeasibilityReport analyze(const graph::Graph& g, const graph::Placement& p,
   }
   if (check_cayley) {
     report.cayley_checked = true;
-    const cayley::RecognitionResult rec = cayley::recognize_cayley(g);
-    report.is_cayley = rec.is_cayley;
-    report.cayley_enumeration_complete = rec.aut_enumeration_complete;
-    report.aut_order = rec.aut_order;
-    report.regular_subgroup_count = rec.regular_subgroups.size();
-    if (rec.is_cayley) {
+    const auto rec = recognize_cayley_shared(g);
+    report.is_cayley = rec->is_cayley;
+    report.cayley_enumeration_complete = rec->aut_enumeration_complete;
+    report.aut_order = rec->aut_order;
+    report.regular_subgroup_count = rec->regular_subgroups.size();
+    if (rec->is_cayley) {
       report.translation_obstruction =
-          cayley::max_translation_obstruction(rec.regular_subgroups, p);
+          cayley::max_translation_obstruction(rec->regular_subgroups, p);
       if (report.translation_obstruction > 1) {
         // Theorem 4.1's construction turns this subgroup into a labeling
         // with all ~lab classes of size > 1; Theorem 2.1 then applies.  A

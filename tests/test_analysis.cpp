@@ -1,12 +1,16 @@
-// Tests for surroundings, the protocol class plan, and the feasibility
-// oracle -- Lemma 3.1, Theorem 2.1's application, and the corrected
-// Theorem 4.1 verdict.
+// Tests for surroundings, the protocol class plan, the recognition memo,
+// and the feasibility oracle -- Lemma 3.1, Theorem 2.1's application, and
+// the corrected Theorem 4.1 verdict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "qelect/util/assert.hpp"
 
+#include "qelect/cayley/recognition.hpp"
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/surrounding.hpp"
 #include "qelect/graph/families.hpp"
@@ -149,6 +153,112 @@ TEST(FinalGcd, RequiresAgentsAndAMatchingPlacement) {
                qelect::CheckError);
   EXPECT_THROW(final_gcd(graph::ring(4), Placement(5, {0})),
                qelect::CheckError);
+}
+
+/// Equal recognition results: flags, group order, and every regular
+/// subgroup's members, subgroup by subgroup in order.
+bool same_recognition(const cayley::RecognitionResult& a,
+                      const cayley::RecognitionResult& b) {
+  if (a.is_cayley != b.is_cayley || a.aut_order != b.aut_order ||
+      a.aut_enumeration_complete != b.aut_enumeration_complete ||
+      a.regular_subgroups.size() != b.regular_subgroups.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.regular_subgroups.size(); ++i) {
+    if (a.regular_subgroups[i].sorted_members() !=
+        b.regular_subgroups[i].sorted_members()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RecognizeShared, EqualsRecognitionOnEveryGraphUpToSixNodes) {
+  std::vector<graph::Graph> graphs;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    for (graph::Graph& g : iso::all_connected_graphs(n)) {
+      graphs.push_back(std::move(g));
+    }
+  }
+  ASSERT_EQ(graphs.size(), 143u);
+  graphs.push_back(graph::petersen());
+  graphs.push_back(graph::hypercube(3));
+  graphs.push_back(graph::complete(7));
+  for (const graph::Graph& g : graphs) {
+    EXPECT_TRUE(same_recognition(*recognize_cayley_shared(g),
+                                 cayley::recognize_cayley(g)))
+        << g.describe();
+  }
+}
+
+TEST(RecognizeShared, OneEntryPerPortStructure) {
+  const graph::Graph g = graph::ring(6);
+  const auto first = recognize_cayley_shared(g);
+  EXPECT_EQ(recognize_cayley_shared(g), first);
+
+  // The same edges listed backwards: other ports, so another key.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const graph::Edge& e : g.edges()) edges.emplace_back(e.u, e.v);
+  std::reverse(edges.begin(), edges.end());
+  const graph::Graph reordered = graph::Graph::from_edges(6, edges);
+  ASSERT_NE(reordered.ports(0), g.ports(0));
+  const auto other = recognize_cayley_shared(reordered);
+  EXPECT_NE(other, first);
+  EXPECT_TRUE(same_recognition(*other, *first));
+  EXPECT_EQ(recognize_cayley_shared(reordered), other);
+}
+
+TEST(RecognitionMemo, ResultOverTheBudgetIsReturnedButNotKept) {
+  // K5: 26 key words plus 6 regular subgroups of 5 x 5 entries.  P3: 8
+  // key words and no subgroup.
+  const graph::Graph big = graph::complete(5);
+  const graph::Graph small = graph::path(3);
+  RecognitionMemo memo(100);
+  const auto a = memo.recognize(big);
+  const auto b = memo.recognize(big);
+  EXPECT_NE(a, b);
+  EXPECT_TRUE(a->is_cayley);
+  EXPECT_TRUE(same_recognition(*a, cayley::recognize_cayley(big)));
+  EXPECT_TRUE(same_recognition(*a, *b));
+  const auto kept = memo.recognize(small);
+  EXPECT_EQ(memo.recognize(small), kept);
+}
+
+TEST(RecognitionMemo, EightThreadsSeeEqualResults) {
+  std::vector<graph::Graph> graphs;
+  for (std::size_t n = 3; n <= 5; ++n) {
+    for (graph::Graph& g : iso::all_connected_graphs(n)) {
+      graphs.push_back(std::move(g));
+    }
+  }
+  graphs.push_back(graph::petersen());
+  graphs.push_back(graph::hypercube(3));
+  std::vector<cayley::RecognitionResult> expected;
+  for (const graph::Graph& g : graphs) {
+    expected.push_back(cayley::recognize_cayley(g));
+  }
+  auto hammer = [&](RecognitionMemo& memo) {
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < 4 * graphs.size(); ++i) {
+          const std::size_t k = (i + 7 * t) % graphs.size();
+          if (!same_recognition(*memo.recognize(graphs[k]), expected[k])) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    return mismatches.load();
+  };
+  // A memo with the default budget, then one small enough that inserts
+  // keep clearing it.
+  RecognitionMemo roomy(kRecognitionMemoWords);
+  EXPECT_EQ(hammer(roomy), 0u);
+  RecognitionMemo tight(500);
+  EXPECT_EQ(hammer(tight), 0u);
 }
 
 TEST(Analyze, PossibleWhenGcd1) {

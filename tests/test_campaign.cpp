@@ -2,10 +2,14 @@
 // result store as a crash-tolerant checkpoint, kill/resume logical
 // identity (asserted over the JSONL export, which sorts by task_index --
 // WAL bytes land in commit order and are not comparable across runs),
-// fault isolation (injected failures, timeouts), and the Table 1 matrix
-// agreeing with the directly computed verdicts.
+// fault isolation (injected failures, timeouts), the commit thread
+// (acknowledged means durable; store I/O errors throw at any shard
+// count), and the Table 1 matrix agreeing with the directly computed
+// verdicts.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -15,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "qelect/campaign/batch.hpp"
 #include "qelect/campaign/builtin.hpp"
@@ -340,12 +345,16 @@ TEST(CampaignEngine, KilledThenResumedStoreIsLogicallyIdentical) {
 
   // Simulated kill after 13 commits: commits land out of order, so the
   // surviving records are an arbitrary 13-task subset -- but each one must
-  // equal its counterpart in the uninterrupted run exactly.
+  // equal its counterpart in the uninterrupted run exactly.  Exactly those
+  // 13 are acknowledged to the progress sink.
   EngineOptions kill = opts;
   kill.stop_after = 13;
+  trace::VectorSink sink;
+  kill.progress = &sink;
   const CampaignResult partial = run_campaign(spec, killed, kill);
   EXPECT_TRUE(partial.stopped_early);
   EXPECT_EQ(partial.executed, 13u);
+  EXPECT_EQ(sink.events().size(), 13u);
   const LoadedStore killed_store = load_store(killed);
   EXPECT_EQ(killed_store.records.size(), 13u);
   const LoadedStore full_store = load_store(uninterrupted);
@@ -476,6 +485,116 @@ TEST(CampaignEngine, ProgressStreamsThroughTraceSinks) {
   }
   EXPECT_EQ(sink.summary().steps, result.executed);
   EXPECT_TRUE(sink.summary().completed);
+}
+
+/// A progress sink that, on every event, reloads the store from disk and
+/// looks for the acknowledged record there.
+class DurabilityProbe : public trace::TraceSink {
+ public:
+  explicit DurabilityProbe(std::string path) : path_(std::move(path)) {}
+  void on_event(const trace::TraceEvent& event) override {
+    ++events;
+    for (const TaskRecord& r : load_store(path_).records) {
+      if (r.task_index == event.node) {
+        ++durable;
+        return;
+      }
+    }
+  }
+  std::size_t events = 0;
+  std::size_t durable = 0;
+
+ private:
+  std::string path_;
+};
+
+TEST(CampaignEngine, AcknowledgedRecordIsAlreadyDurable) {
+  for (const unsigned shards : {1u, 4u}) {
+    SCOPED_TRACE("shards = " + std::to_string(shards));
+    ScratchDir scratch("durable" + std::to_string(shards));
+    const std::string path = scratch.path("store.qws");
+    DurabilityProbe probe(path);
+    EngineOptions opts;
+    opts.shards = shards;
+    opts.progress = &probe;
+    const CampaignResult result = run_campaign(small_spec(), path, opts);
+    EXPECT_EQ(probe.events, result.executed);
+    EXPECT_EQ(probe.durable, probe.events);
+  }
+}
+
+TEST(CampaignEngine, EveryRecordIsAcknowledgedOnceInStagingOrder) {
+  ScratchDir scratch("ack");
+  const std::string path = scratch.path("store.qws");
+  trace::VectorSink sink;
+  EngineOptions opts;
+  opts.shards = 4;
+  opts.progress = &sink;
+  const CampaignResult result =
+      run_campaign(builtin_spec("landscape-n5"), path, opts);
+  EXPECT_TRUE(result.complete());
+  // Staging order is the WAL's append order, so the i-th event names the
+  // i-th record on disk.
+  const LoadedStore store = load_store(path);
+  ASSERT_EQ(store.records.size(), result.total);
+  ASSERT_EQ(sink.events().size(), result.total);
+  std::set<std::uint64_t> seen;
+  for (std::size_t i = 0; i < sink.events().size(); ++i) {
+    const trace::TraceEvent& event = sink.events()[i];
+    EXPECT_EQ(event.step, i);
+    EXPECT_EQ(event.node, store.records[i].task_index) << i;
+    EXPECT_LT(event.agent, 4u);
+    EXPECT_TRUE(seen.insert(event.node).second) << event.node;
+  }
+  EXPECT_EQ(seen.size(), result.total);
+}
+
+TEST(CampaignEngine, StoreWriteFailureThrowsAtFourShards) {
+  ScratchDir scratch("fsize");
+  const CampaignSpec spec = builtin_spec("landscape-n5");
+  EngineOptions opts;
+  opts.deterministic = true;
+  opts.shards = 4;
+  run_campaign(spec, scratch.path("reference.qws"), opts);
+  const std::string reference = export_of(scratch.path("reference.qws"));
+  constexpr rlim_t kLimit = 64 * 1024;
+  ASSERT_GT(slurp(scratch.path("reference.qws")).size(), kLimit);
+
+  // Writes past the limit fail with EFBIG instead of raising SIGXFSZ.
+  // Both settings are process-wide, so they are restored before any
+  // assertion can end the test.
+  rlimit saved_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  struct sigaction ignore {};
+  struct sigaction saved_action {};
+  ignore.sa_handler = SIG_IGN;
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &saved_action), 0);
+  rlimit limited = saved_limit;
+  limited.rlim_cur = kLimit;
+  const int set = ::setrlimit(RLIMIT_FSIZE, &limited);
+  std::string error;
+  bool other_exception = false;
+  if (set == 0) {
+    try {
+      run_campaign(spec, scratch.path("limited.qws"), opts);
+    } catch (const CheckError& e) {
+      error = e.what();
+    } catch (...) {
+      other_exception = true;
+    }
+  }
+  ::setrlimit(RLIMIT_FSIZE, &saved_limit);
+  ::sigaction(SIGXFSZ, &saved_action, nullptr);
+  ASSERT_EQ(set, 0);
+  EXPECT_FALSE(other_exception);
+  EXPECT_NE(error.find("write failed"), std::string::npos) << error;
+
+  // Under normal limits the store resumes to the reference export.
+  const CampaignResult resumed =
+      run_campaign(spec, scratch.path("limited.qws"), opts);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_GT(resumed.executed, 0u);
+  EXPECT_EQ(export_of(scratch.path("limited.qws")), reference);
 }
 
 TEST(CampaignTable1, MatrixMatchesDirectComputation) {
