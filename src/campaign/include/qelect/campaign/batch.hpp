@@ -1,8 +1,9 @@
 // Batch execution for the campaign engine.
 //
 // Every batch-eligible campaign runs its elect tasks as *slabs*: adjacent
-// pending tasks sharing (graph, home_bases, scheduler, max_steps) differ
-// only in their color seed, so the engine compiles the instance once
+// pending tasks of one task-space instance (graph, home_bases; scheduler
+// and max_steps are per spec) differ only in their color seed, so the
+// engine compiles the instance once
 // (compile_elect_batch_plan) and advances all seeds in lockstep through
 // sim::BatchWorld.  Each replica is keyed (seed = color_seed, replica =
 // 0), which reproduces the scalar run for that task bit-for-bit -- records
@@ -18,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +63,6 @@ bool batch_eligible(const CampaignSpec& spec, double timeout_seconds);
 /// path and counts it).  Throws if the instance itself cannot be compiled
 /// (caller falls back for the whole slab).
 std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
-run_elect_slab(const std::vector<const TaskSpec*>& tasks);
+run_elect_slab(std::span<const TaskSpec> tasks);
 
 }  // namespace qelect::campaign

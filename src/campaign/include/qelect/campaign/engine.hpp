@@ -1,9 +1,11 @@
 // The campaign engine: sharded, fault-isolated, resumable execution.
 //
-// run_campaign expands the spec, loads the result store, skips every task
-// whose key already has a terminal record, and executes the remainder on a
-// pool of worker shards (dynamic claiming, so one expensive task never
-// serializes a block of cheap ones behind it).  Each task attempt runs
+// run_campaign builds the spec's TaskSpace (task.hpp), loads the result
+// store, skips every task whose key already has a terminal record, and
+// executes the remainder on a pool of worker shards (dynamic claiming, so
+// one expensive task never serializes a block of cheap ones behind it).
+// The engine keeps only the pending task indices; a worker fills each
+// task it claims from the space.  Each task attempt runs
 // under a cooperative deadline and full exception isolation: a throwing or
 // timed-out task is retried up to the configured budget and then committed
 // as `failed`/`timeout` with its error text -- sibling shards never notice.

@@ -34,9 +34,9 @@ bool batch_eligible(const CampaignSpec& spec, double timeout_seconds) {
 }
 
 std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
-run_elect_slab(const std::vector<const TaskSpec*>& tasks) {
+run_elect_slab(std::span<const TaskSpec> tasks) {
   QELECT_CHECK(!tasks.empty(), "batch: empty slab");
-  const TaskSpec& head = *tasks.front();
+  const TaskSpec& head = tasks.front();
   const graph::Graph g = head.graph.build();
   const graph::Placement p(g.node_count(), head.home_bases);
   // Campaign chunking hands the same structure to many slabs; the shared
@@ -45,10 +45,10 @@ run_elect_slab(const std::vector<const TaskSpec*>& tasks) {
 
   std::vector<sim::BatchReplicaConfig> replicas;
   replicas.reserve(tasks.size());
-  for (const TaskSpec* task : tasks) {
+  for (const TaskSpec& task : tasks) {
     // The color seed doubles as the scheduler seed, matching the scalar
     // run_config (and so the whole record matches the scalar path's).
-    replicas.push_back({task->color_seed, 0});
+    replicas.push_back({task.color_seed, 0});
   }
   sim::BatchConfig config;
   config.policy = policy_from_name(head.scheduler);

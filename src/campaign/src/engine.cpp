@@ -7,7 +7,9 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -84,19 +86,14 @@ TaskRecord execute_task(const TaskSpec& task, const CampaignSpec& spec,
   return record;
 }
 
-/// Tasks that differ at most in their color seed: one slab's worth.
-bool same_instance(const TaskSpec& a, const TaskSpec& b) {
-  return a.graph == b.graph && a.home_bases == b.home_bases &&
-         a.scheduler == b.scheduler && a.max_steps == b.max_steps;
-}
-
 }  // namespace
 
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const std::string& store_path,
                             const EngineOptions& options) {
   const Clock::time_point wall0 = Clock::now();
-  const std::vector<TaskSpec> tasks = expand_tasks(spec);
+  const TaskSpace space(spec);
+  const std::size_t total = space.size();
 
   StoreHeader header;
   header.name = spec.name;
@@ -112,16 +109,27 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       CampaignSpec::from_json_text(prior.header.spec_json) == spec) {
     header = prior.header;
   }
-  const auto done = prior.by_key();
-  std::vector<std::size_t> pending;  // indices into tasks, in task order
-  pending.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (done.find(tasks[i].key) == done.end()) pending.push_back(i);
+  // Task indices in task order; only a store that already holds records
+  // needs keys formatted before the run.
+  std::vector<std::size_t> pending;
+  std::vector<bool> terminal(total, false);
+  if (prior.records.empty()) {
+    pending.resize(total);
+    std::iota(pending.begin(), pending.end(), std::size_t{0});
+  } else {
+    const auto done = prior.by_key();
+    for (std::size_t i = 0; i < total; ++i) {
+      if (done.find(space.key(i)) == done.end()) {
+        pending.push_back(i);
+      } else {
+        terminal[i] = true;
+      }
+    }
   }
 
   CampaignResult result;
-  result.total = tasks.size();
-  result.skipped = tasks.size() - pending.size();
+  result.total = total;
+  result.skipped = total - pending.size();
 
   StoreOptions store_options;
   store_options.compact_every = options.compact_every;
@@ -135,16 +143,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   // Claim units are contiguous ranges of `pending`: unit u is slots
   // [bounds[u], bounds[u + 1]).  A scalar unit is one task; a slab is a run
-  // of adjacent same-instance tasks (expansion puts color seeds innermost),
+  // of adjacent tasks of one instance (they differ only in color seed),
   // capped at kMaxSlabReplicas.  Completions commit as they finish -- the
   // WAL records task_index, so resume identity holds at logical-task
   // granularity without task-order commits.
   std::vector<std::size_t> bounds{0};
   for (std::size_t slot = 0; slot < pending.size();) {
-    const TaskSpec& head = tasks[pending[slot]];
+    const std::size_t instance = space.instance_of(pending[slot]);
     std::size_t end = slot + 1;
     while (batch && end < pending.size() && end - slot < kMaxSlabReplicas &&
-           same_instance(head, tasks[pending[end]])) {
+           space.instance_of(pending[end]) == instance) {
       ++end;
     }
     bounds.push_back(end);
@@ -158,11 +166,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   if (options.progress != nullptr) {
     trace::RunMetadata meta;
     meta.label = spec.name;
-    meta.node_count = tasks.size();
+    meta.node_count = total;
     meta.agent_count = shards;
     meta.policy = "campaign";
     meta.seed = header.spec_hash;
-    meta.max_steps = tasks.size();
+    meta.max_steps = total;
     options.progress->begin_run(meta);
   }
 
@@ -179,12 +187,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   std::vector<Staged> staged;
   std::size_t staged_count = 0;
   std::exception_ptr first_error;
-  std::vector<bool> terminal(tasks.size(), false);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (done.find(tasks[i].key) != done.end()) terminal[i] = true;
-  }
   std::size_t low_water = 0;
-  while (low_water < tasks.size() && terminal[low_water]) ++low_water;
+  while (low_water < total && terminal[low_water]) ++low_water;
   CancelSource stop;
   const CancelToken stop_token = stop.token();
   std::atomic<std::size_t> next_claim{0};
@@ -202,7 +206,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // Commit thread only: `s` is durable now.
   auto acknowledge = [&](const Staged& s) {
     terminal[s.task_index] = true;
-    while (low_water < tasks.size() && terminal[low_water]) ++low_water;
+    while (low_water < total && terminal[low_water]) ++low_water;
     ++result.executed;
     const bool ok = s.not_ok == nullptr;
     if (ok) {
@@ -260,17 +264,12 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
-  // Runs slots [begin, end) as one slab into `records`; any task whose
-  // replica failed (and the whole slab if compilation throws) falls back
-  // to the scalar path, so worst case equals the scalar path plus one
+  // Runs `slab` (a claimed unit's filled tasks) into `records`; any task
+  // whose replica failed (and the whole slab if compilation throws) falls
+  // back to the scalar path, so worst case equals the scalar path plus one
   // failed attempt.
-  auto execute_slab = [&](std::size_t begin, std::size_t end,
+  auto execute_slab = [&](std::span<const TaskSpec> slab,
                           std::vector<TaskRecord>& records) {
-    std::vector<const TaskSpec*> slab;
-    slab.reserve(end - begin);
-    for (std::size_t slot = begin; slot < end; ++slot) {
-      slab.push_back(&tasks[pending[slot]]);
-    }
     const Clock::time_point t0 = Clock::now();
     std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
         metrics;
@@ -287,13 +286,13 @@ CampaignResult run_campaign(const CampaignSpec& spec,
             : seconds_since(t0) / static_cast<double>(slab.size());
     for (std::size_t i = 0; i < slab.size(); ++i) {
       if (!metrics[i].has_value()) {
-        records.push_back(execute_task(*slab[i], spec, retries,
+        records.push_back(execute_task(slab[i], spec, retries,
                                        timeout_seconds,
                                        options.deterministic));
         continue;
       }
       TaskRecord& record = records.emplace_back();
-      record.key = slab[i]->key;
+      record.key = slab[i].key;
       record.outcome = "ok";
       record.attempts = 1;
       record.duration_seconds = share;
@@ -302,8 +301,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   };
 
   // Stages at most stop_after records in all: the one that would pass it
-  // cancels the run instead.
+  // cancels the run instead.  Each claimed unit is filled from `space`
+  // into `claimed`, whose TaskSpecs keep their buffers from claim to claim.
   auto worker = [&](unsigned shard) {
+    std::vector<TaskSpec> claimed;
     std::vector<TaskRecord> records;
     try {
       for (;;) {
@@ -313,12 +314,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         if (unit >= units) return;
         const std::size_t begin = bounds[unit];
         const std::size_t end = bounds[unit + 1];
+        if (claimed.size() < end - begin) claimed.resize(end - begin);
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          space.fill(pending[slot], claimed[slot - begin]);
+        }
         records.clear();
         if (batch) {
-          execute_slab(begin, end, records);
+          execute_slab(std::span<const TaskSpec>(claimed.data(), end - begin),
+                       records);
         } else {
-          records.push_back(execute_task(tasks[pending[begin]], spec,
-                                         retries, timeout_seconds,
+          records.push_back(execute_task(claimed[0], spec, retries,
+                                         timeout_seconds,
                                          options.deterministic));
         }
         const std::lock_guard<std::mutex> lock(mu);

@@ -1,6 +1,7 @@
 #include "qelect/campaign/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -190,7 +191,14 @@ class JsonParser {
     v.num_ = std::strtod(lit.c_str(), &end);
     if (end == nullptr || *end != '\0') fail_at(start, "bad number " + lit);
     if (integral) {
-      v.int_ = std::strtoll(lit.c_str(), nullptr, 10);
+      // from_chars reports an overflow that strtoll would saturate.
+      const char* first = lit.data() + (lit[0] == '+' ? 1 : 0);
+      const char* last = lit.data() + lit.size();
+      const auto [ptr, ec] = std::from_chars(first, last, v.int_);
+      if (ec == std::errc::result_out_of_range) {
+        fail_at(start, "integer " + lit + " overflows int64");
+      }
+      if (ec != std::errc() || ptr != last) fail_at(start, "bad number " + lit);
       v.integral_ = true;
     } else if (v.num_ == std::floor(v.num_) && std::abs(v.num_) < 9e15) {
       v.int_ = static_cast<std::int64_t>(v.num_);

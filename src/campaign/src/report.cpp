@@ -429,7 +429,7 @@ void print_status(const std::string& store_path) {
                "store " + store_path + " has no campaign header");
   const CampaignSpec spec =
       CampaignSpec::from_json_text(store.header.spec_json);
-  const std::size_t total = expand_tasks(spec).size();
+  const std::size_t total = TaskSpace(spec).size();
   const std::size_t done = store.by_key().size();
   const Outcomes out = count_outcomes(store);
   std::printf("campaign   %s\n", store.header.name.c_str());

@@ -1,5 +1,7 @@
 #include "qelect/campaign/spec.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "qelect/campaign/json.hpp"
@@ -38,13 +40,34 @@ void append_number_array(std::ostringstream& out, const std::vector<T>& xs) {
   out << ']';
 }
 
+/// An integer field's value as T.  A negative value, or one T cannot hold,
+/// is a CheckError naming the field: a cast would wrap it into another
+/// (valid-looking) spec.
 template <typename T>
-std::vector<T> number_array(const JsonValue& v) {
+T integer_field(const JsonValue& v, const char* field) {
+  const std::int64_t x = v.as_int();
+  constexpr std::uint64_t kMax = std::min<std::uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<std::int64_t>::max());
+  QELECT_CHECK(x >= 0 && static_cast<std::uint64_t>(x) <= kMax,
+               std::string("campaign spec: '") + field +
+                   "' must be an integer in [0, " + std::to_string(kMax) +
+                   "], got " + std::to_string(x));
+  return static_cast<T>(x);
+}
+
+template <typename T>
+std::vector<T> number_array(const JsonValue& v, const char* field) {
   std::vector<T> out;
   for (const JsonValue& x : v.as_array()) {
-    out.push_back(static_cast<T>(x.as_int()));
+    out.push_back(integer_field<T>(x, field));
   }
   return out;
+}
+
+template <typename T>
+T integer_or(const JsonValue& obj, const char* field, T fallback) {
+  const JsonValue* v = obj.find(field);
+  return v == nullptr ? fallback : integer_field<T>(*v, field);
 }
 
 void check_known_keys(const JsonValue& obj,
@@ -147,11 +170,11 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
         const auto& range = n->as_array();
         QELECT_CHECK(range.size() == 2,
                      "campaign spec: graph 'n' must be [min, max]");
-        axis.n_min = static_cast<std::size_t>(range[0].as_int());
-        axis.n_max = static_cast<std::size_t>(range[1].as_int());
+        axis.n_min = integer_field<std::size_t>(range[0], "n");
+        axis.n_max = integer_field<std::size_t>(range[1], "n");
       }
       if (const JsonValue* params = g.find("params")) {
-        axis.params = number_array<std::size_t>(*params);
+        axis.params = number_array<std::size_t>(*params, "params");
       }
       spec.graphs.push_back(std::move(axis));
     }
@@ -163,31 +186,30 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
       const auto& range = agents->as_array();
       QELECT_CHECK(range.size() == 2,
                    "campaign spec: placement 'agents' must be [min, max]");
-      spec.placements.agents_min = static_cast<std::size_t>(range[0].as_int());
-      spec.placements.agents_max = static_cast<std::size_t>(range[1].as_int());
+      spec.placements.agents_min =
+          integer_field<std::size_t>(range[0], "agents");
+      spec.placements.agents_max =
+          integer_field<std::size_t>(range[1], "agents");
     }
-    spec.placements.seeds =
-        static_cast<std::uint64_t>(p->int_or("seeds", 1));
+    spec.placements.seeds = integer_or<std::uint64_t>(*p, "seeds", 1);
     if (const JsonValue* fixed = p->find("fixed")) {
-      spec.placements.fixed = number_array<graph::NodeId>(*fixed);
+      spec.placements.fixed = number_array<graph::NodeId>(*fixed, "fixed");
     }
   }
   if (const JsonValue* seeds = root.find("color_seeds")) {
-    spec.color_seeds = number_array<std::uint64_t>(*seeds);
+    spec.color_seeds = number_array<std::uint64_t>(*seeds, "color_seeds");
   }
   QELECT_CHECK(!spec.color_seeds.empty(),
                "campaign spec: color_seeds must be non-empty");
   spec.scheduler = root.string_or("scheduler", "random");
-  spec.max_steps = static_cast<std::size_t>(root.int_or("max_steps", 0));
-  spec.retries = static_cast<int>(root.int_or("retries", 1));
-  QELECT_CHECK(spec.retries >= 0, "campaign spec: retries must be >= 0");
+  spec.max_steps = integer_or<std::size_t>(root, "max_steps", 0);
+  spec.retries = integer_or<int>(root, "retries", 1);
   spec.timeout_seconds = root.number_or("timeout_seconds", 0);
   spec.labeling_budget = root.number_or("labeling_budget", 250000.0);
   if (const JsonValue* inject = root.find("inject")) {
     check_known_keys(*inject, {"match", "fail_attempts"}, "inject");
     spec.inject.match = inject->string_or("match", "");
-    spec.inject.fail_attempts =
-        static_cast<int>(inject->int_or("fail_attempts", 0));
+    spec.inject.fail_attempts = integer_or<int>(*inject, "fail_attempts", 0);
   }
   if (const JsonValue* faults = root.find("faults")) {
     for (const JsonValue& f : faults->as_array()) {
@@ -200,7 +222,7 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
       point.label = f.require("label").as_string();
       QELECT_CHECK(!point.label.empty(),
                    "campaign spec: fault point label must be non-empty");
-      point.plan.fault_seed = static_cast<std::uint64_t>(f.int_or("seed", 0));
+      point.plan.fault_seed = integer_or<std::uint64_t>(f, "seed", 0);
       point.plan.crash_rate = f.number_or("crash", 0);
       point.plan.sign_loss_rate = f.number_or("sign_loss", 0);
       point.plan.sign_dup_rate = f.number_or("sign_dup", 0);

@@ -1,7 +1,12 @@
 #include "qelect/campaign/task.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <limits>
+#include <numeric>
 #include <set>
-#include <sstream>
+#include <string_view>
+#include <unordered_set>
 
 #include "qelect/graph/families.hpp"
 #include "qelect/graph/placement.hpp"
@@ -38,14 +43,40 @@ std::size_t param_at(const std::vector<std::size_t>& params, std::size_t i,
   return params[i];
 }
 
-std::string placement_suffix(const std::vector<graph::NodeId>& home_bases) {
-  std::ostringstream out;
-  out << "/p=";
-  for (std::size_t i = 0; i < home_bases.size(); ++i) {
-    if (i > 0) out << '.';
-    out << home_bases[i];
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[std::numeric_limits<std::uint64_t>::digits10 + 1];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  (void)ec;  // the buffer holds every uint64
+  out.append(buf, end);
+}
+
+void append_label(std::string& out, const GraphRef& ref) {
+  out += ref.family;
+  out += '(';
+  for (std::size_t i = 0; i < ref.params.size(); ++i) {
+    if (i > 0) out += ',';
+    append_uint(out, ref.params[i]);
   }
-  return out.str();
+  out += ')';
+}
+
+/// C(n, r), or the largest std::uint64_t when C(n, r) exceeds it.
+std::uint64_t binomial_saturating(std::uint64_t n, std::uint64_t r) {
+  if (r > n) return 0;
+  r = std::min(r, n - r);
+  std::uint64_t c = 1;  // C(n, k)
+  for (std::uint64_t k = 0; k < r; ++k) {
+    // C(n, k + 1) = C(n, k) * (n - k) / (k + 1), dividing first: g takes
+    // every factor c shares with k + 1, and the rest of k + 1 divides
+    // n - k exactly.
+    const std::uint64_t g = std::gcd(c, k + 1);
+    const std::uint64_t factor = (n - k) / ((k + 1) / g);
+    if (c / g > std::numeric_limits<std::uint64_t>::max() / factor) {
+      return std::numeric_limits<std::uint64_t>::max();
+    }
+    c = c / g * factor;
+  }
+  return c;
 }
 
 }  // namespace
@@ -87,14 +118,9 @@ graph::Graph GraphRef::build() const {
 }
 
 std::string GraphRef::label() const {
-  std::ostringstream out;
-  out << family << '(';
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (i > 0) out << ',';
-    out << params[i];
-  }
-  out << ')';
-  return out.str();
+  std::string out;
+  append_label(out, *this);
+  return out;
 }
 
 const std::vector<Table1Instance>& table1_instances() {
@@ -182,9 +208,12 @@ std::vector<std::vector<graph::NodeId>> expand_placements(
           axis.agents_max == 0 ? n : std::min(axis.agents_max, n);
       for (std::size_t r = axis.agents_min; r <= hi; ++r) {
         // Distinct seeds can sample the same placement (always, once r is
-        // close to n); dedupe so keys stay unique.
+        // close to n); dedupe so keys stay unique.  Once all C(n, r)
+        // placements are seen every later draw is a duplicate, so drawing
+        // stops there whatever `seeds` asks for.
+        const std::uint64_t all = binomial_saturating(n, r);
         std::set<std::vector<graph::NodeId>> seen;
-        for (std::uint64_t s = 0; s < axis.seeds; ++s) {
+        for (std::uint64_t s = 0; s < axis.seeds && seen.size() < all; ++s) {
           auto bases = graph::random_placement(n, r, s).home_bases();
           if (seen.insert(bases).second) out.push_back(std::move(bases));
         }
@@ -195,67 +224,54 @@ std::vector<std::vector<graph::NodeId>> expand_placements(
   return out;
 }
 
-TaskSpec make_task(const CampaignSpec& spec, std::string workload,
-                   std::string key_prefix, GraphRef graph,
-                   std::vector<graph::NodeId> home_bases,
-                   std::uint64_t color_seed,
-                   const FaultPoint* fault = nullptr) {
-  TaskSpec task;
-  task.workload = std::move(workload);
-  task.graph = std::move(graph);
-  task.home_bases = std::move(home_bases);
-  task.color_seed = color_seed;
-  task.scheduler = spec.scheduler;
-  task.max_steps = spec.max_steps;
-  task.labeling_budget = spec.labeling_budget;
-  std::ostringstream key;
-  key << key_prefix << '/' << task.graph.label()
-      << placement_suffix(task.home_bases) << "/s=" << color_seed;
-  // The fault segment exists only on campaigns with a faults axis, so
-  // fault-free campaigns keep their pre-fault keys (store compatibility).
-  if (fault != nullptr) {
-    task.fault_label = fault->label;
-    task.faults = fault->plan;
-    key << "/f=" << fault->label;
-  }
-  task.key = key.str();
-  return task;
-}
-
-std::vector<TaskSpec> expand_table1(const CampaignSpec& spec) {
-  std::vector<TaskSpec> tasks;
-  // Cell computations that are one task each.  Graph/placement fields name
-  // the witness instance so the key stays self-describing.
-  tasks.push_back(make_task(spec, "anon-lockstep", "table1/anonymous",
-                            {"ring", {6}}, {0, 3}, 1));
-  tasks.push_back(make_task(spec, "k2-exhaustive", "table1/k2",
-                            {"complete", {2}}, {0, 1}, 1));
-  tasks.push_back(make_task(spec, "petersen-witness", "table1/petersen",
-                            {"petersen", {}}, {0, 5}, 3));
-  // Per-instance cells: the Cayley dichotomy, live ELECT (color seed 7 as
-  // in bench_table1), and the quantitative baseline (color seed 11).
-  for (const Table1Instance& inst : table1_instances()) {
-    tasks.push_back(make_task(spec, "cayley-dichotomy",
-                              "table1/cayley/" + inst.name, inst.graph,
-                              inst.home_bases, 7));
-    tasks.push_back(make_task(spec, "elect", "table1/elect/" + inst.name,
-                              inst.graph, inst.home_bases, 7));
-    tasks.push_back(make_task(spec, "quantitative",
-                              "table1/quant/" + inst.name, inst.graph,
-                              inst.home_bases, 11));
-  }
-  return tasks;
-}
-
 }  // namespace
 
-std::vector<TaskSpec> expand_tasks(const CampaignSpec& spec) {
+void TaskSpace::add_instance(std::string workload,
+                             const std::string& key_prefix, GraphRef graph,
+                             std::vector<graph::NodeId> home_bases,
+                             std::uint64_t cell_seed) {
+  Instance& inst = instances_.emplace_back();
+  inst.head = key_prefix;
+  inst.head += '/';
+  append_label(inst.head, graph);
+  inst.head += "/p=";
+  for (std::size_t i = 0; i < home_bases.size(); ++i) {
+    if (i > 0) inst.head += '.';
+    append_uint(inst.head, home_bases[i]);
+  }
+  inst.head += "/s=";
+  inst.workload = std::move(workload);
+  inst.graph = std::move(graph);
+  inst.home_bases = std::move(home_bases);
+  inst.cell_seed = cell_seed;
+}
+
+TaskSpace::TaskSpace(const CampaignSpec& spec)
+    : scheduler_(spec.scheduler),
+      max_steps_(spec.max_steps),
+      labeling_budget_(spec.labeling_budget) {
   QELECT_CHECK(!spec.name.empty(), "campaign spec: name must be non-empty");
-  std::vector<TaskSpec> tasks;
   if (spec.workload == "table1") {
     QELECT_CHECK(spec.faults.empty(),
                  "campaign spec: the table1 workload has no faults axis");
-    tasks = expand_table1(spec);
+    cells_ = true;
+    // Cell computations that are one task each.  Graph/placement fields
+    // name the witness instance so the key stays self-describing.
+    add_instance("anon-lockstep", "table1/anonymous", {"ring", {6}}, {0, 3},
+                 1);
+    add_instance("k2-exhaustive", "table1/k2", {"complete", {2}}, {0, 1}, 1);
+    add_instance("petersen-witness", "table1/petersen", {"petersen", {}},
+                 {0, 5}, 3);
+    // Per-instance cells: the Cayley dichotomy, live ELECT (color seed 7
+    // as in bench_table1), and the quantitative baseline (color seed 11).
+    for (const Table1Instance& inst : table1_instances()) {
+      add_instance("cayley-dichotomy", "table1/cayley/" + inst.name,
+                   inst.graph, inst.home_bases, 7);
+      add_instance("elect", "table1/elect/" + inst.name, inst.graph,
+                   inst.home_bases, 7);
+      add_instance("quantitative", "table1/quant/" + inst.name, inst.graph,
+                   inst.home_bases, 11);
+    }
   } else {
     QELECT_CHECK(spec.workload == "analyze" || spec.workload == "elect" ||
                      spec.workload == "quantitative" ||
@@ -273,26 +289,87 @@ std::vector<TaskSpec> expand_tasks(const CampaignSpec& spec) {
         const graph::Graph g = ref.build();
         for (auto& bases : expand_placements(spec.placements, g)) {
           if (bases.size() > g.node_count()) continue;
-          for (const std::uint64_t seed : spec.color_seeds) {
-            if (spec.faults.empty()) {
-              tasks.push_back(make_task(spec, spec.workload, spec.workload,
-                                        ref, bases, seed));
-            } else {
-              for (const FaultPoint& fault : spec.faults) {
-                tasks.push_back(make_task(spec, spec.workload, spec.workload,
-                                          ref, bases, seed, &fault));
-              }
-            }
-          }
+          add_instance(spec.workload, spec.workload, ref, std::move(bases));
         }
       }
     }
+    seeds_ = spec.color_seeds;
+    faults_ = spec.faults;
+    per_instance_ = seeds_.size() * std::max<std::size_t>(faults_.size(), 1);
   }
-  std::set<std::string> keys;
-  for (const TaskSpec& t : tasks) {
-    QELECT_CHECK(keys.insert(t.key).second,
-                 "campaign expansion produced duplicate key " + t.key);
+  check_unique();
+}
+
+TaskSpace::Point TaskSpace::at(std::size_t i) const {
+  const Instance& inst = instances_[instance_of(i)];
+  if (cells_) return {inst, inst.cell_seed, nullptr};
+  const std::size_t r = i % per_instance_;
+  if (faults_.empty()) return {inst, seeds_[r], nullptr};
+  return {inst, seeds_[r / faults_.size()], &faults_[r % faults_.size()]};
+}
+
+void TaskSpace::append_key(const Point& p, std::string& out) {
+  out += p.instance.head;
+  append_uint(out, p.color_seed);
+  // The fault segment exists only on campaigns with a faults axis, so
+  // fault-free campaigns keep their pre-fault keys (store compatibility).
+  if (p.fault != nullptr) {
+    out += "/f=";
+    out += p.fault->label;
   }
+}
+
+std::string TaskSpace::key(std::size_t i) const {
+  std::string out;
+  append_key(at(i), out);
+  return out;
+}
+
+void TaskSpace::fill(std::size_t i, TaskSpec& task) const {
+  const Point p = at(i);
+  task.key.clear();
+  append_key(p, task.key);
+  task.workload = p.instance.workload;
+  task.graph = p.instance.graph;
+  task.home_bases = p.instance.home_bases;
+  task.color_seed = p.color_seed;
+  task.scheduler = scheduler_;
+  task.max_steps = max_steps_;
+  task.labeling_budget = labeling_budget_;
+  if (p.fault != nullptr) {
+    task.fault_label = p.fault->label;
+    task.faults = p.fault->plan;
+  } else {
+    task.fault_label.clear();
+    task.faults = {};
+  }
+}
+
+void TaskSpace::check_unique() const {
+  if (size() == 0) return;  // an empty axis makes every duplicate moot
+  const auto refuse = [&](std::size_t i) {
+    throw CheckError("campaign expansion produced duplicate key " + key(i));
+  };
+  std::unordered_set<std::string_view> heads;
+  for (std::size_t k = 0; k < instances_.size(); ++k) {
+    if (!heads.insert(instances_[k].head).second) refuse(k * per_instance_);
+  }
+  std::unordered_set<std::uint64_t> seeds;
+  for (std::size_t k = 0; k < seeds_.size(); ++k) {
+    if (!seeds.insert(seeds_[k]).second) {
+      refuse(k * std::max<std::size_t>(faults_.size(), 1));
+    }
+  }
+  std::unordered_set<std::string_view> labels;
+  for (std::size_t k = 0; k < faults_.size(); ++k) {
+    if (!labels.insert(faults_[k].label).second) refuse(k);
+  }
+}
+
+std::vector<TaskSpec> expand_tasks(const CampaignSpec& spec) {
+  const TaskSpace space(spec);
+  std::vector<TaskSpec> tasks(space.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) space.fill(i, tasks[i]);
   return tasks;
 }
 

@@ -16,6 +16,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +26,7 @@
 #include "qelect/campaign/batch.hpp"
 #include "qelect/campaign/builtin.hpp"
 #include "qelect/campaign/engine.hpp"
+#include "qelect/campaign/json.hpp"
 #include "qelect/campaign/report.hpp"
 #include "qelect/campaign/spec.hpp"
 #include "qelect/campaign/store.hpp"
@@ -33,6 +36,7 @@
 #include "qelect/core/baselines.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/graph/placement.hpp"
+#include "qelect/iso/enumerate.hpp"
 #include "qelect/trace/sink.hpp"
 #include "qelect/util/assert.hpp"
 
@@ -248,6 +252,366 @@ TEST(CampaignSpec, BuiltinsExpandAndHaveUniqueKeys) {
       EXPECT_EQ(again[i].key, tasks[i].key);
     }
   }
+}
+
+// A reference expansion that builds the whole task list: every TaskSpec
+// made up front, its key by ostream, and every key checked through one
+// std::set.  The task space must reproduce it index by index.
+namespace reference {
+
+std::vector<GraphRef> expand_axis(const GraphAxis& axis) {
+  std::vector<GraphRef> out;
+  const bool ranged = axis.n_max >= axis.n_min && axis.n_max > 0;
+  if (axis.family == "all-connected") {
+    for (std::size_t n = axis.n_min; n <= axis.n_max; ++n) {
+      static std::map<std::size_t, std::size_t> classes;
+      if (!classes.contains(n)) {
+        classes[n] = iso::all_connected_graphs(n).size();
+      }
+      for (std::size_t idx = 0; idx < classes[n]; ++idx) {
+        out.push_back({axis.family, {n, idx}});
+      }
+    }
+    return out;
+  }
+  if (axis.family == "random") {
+    const std::size_t seed_count = axis.params.empty() ? 1 : axis.params[0];
+    for (std::size_t n = axis.n_min; n <= axis.n_max; ++n) {
+      for (std::size_t s = 0; s < seed_count; ++s) {
+        GraphRef ref{axis.family, {n, s}};
+        if (axis.params.size() >= 2) ref.params.push_back(axis.params[1]);
+        out.push_back(std::move(ref));
+      }
+    }
+    return out;
+  }
+  if (!ranged) {
+    out.push_back({axis.family, axis.params});
+    return out;
+  }
+  for (std::size_t n = axis.n_min; n <= axis.n_max; ++n) {
+    GraphRef ref{axis.family, {n}};
+    ref.params.insert(ref.params.end(), axis.params.begin(),
+                      axis.params.end());
+    out.push_back(std::move(ref));
+  }
+  return out;
+}
+
+std::vector<std::vector<graph::NodeId>> expand_placements(
+    const PlacementAxis& axis, const graph::Graph& g) {
+  std::vector<std::vector<graph::NodeId>> out;
+  const std::size_t n = g.node_count();
+  const std::size_t hi =
+      axis.agents_max == 0 ? n : std::min(axis.agents_max, n);
+  switch (axis.mode) {
+    case PlacementAxis::Mode::Fixed:
+      out.push_back(axis.fixed);
+      break;
+    case PlacementAxis::Mode::Enumerate:
+      for (std::size_t r = axis.agents_min; r <= hi; ++r) {
+        for (const auto& p : graph::enumerate_placements(n, r)) {
+          out.push_back(p.home_bases());
+        }
+      }
+      break;
+    case PlacementAxis::Mode::Random:
+      for (std::size_t r = axis.agents_min; r <= hi; ++r) {
+        std::set<std::vector<graph::NodeId>> seen;
+        for (std::uint64_t s = 0; s < axis.seeds; ++s) {
+          auto bases = graph::random_placement(n, r, s).home_bases();
+          if (seen.insert(bases).second) out.push_back(std::move(bases));
+        }
+      }
+      break;
+  }
+  return out;
+}
+
+TaskSpec make_task(const CampaignSpec& spec, std::string workload,
+                   std::string key_prefix, GraphRef graph,
+                   std::vector<graph::NodeId> home_bases,
+                   std::uint64_t color_seed,
+                   const FaultPoint* fault = nullptr) {
+  TaskSpec task;
+  task.workload = std::move(workload);
+  task.graph = std::move(graph);
+  task.home_bases = std::move(home_bases);
+  task.color_seed = color_seed;
+  task.scheduler = spec.scheduler;
+  task.max_steps = spec.max_steps;
+  task.labeling_budget = spec.labeling_budget;
+  std::ostringstream key;
+  key << key_prefix << '/' << task.graph.label() << "/p=";
+  for (std::size_t i = 0; i < task.home_bases.size(); ++i) {
+    if (i > 0) key << '.';
+    key << task.home_bases[i];
+  }
+  key << "/s=" << color_seed;
+  if (fault != nullptr) {
+    task.fault_label = fault->label;
+    task.faults = fault->plan;
+    key << "/f=" << fault->label;
+  }
+  task.key = key.str();
+  return task;
+}
+
+std::vector<TaskSpec> expand_table1(const CampaignSpec& spec) {
+  std::vector<TaskSpec> tasks;
+  tasks.push_back(make_task(spec, "anon-lockstep", "table1/anonymous",
+                            {"ring", {6}}, {0, 3}, 1));
+  tasks.push_back(make_task(spec, "k2-exhaustive", "table1/k2",
+                            {"complete", {2}}, {0, 1}, 1));
+  tasks.push_back(make_task(spec, "petersen-witness", "table1/petersen",
+                            {"petersen", {}}, {0, 5}, 3));
+  for (const Table1Instance& inst : table1_instances()) {
+    tasks.push_back(make_task(spec, "cayley-dichotomy",
+                              "table1/cayley/" + inst.name, inst.graph,
+                              inst.home_bases, 7));
+    tasks.push_back(make_task(spec, "elect", "table1/elect/" + inst.name,
+                              inst.graph, inst.home_bases, 7));
+    tasks.push_back(make_task(spec, "quantitative",
+                              "table1/quant/" + inst.name, inst.graph,
+                              inst.home_bases, 11));
+  }
+  return tasks;
+}
+
+std::vector<TaskSpec> expand_tasks(const CampaignSpec& spec) {
+  std::vector<TaskSpec> tasks;
+  if (spec.workload == "table1") {
+    tasks = expand_table1(spec);
+  } else {
+    for (const GraphAxis& axis : spec.graphs) {
+      for (GraphRef& ref : expand_axis(axis)) {
+        const graph::Graph g = ref.build();
+        for (auto& bases : expand_placements(spec.placements, g)) {
+          if (bases.size() > g.node_count()) continue;
+          for (const std::uint64_t seed : spec.color_seeds) {
+            if (spec.faults.empty()) {
+              tasks.push_back(make_task(spec, spec.workload, spec.workload,
+                                        ref, bases, seed));
+            } else {
+              for (const FaultPoint& fault : spec.faults) {
+                tasks.push_back(make_task(spec, spec.workload, spec.workload,
+                                          ref, bases, seed, &fault));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  std::set<std::string> keys;
+  for (const TaskSpec& t : tasks) {
+    QELECT_CHECK(keys.insert(t.key).second,
+                 "campaign expansion produced duplicate key " + t.key);
+  }
+  return tasks;
+}
+
+}  // namespace reference
+
+/// perfbench's elect-sweep (variant 0): rings 6..14 and Q3, 2-3 agents at
+/// 4 random placements, 1,024 counter seeds -- 77,824 tasks.
+CampaignSpec elect_sweep_shaped() {
+  CampaignSpec spec;
+  spec.name = "perfbench-elect-sweep";
+  spec.workload = "elect";
+  spec.graphs.push_back({"ring", 6, 14, {}});
+  spec.graphs.push_back({"hypercube", 3, 3, {}});
+  spec.placements.mode = PlacementAxis::Mode::Random;
+  spec.placements.agents_min = 2;
+  spec.placements.agents_max = 3;
+  spec.placements.seeds = 4;
+  spec.scheduler = "counter";
+  spec.color_seeds.clear();
+  for (std::uint64_t s = 1; s <= 1024; ++s) spec.color_seeds.push_back(s);
+  return spec;
+}
+
+/// perfbench's fault-sweep (variant 0): the degradation built-in with 64
+/// color seeds -- 25,792 tasks.
+CampaignSpec fault_sweep_shaped() {
+  CampaignSpec spec = builtin_spec("degradation");
+  spec.name = "perfbench-fault-sweep";
+  spec.color_seeds.clear();
+  for (std::uint64_t s = 1; s <= 64; ++s) spec.color_seeds.push_back(s);
+  return spec;
+}
+
+/// FNV-1a over the bytes of `qelect tasks` output: each key, then '\n'.
+std::uint64_t key_digest(const TaskSpace& space) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&](unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ull;
+  };
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    for (const char c : space.key(i)) mix(static_cast<unsigned char>(c));
+    mix('\n');
+  }
+  return h;
+}
+
+TEST(CampaignSpec, TaskSpaceMatchesTheTaskListIndexByIndex) {
+  std::vector<CampaignSpec> specs;
+  for (const std::string& name : builtin_names()) {
+    specs.push_back(builtin_spec(name));
+  }
+  specs.push_back(elect_sweep_shaped());
+  specs.push_back(fault_sweep_shaped());
+  // One buffer for every index of every spec, as a worker reuses it from
+  // claim to claim: a field left over from an earlier task shows here.
+  TaskSpec got;
+  for (const CampaignSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    const std::vector<TaskSpec> want = reference::expand_tasks(spec);
+    const TaskSpace space(spec);
+    ASSERT_EQ(space.size(), want.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < want.size() && mismatches < 5; ++i) {
+      space.fill(i, got);
+      const TaskSpec& w = want[i];
+      const bool same =
+          space.key(i) == w.key && got.key == w.key &&
+          got.workload == w.workload && got.graph == w.graph &&
+          got.home_bases == w.home_bases && got.color_seed == w.color_seed &&
+          got.scheduler == w.scheduler && got.max_steps == w.max_steps &&
+          got.labeling_budget == w.labeling_budget &&
+          got.fault_label == w.fault_label && got.faults == w.faults;
+      if (!same) {
+        ++mismatches;
+        ADD_FAILURE() << "task " << i << ": " << got.key << " vs " << w.key;
+      }
+    }
+    // expand_tasks is the space filled at every index.
+    const std::vector<TaskSpec> expanded = expand_tasks(spec);
+    ASSERT_EQ(expanded.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(expanded[i].key, want[i].key) << i;
+    }
+  }
+}
+
+TEST(CampaignSpec, BuiltinKeySequencesArePinned) {
+  // Digests of each built-in's `qelect tasks` output from before the task
+  // space.  A key that drifts makes every existing store of that campaign
+  // re-run from scratch on resume.
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"table1", 0x0666079bfbd96957ull},
+      {"landscape", 0xc67c02c12103dbceull},
+      {"landscape-n5", 0x4ddeb350cda12c94ull},
+      {"th31a", 0x154ebc191fcb785full},
+      {"th31b", 0x42d8c2c665771cb4ull},
+      {"rings-smoke", 0x8ac0e53f7ac1c528ull},
+      {"degradation", 0x29a95c5987ffe500ull},
+      {"degradation-smoke", 0x6104496a3f6fd707ull},
+  };
+  ASSERT_EQ(std::size(pins), builtin_names().size());
+  for (const auto& [name, digest] : pins) {
+    EXPECT_EQ(key_digest(TaskSpace(builtin_spec(name))), digest) << name;
+  }
+  EXPECT_EQ(key_digest(TaskSpace(elect_sweep_shaped())),
+            0x0e21823d2be2c629ull);
+  EXPECT_EQ(key_digest(TaskSpace(fault_sweep_shaped())),
+            0xcabd151b8f3688b1ull);
+}
+
+TEST(CampaignSpec, DuplicateKeysAreRejectedOnEveryAxis) {
+  const auto expect_duplicate = [](const CampaignSpec& spec,
+                                   const std::string& key) {
+    try {
+      (void)TaskSpace(spec);
+      ADD_FAILURE() << "expected a duplicate-key CheckError naming " << key;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate key " + key),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  CampaignSpec seeds = seed_sweep(2, 3);
+  seeds.color_seeds = {1, 2, 1};
+  expect_duplicate(seeds, "elect/ring(6)/p=0.2/s=1");
+
+  CampaignSpec rings = seed_sweep(3, 2);  // rings 6..8
+  rings.graphs.push_back({"ring", 8, 9, {}});
+  expect_duplicate(rings, "elect/ring(8)/p=0.2/s=1");
+
+  CampaignSpec labels = seed_sweep(1, 2);
+  labels.workload = "degradation";
+  FaultPoint none;
+  none.label = "none";
+  FaultPoint crash;
+  crash.label = "crash-0.01";
+  crash.plan.crash_rate = 0.01;
+  labels.faults = {none, crash, none};
+  expect_duplicate(labels, "degradation/ring(6)/p=0.2/s=1/f=none");
+
+  // With no task at all, nothing is duplicated.
+  CampaignSpec empty = seeds;
+  empty.placements.fixed = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_EQ(TaskSpace(empty).size(), 0u);
+}
+
+TEST(CampaignSpec, RejectsIntegersThatWouldWrap) {
+  const std::string head = R"({"name":"x","workload":"elect",)";
+  const std::string ring = R"("graphs":[{"family":"ring","n":[4,4]}])";
+  const struct {
+    const char* field;
+    std::string json;
+  } cases[] = {
+      {"n", head + R"("graphs":[{"family":"ring","n":[-1,4]}]})"},
+      {"params", head + R"("graphs":[{"family":"torus","params":[3,-3]}]})"},
+      {"agents",
+       head + ring + R"(,"placements":{"mode":"enumerate","agents":[1,-2]}})"},
+      {"seeds", head + ring + R"(,"placements":{"mode":"random","seeds":-1}})"},
+      {"fixed",
+       head + ring + R"(,"placements":{"mode":"fixed","fixed":[0,4294967297]}})"},
+      {"color_seeds", head + ring + R"(,"color_seeds":[-1]})"},
+      {"max_steps", head + ring + R"(,"max_steps":-5})"},
+      {"retries", head + ring + R"(,"retries":4294967297})"},
+      {"fail_attempts",
+       head + ring + R"(,"inject":{"match":"ring","fail_attempts":-1}})"},
+      {"seed", head + ring + R"(,"faults":[{"label":"a","seed":-1}]})"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)CampaignSpec::from_json_text(c.json);
+      ADD_FAILURE() << c.field << " accepted: " << c.json;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + c.field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Past int64 the reader refuses the literal instead of saturating it.
+  EXPECT_THROW(CampaignSpec::from_json_text(
+                   head + ring + R"(,"color_seeds":[9223372036854775808]})"),
+               CheckError);
+  EXPECT_THROW(parse_json("-9223372036854775809"), CheckError);
+  EXPECT_EQ(parse_json("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+}
+
+TEST(CampaignSpec, RandomPlacementAxisEndsOnceEveryPlacementIsSeen) {
+  // ring(6) has C(6, 2) = 15 two-agent placements; a trillion draws must
+  // give exactly the placements, in the order, that 10,000 draws give.
+  CampaignSpec spec;
+  spec.name = "random-bound";
+  spec.workload = "elect";
+  spec.graphs.push_back({"ring", 6, 6, {}});
+  spec.placements.mode = PlacementAxis::Mode::Random;
+  spec.placements.agents_min = 2;
+  spec.placements.agents_max = 2;
+  spec.placements.seeds = 10000;
+  const TaskSpace bounded(spec);
+  spec.placements.seeds = 1000000000000ull;
+  const TaskSpace huge(spec);
+  ASSERT_EQ(bounded.size(), 15u);
+  ASSERT_EQ(huge.size(), 15u);
+  for (std::size_t i = 0; i < 15; ++i) EXPECT_EQ(huge.key(i), bounded.key(i));
 }
 
 TEST(CampaignSpec, AllConnectedIndexesEveryClassUpToSixNodes) {

@@ -221,10 +221,11 @@ int cmd_compact(int argc, char** argv) {
 
 int cmd_tasks(int argc, char** argv) {
   if (argc < 3) return usage();
-  const CampaignSpec spec = resolve_spec(argv[2]);
-  const auto tasks = campaign::expand_tasks(spec);
-  for (const auto& task : tasks) std::printf("%s\n", task.key.c_str());
-  std::fprintf(stderr, "%zu tasks\n", tasks.size());
+  const campaign::TaskSpace space(resolve_spec(argv[2]));
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    std::printf("%s\n", space.key(i).c_str());
+  }
+  std::fprintf(stderr, "%zu tasks\n", space.size());
   return 0;
 }
 
@@ -232,7 +233,7 @@ int cmd_list() {
   for (const std::string& name : campaign::builtin_names()) {
     const CampaignSpec spec = campaign::builtin_spec(name);
     std::printf("%-14s %zu tasks  %s\n", name.c_str(),
-                campaign::expand_tasks(spec).size(),
+                campaign::TaskSpace(spec).size(),
                 spec.workload.c_str());
   }
   return 0;
