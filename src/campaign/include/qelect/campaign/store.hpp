@@ -23,11 +23,18 @@
 // (a torn tail, truncated and re-appended on reopen), so a crash at any
 // byte loses at most the records a commit never acknowledged.
 //
-// Periodic compaction bounds recovery time: the full record set is
-// written to `<path>.snap` (single-checksum snapshot, generation G+1),
-// then the WAL is atomically rewritten as an empty tail at G+1.  Loading
-// a compacted store reads the snapshot and replays only the tail -- no
-// full-log rescan.  A crash between the two steps leaves the snapshot one
+// The writer holds only what the log lacks: append encodes a frame into a
+// staged tail, and commit swaps that tail out under the append lock and
+// writes it outside it, so appends never wait on write(2) or fdatasync.
+//
+// Periodic compaction bounds recovery time.  It is built from the files,
+// not from memory: the live snapshot's entries and the log's task frames
+// are copied as encoded bodies (checked by their CRCs, never decoded),
+// one per key -- the later one, as load_store resolves keys -- into
+// `<path>.snap` (single-checksum snapshot, generation G+1); then the WAL
+// is atomically rewritten as an empty tail at G+1.  Loading a compacted
+// store reads the snapshot and replays only the tail -- no full-log
+// rescan.  A crash between the two steps leaves the snapshot one
 // generation ahead; reopen completes the compaction.
 //
 // The pre-WAL JSONL format is still understood: load_store sniffs it,
@@ -111,17 +118,11 @@ LoadedStore load_store(const std::string& path);
 /// campaign this reproduces the pre-WAL store byte for byte.
 std::string store_to_jsonl(const LoadedStore& store);
 
-/// Writes a snapshot file (used by compaction; exposed so tests can stage
+/// Writes a snapshot file holding `records` (exposed so tests can stage
 /// mid-compaction crash states).  Atomic: tmp file + rename + dir fsync.
 void write_snapshot_file(const std::string& snap_path,
                          const StoreHeader& header, std::uint64_t generation,
                          const std::vector<TaskRecord>& records);
-
-/// Locates one encoded record body inside StoreWriter's frame arena.
-struct BodySpan {
-  std::uint64_t offset = 0;
-  std::uint32_t length = 0;
-};
 
 struct StoreOptions {
   /// Auto-compact once this many records have been appended since the
@@ -153,41 +154,43 @@ class StoreWriter {
   /// flushes and syncs for everyone staged so far.
   void commit();
 
-  /// Snapshots every known record to `<path>.snap` and resets the WAL to
-  /// an empty tail at the next generation.  Loading afterwards replays
-  /// only records appended after this point.
+  /// Snapshots every known record to `<path>.snap` -- one per key, the
+  /// later one winning -- and resets the WAL to an empty tail at the next
+  /// generation.  Loading afterwards replays only records appended after
+  /// this point.
   void compact();
 
   const std::string& path() const { return path_; }
   std::uint64_t generation() const { return generation_; }
-  /// Records known to the writer (loaded at open + appended since).
+  /// Records known to the writer (loaded at open + appended since; after a
+  /// compaction, the snapshot's records + appended since).
   std::size_t record_count() const;
 
  private:
   void open_fresh_locked(std::uint64_t generation, std::uint64_t base,
-                         bool write_records);
-  void maybe_compact();
+                         const std::vector<TaskRecord>& records = {});
+  std::uint64_t write_staged_locked();
+  void compact_locked();
 
   std::string path_;
   StoreHeader header_;
   StoreOptions options_;
-  int fd_ = -1;
 
-  mutable std::mutex write_mu_;  // guards frames_/spans_/flushed_/fd_
-  std::mutex sync_mu_;           // serializes fdatasync group commits
-  /// Every known record, as fully encoded WAL task frames laid end to
-  /// end: the prefix below flushed_ is already durable (in the log tail
-  /// or the snapshot), the rest is staged for the next commit.  Record
-  /// bodies inside the arena are located by spans_, making it double as
-  /// the snapshot/compaction source -- so the hot append path is one
-  /// in-place encode, with no per-record allocation or second copy.
-  std::string frames_;
-  std::vector<BodySpan> spans_;
-  std::uint64_t flushed_ = 0;  // frames_ prefix handed to write(2)
-  std::uint64_t synced_ = 0;   // frames_ prefix covered by fdatasync
+  mutable std::mutex write_mu_;  // guards staged_, appended_, records_
+  /// Task frames appended since the last write(2), laid end to end: the
+  /// only records the writer holds in memory.
+  std::string staged_;
+  std::uint64_t appended_ = 0;  // records appended through this writer
+  std::size_t records_ = 0;
+
+  std::mutex sync_mu_;  // serializes write(2) + fdatasync and compaction;
+                        // guards every member below
+  int fd_ = -1;
+  std::string writing_;  // the tail being written; swapped with staged_
+  std::uint64_t synced_ = 0;  // appends made durable (fdatasync/snapshot)
+  std::uint64_t compacted_at_ = 0;  // appends the live snapshot covers
   std::uint64_t generation_ = 1;
-  std::uint64_t snapshot_base_ = 0;      // records in the live snapshot
-  std::size_t appended_since_compact_ = 0;
+  std::uint64_t snapshot_base_ = 0;  // records in the live snapshot
 };
 
 std::string header_to_json(const StoreHeader& header);

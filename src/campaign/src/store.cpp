@@ -1,6 +1,7 @@
 #include "qelect/campaign/store.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,8 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "qelect/campaign/json.hpp"
 #include "qelect/util/assert.hpp"
@@ -32,6 +34,12 @@ constexpr std::uint8_t kTaskFrame = 2;
 // A frame larger than this is garbage, not a record (guards length-field
 // corruption from triggering huge allocations).
 constexpr std::uint32_t kMaxFrameBytes = 1u << 28;
+// The fewest bytes a task body (empty strings, no metrics) and a metric
+// (empty name) can take.  A checksum only proves the bytes are the ones
+// written, not that a count inside them is honest, so a count that the
+// remaining bytes cannot hold is rejected before it sizes an allocation.
+constexpr std::size_t kMinTaskBodyBytes = 8 + 4 + 4 + 4 + 8 + 4 + 4;
+constexpr std::size_t kMinMetricBytes = 4 + 8;
 
 std::string hash_hex(std::uint64_t h) {
   char buf[17];
@@ -169,11 +177,18 @@ struct Cursor {
     off += 8;
     return true;
   }
-  bool str(std::string* v) {
+  /// A u32 length and that many bytes, viewed in place.
+  bool bytes(std::string_view* v) {
     std::uint32_t len = 0;
     if (!u32(&len) || len > n - off) return false;
-    v->assign(p + off, len);
+    *v = std::string_view(p + off, len);
     off += len;
+    return true;
+  }
+  bool str(std::string* v) {
+    std::string_view s;
+    if (!bytes(&s)) return false;
+    v->assign(s);
     return true;
   }
   bool done() const { return off == n; }
@@ -203,6 +218,7 @@ bool decode_task_body(Cursor& c, TaskRecord* r) {
       !c.str(&r->error) || !c.u32(&metric_count)) {
     return false;
   }
+  if (metric_count > (c.n - c.off) / kMinMetricBytes) return false;
   r->attempts = static_cast<int>(attempts);
   r->metrics.clear();
   r->metrics.reserve(metric_count);
@@ -215,11 +231,10 @@ bool decode_task_body(Cursor& c, TaskRecord* r) {
   return true;
 }
 
-/// Encodes `r` as a complete task frame appended to `frames`, returning
-/// the span of the record body inside it.  Encodes straight into the
-/// arena -- frame header patched afterwards -- so appending a record
+/// Encodes `r` as a complete task frame appended to `frames`.  Encodes in
+/// place -- frame header patched afterwards -- so appending a record
 /// costs no intermediate buffer.
-BodySpan append_task_frame(std::string& frames, const TaskRecord& r) {
+void append_task_frame(std::string& frames, const TaskRecord& r) {
   const std::size_t frame_off = frames.size();
   frames.append(8, '\0');  // payload_len + crc, patched below
   frames.push_back(static_cast<char>(kTaskFrame));
@@ -230,7 +245,6 @@ BodySpan append_task_frame(std::string& frames, const TaskRecord& r) {
   const std::uint32_t crc = crc32(frames.data() + frame_off + 8, payload_len);
   std::memcpy(&frames[frame_off], &payload_len, 4);
   std::memcpy(&frames[frame_off + 4], &crc, 4);
-  return {body_off, body_len};
 }
 
 struct WalHeader {
@@ -315,35 +329,83 @@ void fsync_dir_of(const std::string& path) {
   ::close(dfd);
 }
 
-/// Atomically replaces `path` with `content`: tmp file, fdatasync,
-/// rename, parent-directory fsync.  A crash at any point leaves either
-/// the old file or the new one, never a mix.
-void replace_file_durably(const std::string& path,
-                          const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) sys_fail("cannot create " + tmp, path);
-  write_all(fd, content.data(), content.size(), path);
-  if (::fdatasync(fd) != 0) {
+/// A new version of `path`: written to `path.tmp`, then commit() syncs
+/// it, renames it over `path` and fsyncs the parent directory.  A crash at
+/// any point leaves either the old file or the new one, never a mix; an
+/// uncommitted temp file is removed.  Writes are buffered.
+class ReplacementFile {
+ public:
+  explicit ReplacementFile(const std::string& path)
+      : path_(path), tmp_(path + ".tmp") {
+    fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd_ < 0) sys_fail("cannot create " + tmp_, path_);
+  }
+  ~ReplacementFile() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+      ::unlink(tmp_.c_str());
+    }
+  }
+  ReplacementFile(const ReplacementFile&) = delete;
+  ReplacementFile& operator=(const ReplacementFile&) = delete;
+
+  void write(std::string_view bytes) {
+    buf_.append(bytes);
+    if (buf_.size() >= kBufferBytes) flush();
+  }
+
+  void commit() {
+    flush();
+    if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
+    ::close(std::exchange(fd_, -1));
+    if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+      sys_fail("rename of " + tmp_ + " failed", path_);
+    }
+    fsync_dir_of(path_);
+  }
+
+ private:
+  static constexpr std::size_t kBufferBytes = std::size_t{1} << 16;
+
+  void flush() {
+    write_all(fd_, buf_.data(), buf_.size(), path_);
+    buf_.clear();
+  }
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+  std::string buf_;
+};
+
+/// Reads a whole file into one allocation of its size; a file that cannot
+/// be opened reads as missing.
+std::string read_file_or_empty(const std::string& path, bool* exists) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  *exists = fd >= 0;
+  if (fd < 0) return {};
+  // A file that fails to read must not pass for an empty store, which a
+  // writer would replace.
+  auto fail = [&](const char* what) {
+    const int err = errno;
     ::close(fd);
-    sys_fail("fdatasync failed", path);
+    errno = err;
+    sys_fail(what, path);
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) fail("stat failed");
+  std::string data(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t r = ::read(fd, data.data() + got, data.size() - got);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) fail("read failed");
+    if (r == 0) break;  // the file shrank since fstat
+    got += static_cast<std::size_t>(r);
   }
   ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    sys_fail("rename of " + tmp + " failed", path);
-  }
-  fsync_dir_of(path);
-}
-
-std::string read_file_or_empty(const std::string& path, bool* exists) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    *exists = false;
-    return {};
-  }
-  *exists = true;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  data.resize(got);
+  return data;
 }
 
 // ---------------------------------------------------------------------------
@@ -358,10 +420,11 @@ struct Snapshot {
   std::vector<TaskRecord> records;
 };
 
-bool load_snapshot(const std::string& snap_path, Snapshot* snap) {
-  bool exists = false;
-  const std::string data = read_file_or_empty(snap_path, &exists);
-  if (!exists) return false;
+/// Splits a snapshot's bytes into its identity (into `snap`; records are
+/// left alone) and a view of each record body.  False when the magic,
+/// checksum, version or framing fails; the bodies are not decoded.
+bool parse_snapshot(const std::string& data, Snapshot* snap,
+                    std::vector<std::string_view>* bodies) {
   if (data.size() < 8 || std::memcmp(data.data(), kSnapMagic, 4) != 0) {
     return false;
   }
@@ -371,26 +434,36 @@ bool load_snapshot(const std::string& snap_path, Snapshot* snap) {
   Cursor c{data.data() + 4, data.size() - 8};
   std::uint32_t version = 0;
   std::uint64_t count = 0;
-  std::uint64_t spec_hash = 0;
   if (!c.u32(&version) || version != kFormatVersion ||
-      !c.u64(&snap->generation) || !c.u64(&spec_hash) ||
+      !c.u64(&snap->generation) || !c.u64(&snap->header.spec_hash) ||
       !c.str(&snap->header.name) || !c.str(&snap->header.spec_json) ||
-      !c.u64(&count)) {
+      !c.u64(&count) || count > (c.n - c.off) / (4 + kMinTaskBodyBytes)) {
     return false;
   }
-  snap->header.spec_hash = spec_hash;
-  snap->records.clear();
-  snap->records.reserve(count);
+  bodies->clear();
+  bodies->reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t len = 0;
-    if (!c.u32(&len) || len > c.n - c.off) return false;
-    Cursor body{c.p + c.off, len};
-    TaskRecord r;
-    if (!decode_task_body(body, &r) || !body.done()) return false;
-    c.off += len;
-    snap->records.push_back(std::move(r));
+    std::string_view body;
+    if (!c.bytes(&body)) return false;
+    bodies->push_back(body);
   }
   return c.done();
+}
+
+bool load_snapshot(const std::string& snap_path, Snapshot* snap) {
+  bool exists = false;
+  const std::string data = read_file_or_empty(snap_path, &exists);
+  std::vector<std::string_view> bodies;
+  if (!exists || !parse_snapshot(data, snap, &bodies)) return false;
+  snap->records.clear();
+  snap->records.reserve(bodies.size());
+  for (const std::string_view body : bodies) {
+    Cursor c{body.data(), body.size()};
+    TaskRecord r;
+    if (!decode_task_body(c, &r) || !c.done()) return false;
+    snap->records.push_back(std::move(r));
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -676,39 +749,118 @@ std::string store_to_jsonl(const LoadedStore& store) {
 
 namespace {
 
-void write_snapshot_arena(const std::string& snap_path,
-                          const StoreHeader& header, std::uint64_t generation,
-                          const std::string& frames,
-                          const std::vector<BodySpan>& spans) {
-  std::string body;
-  put_u32(body, kFormatVersion);
-  put_u64(body, generation);
-  put_u64(body, header.spec_hash);
-  put_str(body, header.name);
-  put_str(body, header.spec_json);
-  put_u64(body, spans.size());
-  for (const BodySpan& s : spans) {
-    put_u32(body, s.length);
-    body.append(frames.data() + s.offset, s.length);
+/// Streams a snapshot: the identity, then each body behind its length,
+/// under one running checksum.
+void write_snapshot(const std::string& snap_path, const StoreHeader& header,
+                    std::uint64_t generation,
+                    const std::vector<std::string_view>& bodies) {
+  ReplacementFile out(snap_path);
+  out.write(std::string_view(kSnapMagic, 4));
+  std::uint32_t crc = 0;
+  auto put = [&](std::string_view bytes) {
+    crc = crc32(bytes.data(), bytes.size(), crc);
+    out.write(bytes);
+  };
+  std::string head;
+  put_u32(head, kFormatVersion);
+  put_u64(head, generation);
+  put_u64(head, header.spec_hash);
+  put_str(head, header.name);
+  put_str(head, header.spec_json);
+  put_u64(head, bodies.size());
+  put(head);
+  for (const std::string_view body : bodies) {
+    const auto len = static_cast<std::uint32_t>(body.size());
+    char len_bytes[4];
+    std::memcpy(len_bytes, &len, 4);
+    put(std::string_view(len_bytes, 4));
+    put(body);
   }
-  std::string content(kSnapMagic, 4);
-  content += body;
-  put_u32(content, crc32(body.data(), body.size()));
-  replace_file_durably(snap_path, content);
+  char crc_bytes[4];
+  std::memcpy(crc_bytes, &crc, 4);
+  out.write(std::string_view(crc_bytes, 4));
+  out.commit();
 }
+
+/// The records a compaction keeps, read from the files: the live
+/// snapshot's entries, then the log's task frames, each checked by its
+/// CRC and copied as encoded, never decoded.  One body per key survives:
+/// the later one, at the earlier one's place -- how load_store resolves
+/// keys, so the new snapshot loads as the store did.  Holds both files'
+/// bytes, which `bodies()` views: memory is the store's size on disk plus
+/// an index entry per key.
+class LiveRecords {
+ public:
+  explicit LiveRecords(const std::string& path) : path_(path) {}
+
+  void add_snapshot(std::uint64_t generation, std::uint64_t spec_hash) {
+    const std::string snap_path = path_ + ".snap";
+    bool exists = false;
+    snap_data_ = read_file_or_empty(snap_path, &exists);
+    Snapshot snap;
+    std::vector<std::string_view> bodies;
+    QELECT_CHECK(exists && parse_snapshot(snap_data_, &snap, &bodies) &&
+                     snap.generation == generation &&
+                     snap.header.spec_hash == spec_hash,
+                 "result store " + path_ + ": the live snapshot " +
+                     snap_path + " is missing or corrupt");
+    for (const std::string_view body : bodies) keep(body);
+  }
+
+  void add_log() {
+    bool exists = false;
+    log_data_ = read_file_or_empty(path_, &exists);
+    QELECT_CHECK(exists && log_data_.size() >= 4 &&
+                     std::memcmp(log_data_.data(), kWalMagic, 4) == 0,
+                 "result store " + path_ + ": the log is gone or not a WAL");
+    for (std::size_t off = 4; off < log_data_.size();) {
+      std::string_view payload;
+      std::size_t next = 0;
+      QELECT_CHECK(parse_frame(log_data_, off, &payload, &next),
+                   "result store " + path_ + ": the log frame at byte " +
+                       std::to_string(off) + " is torn or corrupt");
+      if (static_cast<std::uint8_t>(payload[0]) == kTaskFrame) {
+        keep(payload.substr(1));
+      }
+      off = next;
+    }
+  }
+
+  const std::vector<std::string_view>& bodies() const { return bodies_; }
+
+ private:
+  void keep(std::string_view body) {
+    Cursor c{body.data(), body.size()};
+    std::uint64_t task_index = 0;
+    std::string_view key;
+    QELECT_CHECK(c.u64(&task_index) && c.bytes(&key),
+                 "result store " + path_ + ": a record without a key");
+    const auto [it, fresh] = slot_of_.try_emplace(key, bodies_.size());
+    if (fresh) {
+      bodies_.push_back(body);
+    } else {
+      bodies_[it->second] = body;
+    }
+  }
+
+  std::string path_;
+  std::string snap_data_;
+  std::string log_data_;
+  std::vector<std::string_view> bodies_;
+  std::unordered_map<std::string_view, std::size_t> slot_of_;
+};
 
 }  // namespace
 
 void write_snapshot_file(const std::string& snap_path,
                          const StoreHeader& header, std::uint64_t generation,
                          const std::vector<TaskRecord>& records) {
-  std::string frames;
-  std::vector<BodySpan> spans;
-  spans.reserve(records.size());
-  for (const TaskRecord& r : records) {
-    spans.push_back(append_task_frame(frames, r));
+  std::vector<std::string> encoded(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    encode_task_body(encoded[i], records[i]);
   }
-  write_snapshot_arena(snap_path, header, generation, frames, spans);
+  write_snapshot(snap_path, header, generation,
+                 std::vector<std::string_view>(encoded.begin(), encoded.end()));
 }
 
 // ---------------------------------------------------------------------------
@@ -718,23 +870,20 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
                          StoreOptions options)
     : path_(path), header_(header), options_(options) {
   const LoadedStore prior = load_store(path);
+  std::lock_guard<std::mutex> sync(sync_mu_);
   if (prior.exists && prior.has_header) {
     QELECT_CHECK(prior.header.spec_hash == header.spec_hash,
                  "result store " + path +
                      " belongs to a different campaign spec (hash " +
                      hash_hex(prior.header.spec_hash) + " != " +
                      hash_hex(header.spec_hash) + ")");
-    spans_.reserve(prior.records.size());
-    for (const TaskRecord& r : prior.records) {
-      spans_.push_back(append_task_frame(frames_, r));
-    }
-    std::lock_guard<std::mutex> lock(write_mu_);
+    records_ = prior.records.size();
     if (prior.format == LoadedStore::Format::Jsonl) {
       // Migrate in place: the whole legacy store becomes a fresh WAL
       // (every record replayed into the log; no snapshot yet).
       const std::string snap = path_ + ".snap";
       if (fs::exists(snap)) fs::remove(snap);
-      open_fresh_locked(1, 0, /*write_records=*/true);
+      open_fresh_locked(1, 0, prior.records);
       return;
     }
     generation_ = prior.generation;
@@ -742,9 +891,8 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
     if (prior.pending_compaction) {
       // The snapshot landed but the crash beat the log rewrite: finish
       // the compaction it started.
-      open_fresh_locked(prior.generation + 1, spans_.size(),
-                        /*write_records=*/false);
-      snapshot_base_ = spans_.size();
+      open_fresh_locked(prior.generation + 1, prior.records.size());
+      snapshot_base_ = prior.records.size();
       return;
     }
     fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND);
@@ -755,11 +903,6 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
       }
       if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
     }
-    // Everything re-encoded into the arena is already durable (in the log
-    // tail or the snapshot); only frames appended from here on are owed
-    // to the file.
-    flushed_ = frames_.size();
-    synced_ = flushed_;
     return;
   }
   QELECT_CHECK(!prior.exists || prior.records.empty(),
@@ -768,8 +911,7 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
   if (!parent.empty()) fs::create_directories(parent);
   const std::string snap = path_ + ".snap";
   if (fs::exists(snap)) fs::remove(snap);  // orphan from an older campaign
-  std::lock_guard<std::mutex> lock(write_mu_);
-  open_fresh_locked(1, 0, /*write_records=*/false);
+  open_fresh_locked(1, 0);
 }
 
 StoreWriter::~StoreWriter() {
@@ -782,8 +924,10 @@ StoreWriter::~StoreWriter() {
 }
 
 void StoreWriter::open_fresh_locked(std::uint64_t generation,
-                                    std::uint64_t base, bool write_records) {
-  std::string content(kWalMagic, 4);
+                                    std::uint64_t base,
+                                    const std::vector<TaskRecord>& records) {
+  ReplacementFile out(path_);
+  std::string frames(kWalMagic, 4);
   WalHeader wal;
   wal.generation = generation;
   wal.base_records = base;
@@ -791,83 +935,93 @@ void StoreWriter::open_fresh_locked(std::uint64_t generation,
   std::string payload;
   payload.push_back(static_cast<char>(kHeaderFrame));
   encode_header_body(payload, wal);
-  append_frame(content, payload);
-  // The arena already holds every record as a complete frame, so a
-  // migrating rewrite is one concatenation.
-  if (write_records) content += frames_;
-  replace_file_durably(path_, content);
+  append_frame(frames, payload);
+  out.write(frames);
+  // A migrating legacy store's records, encoded once, straight into the
+  // new log.
+  for (const TaskRecord& r : records) {
+    frames.clear();
+    append_task_frame(frames, r);
+    out.write(frames);
+  }
+  out.commit();
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
   if (fd_ < 0) sys_fail("cannot open", path_);
   generation_ = generation;
-  // Staged frames the new file does not carry are covered by the snapshot
-  // (compaction snapshots everything known, flushed or not).
-  flushed_ = frames_.size();
-  synced_ = flushed_;
 }
 
 void StoreWriter::append(const TaskRecord& record) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  spans_.push_back(append_task_frame(frames_, record));
-  ++appended_since_compact_;
+  append_task_frame(staged_, record);
+  ++appended_;
+  ++records_;
+}
+
+std::uint64_t StoreWriter::write_staged_locked() {
+  // The swap is the only work under the append lock: appends go on into
+  // the emptied buffer while this one is written.
+  std::uint64_t covered = 0;
+  writing_.clear();
+  {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    writing_.swap(staged_);
+    covered = appended_;
+  }
+  write_all(fd_, writing_.data(), writing_.size(), path_);
+  return covered;
 }
 
 void StoreWriter::commit() {
-  std::uint64_t goal;
+  std::uint64_t goal = 0;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
-    goal = frames_.size();
+    goal = appended_;
   }
+  std::lock_guard<std::mutex> sync(sync_mu_);
+  if (synced_ < goal) {
+    const std::uint64_t written = write_staged_locked();
+    if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
+    synced_ = written;
+  }
+  if (options_.compact_every == 0) return;
+  std::uint64_t since = 0;
   {
-    std::lock_guard<std::mutex> sync(sync_mu_);
-    if (synced_ < goal) {
-      std::uint64_t target;
-      {
-        std::lock_guard<std::mutex> lock(write_mu_);
-        if (flushed_ < frames_.size()) {
-          write_all(fd_, frames_.data() + flushed_, frames_.size() - flushed_,
-                    path_);
-          flushed_ = frames_.size();
-        }
-        target = flushed_;
-      }
-      if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
-      synced_ = target;
-    }
+    std::lock_guard<std::mutex> lock(write_mu_);
+    since = appended_ - compacted_at_;
   }
-  maybe_compact();
+  // Second clause keeps total snapshot work linear: compact only once the
+  // tail has outgrown the snapshot it would replace.
+  if (since >= options_.compact_every && since >= snapshot_base_) {
+    compact_locked();
+  }
 }
 
 void StoreWriter::compact() {
   std::lock_guard<std::mutex> sync(sync_mu_);
-  std::lock_guard<std::mutex> lock(write_mu_);
-  write_snapshot_arena(path_ + ".snap", header_, generation_ + 1, frames_,
-                       spans_);
-  // Any staged-but-unflushed frames are covered by the snapshot; the new
-  // tail starts empty.
-  open_fresh_locked(generation_ + 1, spans_.size(),
-                    /*write_records=*/false);
-  snapshot_base_ = spans_.size();
-  appended_since_compact_ = 0;
+  compact_locked();
 }
 
-void StoreWriter::maybe_compact() {
-  if (options_.compact_every == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    // Second clause keeps total snapshot work linear: compact only once
-    // the tail has outgrown the snapshot it would replace.
-    if (appended_since_compact_ < options_.compact_every ||
-        appended_since_compact_ < snapshot_base_) {
-      return;
-    }
-  }
-  compact();
+void StoreWriter::compact_locked() {
+  // The staged tail goes to the log first, so the files hold every
+  // record; the snapshot is built from them alone.
+  const std::uint64_t covered = write_staged_locked();
+  LiveRecords live(path_);
+  if (snapshot_base_ > 0) live.add_snapshot(generation_, header_.spec_hash);
+  live.add_log();
+  const std::size_t kept = live.bodies().size();
+  write_snapshot(path_ + ".snap", header_, generation_ + 1, live.bodies());
+  open_fresh_locked(generation_ + 1, kept);
+  synced_ = covered;
+  compacted_at_ = covered;
+  snapshot_base_ = kept;
+  std::lock_guard<std::mutex> lock(write_mu_);
+  records_ = kept + (appended_ - covered);
 }
 
 std::size_t StoreWriter::record_count() const {
   std::lock_guard<std::mutex> lock(write_mu_);
-  return spans_.size();
+  return records_;
 }
 
 }  // namespace qelect::campaign

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -107,6 +108,69 @@ std::string expected_export(std::size_t k) {
     out.push_back('\n');
   }
   return out;
+}
+
+/// Little-endian field encoders and the frame checksum (CRC32, IEEE
+/// reflected), bit by bit: enough to forge frames and snapshots whose
+/// checksums hold but whose contents lie.
+void put_u32(std::string& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+void put_u64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+void put_str(std::string& out, const std::string& s) {
+  put_u32(out, static_cast<std::uint32_t>(s.size()));
+  out += s;
+}
+
+std::uint32_t crc32_of(const char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(p[i]);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Record `i` shaped like an elect-sweep task: a ring key and the eight
+/// metrics ELECT reports.
+TaskRecord elect_record(std::uint64_t i) {
+  TaskRecord r;
+  r.task_index = i;
+  r.key = "elect/ring(" + std::to_string(6 + i % 9) + ")/p=0." +
+          std::to_string(1 + i % 5) + "/s=" + std::to_string(i);
+  r.outcome = "ok";
+  for (const char* name : {"n", "final_gcd", "completed", "clean_election",
+                           "clean_failure", "matches_oracle", "moves",
+                           "steps"}) {
+    r.metrics.emplace_back(name, static_cast<double>(i % 977));
+  }
+  return r;
+}
+
+/// The process's peak resident set (VmHWM), in MiB.
+double peak_rss_mib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
 }
 
 TEST(WalStore, RoundTripsRecordsAndHeader) {
@@ -492,6 +556,212 @@ TEST(WalStore, WriterRefusesAForeignSpecHash) {
   StoreHeader other = test_header();
   other.spec_hash ^= 1;
   EXPECT_THROW(StoreWriter(path, other), CheckError);
+}
+
+// A frame's checksum proves only that its bytes are the ones written: a
+// frame whose intact CRC covers a metric count its bytes cannot hold ends
+// the valid prefix like any malformed body, and never sizes an allocation.
+TEST(WalStore, FrameClaimingMoreMetricsThanItHoldsIsATornTail) {
+  ScratchDir scratch("liarframe");
+  const std::string path = scratch.path("s.qws");
+  constexpr std::size_t kRecords = 6;
+  write_store(path, 3);
+  std::string payload(1, '\x02');  // task frame
+  put_u64(payload, 3);
+  put_str(payload, test_record(3).key);
+  put_str(payload, "ok");
+  put_u32(payload, 1);
+  put_u64(payload, 0);  // duration 0.0
+  put_str(payload, "");
+  put_u32(payload, 0xFFFFFFFFu);  // metric count
+  put_str(payload, "n");
+  put_u64(payload, 0);
+  std::string frame;
+  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  put_u32(frame, crc32_of(payload.data(), payload.size()));
+  frame += payload;
+  spit(path, slurp(path) + frame);
+
+  const LoadedStore store = load_store(path);
+  EXPECT_TRUE(store.torn_tail);
+  ASSERT_EQ(store.records.size(), 3u);
+  EXPECT_EQ(store_to_jsonl(store), expected_export(3));
+  {
+    StoreWriter writer(path, test_header());
+    for (std::size_t i = 3; i < kRecords; ++i) writer.append(test_record(i));
+    writer.commit();
+  }
+  const LoadedStore resumed = load_store(path);
+  EXPECT_FALSE(resumed.torn_tail);
+  EXPECT_EQ(store_to_jsonl(resumed), expected_export(kRecords));
+}
+
+// Same for a snapshot: an intact checksum over a record count the file
+// cannot hold makes the snapshot corrupt, so a log that owes it records
+// is the usual "missing or corrupt" CheckError.
+TEST(WalStore, SnapshotClaimingMoreRecordsThanItHoldsIsCorrupt) {
+  ScratchDir scratch("liarsnap");
+  const std::string path = scratch.path("s.qws");
+  {
+    StoreWriter writer(path, test_header());
+    for (std::size_t i = 0; i < 5; ++i) writer.append(test_record(i));
+    writer.commit();
+    writer.compact();
+  }
+  const std::string snap = slurp(path + ".snap");
+  const StoreHeader h = test_header();
+  // Past the magic, version, generation, spec hash, name and spec.
+  const std::size_t count_at =
+      4 + 4 + 8 + 8 + 4 + h.name.size() + 4 + h.spec_json.size();
+  for (const std::uint64_t lie : {std::uint64_t{1} << 62,
+                                  std::uint64_t{4000000000}}) {
+    std::string forged = snap.substr(0, snap.size() - 4);
+    std::string count;
+    put_u64(count, lie);
+    forged.replace(count_at, 8, count);
+    put_u32(forged, crc32_of(forged.data() + 4, forged.size() - 4));
+    spit(path + ".snap", forged);
+    EXPECT_THROW(load_store(path), CheckError) << lie;
+  }
+}
+
+// The writer holds only the frames the log lacks, so its memory does not
+// grow with the log: 131,072 elect-shaped records (a ~30 MB log) appended
+// with a commit every 4,096.
+TEST(WalStore, WriterMemoryStaysFlatAsTheLogGrows) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators hold freed memory";
+#endif
+  ScratchDir scratch("flatmem");
+  const std::string path = scratch.path("s.qws");
+  constexpr std::size_t kRecords = 131072;
+  const double before = peak_rss_mib();
+  {
+    StoreWriter writer(path, test_header());
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      writer.append(elect_record(i));
+      if ((i + 1) % 4096 == 0) writer.commit();
+    }
+    EXPECT_EQ(writer.record_count(), kRecords);
+  }
+  EXPECT_LT(peak_rss_mib() - before, 16.0);
+}
+
+// Compaction reads the files, so it must see what a reopen loaded and
+// what is still staged as well as what this writer committed.
+TEST(WalStore, CompactionAfterReopenKeepsEveryRecord) {
+  ScratchDir scratch("reopencompact");
+  const std::string path = scratch.path("s.qws");
+  write_store(path, 10);
+  {
+    StoreWriter writer(path, test_header());
+    for (std::size_t i = 10; i < 15; ++i) writer.append(test_record(i));
+    writer.commit();
+    for (std::size_t i = 15; i < 18; ++i) writer.append(test_record(i));
+    writer.compact();  // 15..17 are staged, not committed
+    EXPECT_EQ(writer.record_count(), 18u);
+    const LoadedStore compacted = load_store(path);
+    EXPECT_EQ(compacted.snapshot_records, 18u);
+    EXPECT_EQ(store_to_jsonl(compacted), expected_export(18));
+    for (std::size_t i = 18; i < 22; ++i) writer.append(test_record(i));
+  }
+  EXPECT_EQ(store_to_jsonl(load_store(path)), expected_export(22));
+  {
+    StoreWriter writer(path, test_header());
+    writer.compact();
+    EXPECT_EQ(writer.generation(), 3u);
+    EXPECT_EQ(writer.record_count(), 22u);
+  }
+  const LoadedStore store = load_store(path);
+  EXPECT_EQ(store.snapshot_records, 22u);
+  EXPECT_EQ(store_to_jsonl(store), expected_export(22));
+}
+
+// A re-run writes a key again; the log resolves it to the later record,
+// and so must the snapshot that replaces the log.
+TEST(WalStore, CompactionKeepsTheLaterRecordOfAKey) {
+  ScratchDir scratch("rerun");
+  const std::string path = scratch.path("s.qws");
+  TaskRecord rerun = test_record(4);
+  ASSERT_FALSE(rerun.ok());
+  rerun.outcome = "ok";
+  rerun.error.clear();
+  rerun.metrics = {{"n", 4}};
+  write_store(path, 6);
+  {
+    StoreWriter writer(path, test_header());
+    writer.append(rerun);
+    writer.commit();
+    const std::string before = store_to_jsonl(load_store(path));
+    EXPECT_NE(before.find(rerun.to_json()), std::string::npos);
+    writer.compact();
+    const LoadedStore after = load_store(path);
+    EXPECT_EQ(store_to_jsonl(after), before);
+    EXPECT_EQ(after.snapshot_records, 6u);
+    EXPECT_EQ(writer.record_count(), 6u);
+  }
+}
+
+// The group-commit hammer with compaction firing in the commit path while
+// other threads append (the TSan target for compaction).
+TEST(WalStore, ConcurrentAppendCommitAndAutoCompactionLoseNothing) {
+  ScratchDir scratch("threadscompact");
+  const std::string path = scratch.path("s.qws");
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 200;
+  StoreOptions options;
+  options.compact_every = 64;
+  {
+    StoreWriter writer(path, test_header(), options);
+    std::vector<std::thread> pool;
+    pool.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      pool.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          writer.append(test_record(t * kPerThread + i));
+          if (i % 17 == 0) writer.commit();
+        }
+        writer.commit();
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    EXPECT_GT(writer.generation(), 1u);
+    EXPECT_EQ(writer.record_count(), kThreads * kPerThread);
+  }
+  const LoadedStore store = load_store(path);
+  EXPECT_GT(store.snapshot_records, 0u);
+  EXPECT_EQ(store_to_jsonl(store), expected_export(kThreads * kPerThread));
+}
+
+// The WAL and snapshot bytes of a fixed single-thread sequence, pinned:
+// the writer's internals may change, the files it writes may not.
+TEST(WalStore, FileBytesArePinned) {
+  ScratchDir scratch("pinned");
+  const std::string path = scratch.path("s.qws");
+  std::vector<std::uint64_t> hashes;
+  auto pin = [&] {
+    hashes.push_back(fnv1a(slurp(path)));
+    hashes.push_back(fnv1a(slurp(path + ".snap")));
+  };
+  {
+    StoreWriter writer(path, test_header());
+    for (std::size_t i = 0; i < 20; ++i) writer.append(test_record(i));
+    writer.commit();
+    writer.compact();
+    pin();
+    for (std::size_t i = 20; i < 30; ++i) writer.append(test_record(i));
+    writer.commit();
+  }
+  {
+    StoreWriter writer(path, test_header());
+    for (std::size_t i = 30; i < 35; ++i) writer.append(test_record(i));
+    writer.commit();
+    writer.compact();
+    pin();
+  }
+  EXPECT_EQ(hashes, (std::vector<std::uint64_t>{
+                        0xa5889f2d010880c9ull, 0xd7fd6d192d1fe7c2ull,
+                        0x23e9a75072912e48ull, 0xd13e06211d9fd7cdull}));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "qelect/util/assert.hpp"
@@ -149,6 +150,26 @@ TEST(Math, GcdAll) {
   EXPECT_EQ(gcd_all({5, 3}), 1u);
   EXPECT_THROW(gcd_all({}), CheckError);
   EXPECT_THROW(gcd_all({0}), CheckError);
+}
+
+// A failed task record stores its check's message, so the site must not
+// name the checkout: a check inside a library source reads "at src/...".
+TEST(Check, SitesAreRelativeToTheRepository) {
+  try {
+    gcd_all({});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/util/src/math.cpp:"), std::string::npos)
+        << what;
+    // Test sources are built without the mapping, so this file's own name
+    // still carries the absolute root.
+    const std::string self = __FILE__;
+    const std::string root = self.substr(0, self.rfind("tests/"));
+    if (!root.empty()) {
+      EXPECT_EQ(what.find(root), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Math, AgentReduceReachesGcd) {
