@@ -15,7 +15,6 @@
 #include "qelect/graph/families.hpp"
 #include "qelect/iso/automorphism.hpp"
 #include "qelect/iso/canonical.hpp"
-#include "qelect/iso/cert_cache.hpp"
 #include "qelect/iso/colored_digraph.hpp"
 #include "qelect/iso/reference.hpp"
 #include "qelect/iso/refinement.hpp"
@@ -96,35 +95,6 @@ int main() {
               plain(graph::random_connected(128, 0.2, 7)));
   refine_pair(rep, "refine_torus_8x8", based(graph::torus({8, 8})));
 
-  // Certificate cache: the ELECT hot path canonicalizes the same
-  // surroundings over and over; a warmed cache answers from the map.
-  {
-    const graph::Graph g = graph::torus({4, 4});
-    const graph::Placement p(16, {0, 5, 10});
-    iso::CertificateCache cache(1024);
-    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-      cache.certificate(core::surrounding(g, p, u));  // warm
-    }
-    const double hit = rep.bench("cert_cache_hit", [&] {
-      for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-        benchjson::keep(cache.certificate(core::surrounding(g, p, u))->size());
-      }
-    });
-    const double miss = rep.bench("cert_cache_hit_seed", [&] {
-      for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-        benchjson::keep(iso::canonical_certificate(core::surrounding(g, p, u))
-                       .size());
-      }
-    });
-    rep.counter("cert_cache_hit", "speedup_vs_seed", miss / hit);
-    const auto stats = cache.stats();
-    rep.counter("cert_cache_hit", "hit_rate",
-                static_cast<double>(stats.hits) /
-                    static_cast<double>(stats.hits + stats.misses));
-    std::printf("%-28s %12.3g s   cold %12.3g s   speedup %5.2fx\n",
-                "cert_cache_hit", hit, miss, miss / hit);
-  }
-
   // Ablation: automorphism pruning (DESIGN.md).  Without pruning the
   // search on K_7 walks all 7! = 5040 leaves; certificates are identical
   // either way (asserted in the tests).
@@ -145,7 +115,7 @@ int main() {
     }
   }
 
-  // COMPUTE&ORDER core, now running through the global certificate cache.
+  // COMPUTE&ORDER core: one canonical certificate per surrounding.
   {
     const graph::Graph g = graph::torus({4, 4});
     const graph::Placement p(16, {0, 5, 10});

@@ -41,6 +41,8 @@
 #include <utility>
 #include <vector>
 
+#include "qelect/util/hash.hpp"
+
 namespace qelect::benchjson {
 
 /// Keeps `value` observable so the optimizer cannot delete a timed
@@ -55,30 +57,22 @@ inline bool smoke_mode() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-inline std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 inline std::string config_hash() {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = util::kFnvBasis;
 #if defined(__VERSION__)
-  h = fnv1a(h, "cc=" __VERSION__);
+  h = util::fnv1a64("cc=" __VERSION__, h);
 #endif
 #if defined(__OPTIMIZE__)
-  h = fnv1a(h, "opt=1");
+  h = util::fnv1a64("opt=1", h);
 #else
-  h = fnv1a(h, "opt=0");
+  h = util::fnv1a64("opt=0", h);
 #endif
 #if defined(NDEBUG)
-  h = fnv1a(h, "ndebug=1");
+  h = util::fnv1a64("ndebug=1", h);
 #else
-  h = fnv1a(h, "ndebug=0");
+  h = util::fnv1a64("ndebug=0", h);
 #endif
-  h = fnv1a(h, "ptr=" + std::to_string(sizeof(void*) * 8));
+  h = util::fnv1a64("ptr=" + std::to_string(sizeof(void*) * 8), h);
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));

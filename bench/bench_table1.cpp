@@ -72,8 +72,8 @@ int main() {
 
   // --- Machine-readable timings (BENCH_table1.json) ---
   // The analysis hot path is COMPUTE&ORDER's surrounding-classes kernel,
-  // which now runs through the worklist refinement, the rewritten search,
-  // and the certificate cache.  The `_seed` twin groups nodes by
+  // which now runs through the worklist refinement and the rewritten
+  // search.  The `_seed` twin groups nodes by
   // iso::reference certificates -- the exact seed pipeline -- so the
   // `speedup_vs_seed` counter isolates what this PR bought end to end.
   {

@@ -24,6 +24,7 @@
 
 #include "qelect/campaign/task.hpp"
 #include "qelect/sim/world.hpp"
+#include "qelect/util/lru_cache.hpp"
 
 namespace qelect::campaign {
 
@@ -48,20 +49,9 @@ class WorldPool {
                       const std::vector<graph::NodeId>& home_bases,
                       std::uint64_t color_seed, bool quantitative);
 
-  std::size_t size() const { return entries_.size(); }
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
-
-  /// Snapshot of the pool's counters, in the shape the qelectd STATS
-  /// opcode exports (one per worker shard, aggregated by the server).
-  struct Stats {
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-  Stats stats() const;
+  /// Snapshot of the pool's counters (`compiles` = Worlds built), which
+  /// the qelectd STATS opcode exports per worker shard.
+  util::CacheStats stats() const;
 
   /// The calling worker thread's pool.  Campaign workloads go through
   /// this, so shards reuse arenas without any cross-thread traffic.
@@ -80,9 +70,7 @@ class WorldPool {
 
   std::size_t capacity_;
   std::uint64_t clock_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t evictions_ = 0;
+  util::CacheStats stats_;
   std::vector<Entry> entries_;
 };
 

@@ -6,6 +6,7 @@
 
 #include "qelect/campaign/json.hpp"
 #include "qelect/util/assert.hpp"
+#include "qelect/util/hash.hpp"
 
 namespace qelect::campaign {
 
@@ -139,12 +140,7 @@ std::string CampaignSpec::to_json() const {
 }
 
 std::uint64_t spec_json_hash(const std::string& json) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : json) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return util::fnv1a64(json);
 }
 
 std::uint64_t CampaignSpec::spec_hash() const {

@@ -16,6 +16,7 @@
 #include "qelect/trace/invariants.hpp"
 #include "qelect/trace/sink.hpp"
 #include "qelect/util/assert.hpp"
+#include "qelect/util/hash.hpp"
 #include "qelect/util/rng.hpp"
 
 namespace qelect::campaign {
@@ -38,12 +39,7 @@ sim::RunConfig run_config(const TaskSpec& task) {
 /// streams while reruns and resume reproduce them exactly.
 fault::FaultPlan derived_faults(const TaskSpec& task) {
   fault::FaultPlan plan = task.faults;
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : task.key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  plan.fault_seed = hash_combine(plan.fault_seed, h);
+  plan.fault_seed = hash_combine(plan.fault_seed, util::fnv1a64(task.key));
   return plan;
 }
 

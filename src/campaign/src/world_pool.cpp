@@ -29,7 +29,7 @@ sim::World& WorldPool::acquire_impl(const std::string& key,
   ++clock_;
   for (Entry& e : entries_) {
     if (e.key == key) {
-      ++hits_;
+      ++stats_.hits;
       e.stamp = clock_;
       // reset(seed) re-mints labels only when the seed changed; either way
       // the next run starts from pristine state with all buffers kept.
@@ -37,15 +37,16 @@ sim::World& WorldPool::acquire_impl(const std::string& key,
       return *e.world;
     }
   }
-  ++misses_;
+  ++stats_.misses;
   if (entries_.size() >= capacity_) {
     const auto lru = std::min_element(
         entries_.begin(), entries_.end(),
         [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
     entries_.erase(lru);
-    ++evictions_;
+    ++stats_.evictions;
   }
   entries_.push_back(Entry{key, build(), clock_});
+  ++stats_.compiles;
   return *entries_.back().world;
 }
 
@@ -75,13 +76,10 @@ sim::World& WorldPool::acquire(const std::string& key, const graph::Graph& g,
   });
 }
 
-WorldPool::Stats WorldPool::stats() const {
-  Stats s;
+util::CacheStats WorldPool::stats() const {
+  util::CacheStats s = stats_;
   s.entries = entries_.size();
   s.capacity = capacity_;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
   return s;
 }
 

@@ -13,16 +13,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "qelect/cayley/recognition.hpp"
 #include "qelect/graph/graph.hpp"
 #include "qelect/graph/placement.hpp"
 #include "qelect/iso/equivalence.hpp"
+#include "qelect/util/hash.hpp"
+#include "qelect/util/lru_cache.hpp"
 
 namespace qelect::core {
 
@@ -78,34 +78,20 @@ std::shared_ptr<const cayley::RecognitionResult> recognize_cayley_shared(
     const graph::Graph& g);
 
 /// The memo behind recognize_cayley_shared; tests build their own to reach
-/// the budget paths.  Thread-safe: recognition runs outside the lock and an
-/// insert race keeps the incumbent.  The memo is bounded by the words it
-/// holds -- each entry's key plus one word per permutation entry of its
-/// regular subgroups -- and is cleared wholesale when an insert would pass
-/// the budget; a result larger than the whole budget is returned without
-/// being stored.
-class RecognitionMemo {
+/// the budget paths.  A util::LruCache whose capacity is counted in words:
+/// each entry costs its key plus one word per permutation entry of its
+/// regular subgroups, least-recently-used entries are evicted until a new
+/// one fits, and a result larger than the whole budget is returned without
+/// being stored.  Recognition runs outside the lock and an insert race
+/// keeps the incumbent.
+class RecognitionMemo
+    : public util::LruCache<std::vector<std::uint64_t>,
+                            cayley::RecognitionResult, util::WordsHash> {
  public:
   explicit RecognitionMemo(std::size_t budget_words);
 
-  RecognitionMemo(const RecognitionMemo&) = delete;
-  RecognitionMemo& operator=(const RecognitionMemo&) = delete;
-
   std::shared_ptr<const cayley::RecognitionResult> recognize(
       const graph::Graph& g);
-
- private:
-  using Key = std::vector<std::uint64_t>;
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept;
-  };
-
-  std::mutex mutex_;
-  std::unordered_map<Key, std::shared_ptr<const cayley::RecognitionResult>,
-                     KeyHash>
-      entries_;
-  std::size_t words_ = 0;  // summed costs of the entries
-  const std::size_t budget_;
 };
 
 /// Solvability verdicts for an election instance.

@@ -17,35 +17,32 @@
 // (graph, placement).  The golden batch-vs-scalar parity gate therefore
 // holds verbatim through the cache.
 //
-// Concurrency: lookups and inserts take one mutex; compilation runs
-// *outside* it, so a slow compile of one instance never blocks hits on
-// another.  Two threads racing on the same cold key may both compile;
-// the first insert wins and both receive that shared plan (the compiles
-// counter makes the duplication observable).  Bounded by LRU eviction;
-// qelectd resizes the global instance at startup (--plan-cache).
+// It is a util::LruCache: compilation runs outside the lock, two threads
+// racing on one cold key may both compile (the first insert wins), and
+// LRU eviction bounds it.  qelectd resizes the global instance at startup
+// (--plan-cache).
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "qelect/core/elect_batch.hpp"
 #include "qelect/graph/graph.hpp"
 #include "qelect/graph/placement.hpp"
+#include "qelect/util/hash.hpp"
+#include "qelect/util/lru_cache.hpp"
 
 namespace qelect::core {
 
-class ElectBatchPlanCache {
+class ElectBatchPlanCache
+    : public util::LruCache<std::vector<std::uint64_t>, ElectBatchPlan,
+                            util::WordsHash> {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
 
-  explicit ElectBatchPlanCache(std::size_t capacity = kDefaultCapacity);
-
-  ElectBatchPlanCache(const ElectBatchPlanCache&) = delete;
-  ElectBatchPlanCache& operator=(const ElectBatchPlanCache&) = delete;
+  explicit ElectBatchPlanCache(std::size_t capacity = kDefaultCapacity)
+      : LruCache(capacity) {}
 
   /// The compiled plan for (g, p): a shared hit when the structure was
   /// seen before, otherwise compiled via compile_elect_batch_plan and
@@ -54,48 +51,8 @@ class ElectBatchPlanCache {
   std::shared_ptr<const ElectBatchPlan> plan(const graph::Graph& g,
                                              const graph::Placement& p);
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t compiles = 0;  // >= misses only under cold-key races
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
-
-  /// Drops every entry and resets the statistics.
-  void clear();
-
-  /// Rebounds the cache (qelectd's --plan-cache flag resizes the global
-  /// instance at startup).  Shrinking evicts least-recently-used entries
-  /// down to the new bound; 0 is clamped to 1.
-  void set_capacity(std::size_t capacity);
-
   /// The process-wide cache shared by serve and campaign slab paths.
   static ElectBatchPlanCache& global();
-
- private:
-  /// Lossless structure key: full port structure of the graph, a
-  /// sentinel, then the home-base list.
-  using Key = std::vector<std::uint64_t>;
-  static Key key_of(const graph::Graph& g, const graph::Placement& p);
-
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept;
-  };
-  struct Entry {
-    std::shared_ptr<const ElectBatchPlan> plan;
-    std::list<const Key*>::iterator lru;
-  };
-
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::unordered_map<Key, Entry, KeyHash> map_;
-  // Front = most recently used; elements point at map keys (stable:
-  // unordered_map nodes do not move on rehash).
-  std::list<const Key*> lru_;
-  Stats stats_;
 };
 
 }  // namespace qelect::core

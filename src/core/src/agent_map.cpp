@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "qelect/util/assert.hpp"
+#include "qelect/util/hash.hpp"
+#include "qelect/util/lru_cache.hpp"
 #include "structure_cache.hpp"
 
 namespace qelect::core {
@@ -47,29 +47,14 @@ namespace {
 
 using detail::BfsTrees;
 
-std::shared_ptr<const BfsTrees> trees_for(const graph::Graph& g) {
-  std::vector<std::uint64_t> key;
-  detail::append_graph_structure(key, g);
-
-  static std::mutex mutex;
-  static std::unordered_map<std::vector<std::uint64_t>,
-                            std::shared_ptr<const BfsTrees>,
-                            detail::StructureKeyHash>
-      cache;
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
+BfsTrees bfs_trees(const graph::Graph& g) {
   const std::size_t n = g.node_count();
-  auto trees = std::make_shared<BfsTrees>();
-  trees->prev_node.assign(n, {});
-  trees->prev_port.assign(n, {});
+  BfsTrees trees;
+  trees.prev_node.assign(n, std::vector<int>(n, -1));
+  trees.prev_port.assign(n, std::vector<PortId>(n, 0));
   for (NodeId from = 0; from < n; ++from) {
-    std::vector<int>& prev_node = trees->prev_node[from];
-    std::vector<PortId>& prev_port = trees->prev_port[from];
-    prev_node.assign(n, -1);
-    prev_port.assign(n, 0);
+    std::vector<int>& prev_node = trees.prev_node[from];
+    std::vector<PortId>& prev_port = trees.prev_port[from];
     std::deque<NodeId> queue{from};
     prev_node[from] = static_cast<int>(from);
     while (!queue.empty()) {
@@ -85,9 +70,13 @@ std::shared_ptr<const BfsTrees> trees_for(const graph::Graph& g) {
       }
     }
   }
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (cache.size() >= 1024) cache.clear();  // cap: sweeps cannot grow it
-  return cache.emplace(std::move(key), std::move(trees)).first->second;
+  return trees;
+}
+
+std::shared_ptr<const BfsTrees> trees_for(const graph::Graph& g) {
+  static util::LruCache<detail::StructureKey, BfsTrees, util::WordsHash>
+      cache(1024);
+  return cache.get(detail::structure_key(g), [&] { return bfs_trees(g); });
 }
 
 }  // namespace

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <unordered_map>
 
 #include "qelect/cayley/translation.hpp"
 #include "qelect/core/surrounding.hpp"
@@ -71,26 +69,11 @@ std::shared_ptr<const ProtocolClassPlan> protocol_plan_shared(
   // map, every run -- re-submits identical structures millions of times in
   // a campaign.  The surrounding-certificate cascade this skips is the
   // single most expensive part of an elect run.
-  std::vector<std::uint64_t> key;
-  detail::append_graph_structure(key, g);
-  key.push_back(static_cast<std::uint64_t>(-1));  // section separator
-  for (const NodeId b : p.home_bases()) key.push_back(b);
-
-  static std::mutex mutex;
-  static std::unordered_map<std::vector<std::uint64_t>,
-                            std::shared_ptr<const ProtocolClassPlan>,
-                            detail::StructureKeyHash>
-      cache;
-  {
-    const std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-  auto plan =
-      std::make_shared<const ProtocolClassPlan>(protocol_plan_uncached(g, p));
-  const std::lock_guard<std::mutex> lock(mutex);
-  if (cache.size() >= 4096) cache.clear();  // cap: sweeps cannot grow it
-  return cache.emplace(std::move(key), std::move(plan)).first->second;
+  static util::LruCache<detail::StructureKey, ProtocolClassPlan,
+                        util::WordsHash>
+      cache(4096);
+  return cache.get(detail::structure_key(g, p),
+                   [&] { return protocol_plan_uncached(g, p); });
 }
 
 ProtocolClassPlan protocol_plan(const graph::Graph& g,
@@ -115,35 +98,12 @@ std::size_t recognition_words(const std::vector<std::uint64_t>& key,
 }  // namespace
 
 RecognitionMemo::RecognitionMemo(std::size_t budget_words)
-    : budget_(budget_words) {}
-
-std::size_t RecognitionMemo::KeyHash::operator()(
-    const Key& key) const noexcept {
-  return detail::StructureKeyHash{}(key);
-}
+    : LruCache(budget_words, &recognition_words) {}
 
 std::shared_ptr<const cayley::RecognitionResult> RecognitionMemo::recognize(
     const graph::Graph& g) {
-  Key key;
-  detail::append_graph_structure(key, g);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) return it->second;
-  }
-  auto result = std::make_shared<const cayley::RecognitionResult>(
-      cayley::recognize_cayley(g));
-  const std::size_t words = recognition_words(key, *result);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (words > budget_) return result;
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) return it->second;  // the incumbent wins
-  if (words_ + words > budget_) {
-    entries_.clear();
-    words_ = 0;
-  }
-  words_ += words;
-  return entries_.emplace(std::move(key), std::move(result)).first->second;
+  return get(detail::structure_key(g),
+             [&] { return cayley::recognize_cayley(g); });
 }
 
 std::shared_ptr<const cayley::RecognitionResult> recognize_cayley_shared(

@@ -1,91 +1,13 @@
 #include "qelect/core/elect_batch_cache.hpp"
 
-#include <utility>
-
 #include "structure_cache.hpp"
 
 namespace qelect::core {
 
-ElectBatchPlanCache::ElectBatchPlanCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  stats_.capacity = capacity_;
-}
-
-ElectBatchPlanCache::Key ElectBatchPlanCache::key_of(const graph::Graph& g,
-                                                     const graph::Placement& p) {
-  Key key;
-  detail::append_graph_structure(key, g);
-  key.push_back(~0ull);  // sentinel: structure words never reach 2^64-1
-  for (const graph::NodeId base : p.home_bases()) key.push_back(base);
-  return key;
-}
-
-std::size_t ElectBatchPlanCache::KeyHash::operator()(const Key& key) const noexcept {
-  return detail::StructureKeyHash{}(key);
-}
-
 std::shared_ptr<const ElectBatchPlan> ElectBatchPlanCache::plan(
     const graph::Graph& g, const graph::Placement& p) {
-  Key key = key_of(g, p);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
-      return it->second.plan;
-    }
-    ++stats_.misses;
-  }
-  // Compile without the lock: a slow compile of one instance must not
-  // stall hits on others.  Racing threads may duplicate the compile; the
-  // first insert wins and everyone shares that plan.
-  std::shared_ptr<const ElectBatchPlan> compiled = compile_elect_batch_plan(g, p);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.compiles;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.plan;
-  }
-  while (map_.size() >= capacity_) {
-    const Key* victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(*victim);
-    ++stats_.evictions;
-  }
-  auto [pos, inserted] = map_.emplace(std::move(key), Entry{compiled, {}});
-  lru_.push_front(&pos->first);
-  pos->second.lru = lru_.begin();
-  return compiled;
-}
-
-ElectBatchPlanCache::Stats ElectBatchPlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats out = stats_;
-  out.entries = map_.size();
-  out.capacity = capacity_;
-  return out;
-}
-
-void ElectBatchPlanCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  lru_.clear();
-  stats_ = Stats{};
-  stats_.capacity = capacity_;
-}
-
-void ElectBatchPlanCache::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  stats_.capacity = capacity_;
-  while (map_.size() > capacity_) {
-    const Key* victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(*victim);
-    ++stats_.evictions;
-  }
+  return get(detail::structure_key(g, p),
+             [&] { return compile_elect_batch_plan(g, p); });
 }
 
 ElectBatchPlanCache& ElectBatchPlanCache::global() {

@@ -1,9 +1,8 @@
 #include "qelect/core/surrounding.hpp"
 
 #include <map>
-#include <memory>
 
-#include "qelect/iso/cert_cache.hpp"
+#include "qelect/iso/canonical.hpp"
 #include "qelect/util/assert.hpp"
 
 namespace qelect::core {
@@ -28,22 +27,12 @@ iso::ColoredDigraph surrounding(const graph::Graph& g,
 iso::OrderedClasses surrounding_classes(const graph::Graph& g,
                                         const graph::Placement& p) {
   const std::size_t n = g.node_count();
-  // Certificates come from the process-wide cache: every run of ELECT on a
-  // given (G, p) family recomputes the same surroundings (per agent, per
-  // placement, per sweep seed), and hash-consing means k classes cost one
-  // Certificate allocation each no matter how many agents order them.
-  struct DerefLess {
-    bool operator()(const std::shared_ptr<const iso::Certificate>& a,
-                    const std::shared_ptr<const iso::Certificate>& b) const {
-      return *a < *b;
-    }
-  };
-  std::map<std::shared_ptr<const iso::Certificate>, std::vector<NodeId>,
-           DerefLess>
-      by_cert;
+  // Classes in lexicographic certificate order.  Repeats of one (G, p)
+  // rarely get here: protocol_plan_shared memoizes the plan built from
+  // these classes.
+  std::map<iso::Certificate, std::vector<NodeId>> by_cert;
   for (NodeId u = 0; u < n; ++u) {
-    by_cert[iso::canonical_certificate_cached(surrounding(g, p, u))]
-        .push_back(u);
+    by_cert[iso::canonical_certificate(surrounding(g, p, u))].push_back(u);
   }
   iso::OrderedClasses out;
   out.class_of.assign(n, 0);
@@ -51,7 +40,7 @@ iso::OrderedClasses surrounding_classes(const graph::Graph& g,
     const std::size_t idx = out.classes.size();
     for (NodeId x : members) out.class_of[x] = idx;
     out.classes.push_back(std::move(members));
-    out.certificates.push_back(*cert);
+    out.certificates.push_back(cert);
   }
   return out;
 }

@@ -1,108 +1,24 @@
-// A thread-safe, bounded, hash-consed cache of canonical certificates.
+// A certificate-cache stats() accessor with nothing to report.
 //
-// ELECT's COMPUTE&ORDER step and the labeling sweeps canonicalize the
-// *same* colored digraphs over and over: every agent of a run computes the
-// certificate of every surrounding, symmetric instances share surroundings
-// up to identity, and the landscape/Table-1 sweeps revisit identical agent
-// maps across placements and seeds.  The cache makes the repeat cost O(1):
-//
-//   * keys are an *exact structural encoding* of the ColoredDigraph (node
-//     count, colors, sorted arc list) -- two digraphs share a key iff they
-//     are equal as labeled structures.  Lookups compare keys for equality
-//     (std::unordered_map equality on the full encoding), so a 64-bit hash
-//     collision can never alias two different graphs: there is no
-//     collision soundness hole;
-//   * values are hash-consed: every hit hands out the same
-//     shared_ptr<const Certificate>, so r agents ordering k classes share
-//     one copy of each certificate instead of r copies;
-//   * the cache is bounded (least-recently-used eviction at `capacity`
-//     entries) and every operation is guarded by one mutex, making it safe
-//     to hammer from parallel sweeps (tests/test_cert_cache.cpp runs the
-//     multi-threaded hammer under TSan in CI).
-//
-// Opt-in by call site: the iso primitives themselves stay cache-free;
-// core::surrounding_classes (the ELECT hot path) and the benches construct
-// or use CertificateCache::global() explicitly.  docs/PERFORMANCE.md has
-// the measured effect and the sizing discussion.
+// No certificate cache exists: core::surrounding_classes calls
+// iso::canonical_certificate, and the plan caches in front of it
+// (core::protocol_plan_shared, core::ElectBatchPlanCache) absorb the
+// repeats.  perfbench's probe still reads CertificateCache::global().stats()
+// and emits only the fields it finds, so this accessor returns a struct
+// with none.
 #pragma once
-
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
-
-#include "qelect/iso/canonical.hpp"
-#include "qelect/iso/colored_digraph.hpp"
 
 namespace qelect::iso {
 
-/// Exact, lossless flat encoding of a ColoredDigraph used as a cache key:
-/// [n, colors..., arc_count, (from, to, label)...].  Key equality is
-/// structure equality.
-using StructuralKey = std::vector<std::uint64_t>;
-StructuralKey structural_key(const ColoredDigraph& g);
-
 class CertificateCache {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
+  struct Stats {};
+  Stats stats() const { return {}; }
 
-  explicit CertificateCache(std::size_t capacity = kDefaultCapacity);
-
-  /// The certificate of `g`: a shared hit if the structure was seen
-  /// before, otherwise computed via canonical_certificate() and inserted.
-  std::shared_ptr<const Certificate> certificate(const ColoredDigraph& g);
-
-  /// Lookup only; null on miss.  Refreshes LRU position on hit.
-  std::shared_ptr<const Certificate> lookup(const StructuralKey& key);
-
-  /// Inserts (or returns the already-present value for) `key`, evicting
-  /// the least-recently-used entry when the cache is full.
-  std::shared_ptr<const Certificate> insert(StructuralKey key,
-                                            Certificate cert);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
-
-  /// Drops every entry and resets the statistics.
-  void clear();
-
-  /// Rebounds the cache (qelectd's --cert-cache flag resizes the global
-  /// instance at startup).  Shrinking evicts least-recently-used entries
-  /// down to the new bound; 0 is clamped to 1.
-  void set_capacity(std::size_t capacity);
-
-  /// The process-wide cache the ELECT call sites opt into.
-  static CertificateCache& global();
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const StructuralKey& key) const noexcept;
-  };
-  struct Entry {
-    std::shared_ptr<const Certificate> cert;
-    std::list<const StructuralKey*>::iterator lru;
-  };
-
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::unordered_map<StructuralKey, Entry, KeyHash> map_;
-  // Front = most recently used; elements point at map keys (stable:
-  // unordered_map nodes do not move on rehash).
-  std::list<const StructuralKey*> lru_;
-  Stats stats_;
+  static CertificateCache& global() {
+    static CertificateCache cache;
+    return cache;
+  }
 };
-
-/// Convenience: certificate of `g` through CertificateCache::global().
-std::shared_ptr<const Certificate> canonical_certificate_cached(
-    const ColoredDigraph& g);
 
 }  // namespace qelect::iso

@@ -8,7 +8,7 @@
 //        6     2  opcode (Opcode; responses echo the request's opcode)
 //        8     8  request id (echoed verbatim in the response)
 //       16     4  payload size in bytes (<= max_payload)
-//       20     8  FNV-1a 64 checksum of the payload bytes
+//       20     8  checksum of the payload bytes (util::fnv1a64)
 //       28     n  payload
 //
 // All integers are little-endian.  The checksum covers only the payload
@@ -82,7 +82,8 @@ struct FrameHeader {
   std::uint64_t checksum = 0;
 };
 
-/// FNV-1a 64 over the payload bytes (the frame checksum).
+/// util::fnv1a64 over the payload bytes (the frame checksum).  Its basis
+/// is not the published FNV-1a 64 one (see qelect/util/hash.hpp).
 std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t size);
 
 /// One complete frame: header (with computed checksum) + payload.

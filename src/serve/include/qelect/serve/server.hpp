@@ -23,11 +23,13 @@
 //     (epoll_pwait2 for sub-millisecond windows where available);
 //   * each worker owns a ResponseCache (memoized encoded responses) and its
 //     thread-local campaign::WorldPool; the only cross-thread state on a
-//     query's path is the mutex-guarded iso::CertificateCache::global().
+//     query's path is the process-wide memos (plans, routes, Cayley
+//     recognition), each a mutex-guarded util::LruCache.
 //
-// Workers publish their cache/pool counters to relaxed atomics after each
-// request, and the worker that handles a STATS request folds every shard's
-// published counters into the response -- metering without a stats lock.
+// Workers publish their thread-local pool counters to relaxed atomics
+// after each request, and the worker that handles a STATS request folds
+// them, and every shard's response-cache counters (read under that
+// cache's lock), into the response.
 //
 // Protocol-level failures (bad magic, bad checksum, payload over the
 // limit) poison the stream's framing, so the connection is closed --
@@ -48,16 +50,18 @@
 
 namespace qelect::serve {
 
+/// The most worker shards a Server starts; start() refuses more.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (see Server::port()).
   std::uint16_t port = 0;
-  /// Worker shards; 0 = hardware_concurrency (capped at 16).
+  /// Worker shards; 0 = hardware_concurrency (capped at 16).  At most
+  /// kMaxWorkers.
   std::size_t workers = 0;
   /// Per-worker ResponseCache capacity (entries).
   std::size_t response_cache_capacity = 4096;
-  /// Shared iso::CertificateCache capacity; 0 keeps the build default.
-  std::size_t cert_cache_capacity = 0;
   /// Largest accepted request payload.
   std::size_t max_payload = kMaxPayload;
   /// Cross-request RUN_ELECT coalescing window, in microseconds.  Within
@@ -87,7 +91,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, and launches the acceptor + workers.  Throws
-  /// qelect::CheckError on bind/listen failure.
+  /// qelect::CheckError on bind/listen failure, and before opening any
+  /// socket when options.workers exceeds kMaxWorkers.
   void start();
   /// Idempotent; joins all threads and closes all sockets.
   void stop();

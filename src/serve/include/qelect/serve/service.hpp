@@ -18,27 +18,23 @@
 //     labeling enumeration is bounded by ServiceLimits::sigma_budget and
 //     refused with kStatusTooLarge beyond it (a server must not let one
 //     query monopolize a core for minutes).
-//   * every canonicalization inside those paths flows through the shared
-//     bounded iso::CertificateCache::global(), whose hit/miss/eviction
-//     counters the STATS opcode exports.
 //
 // Queries are pure functions of their payload (RUN_ELECT is deterministic
 // in its seed -- the same determinism the campaign resume protocol relies
 // on), so responses are memoizable: the server gives each worker thread a
 // ResponseCache and handle() serves repeats straight from it.  The cache
-// is deliberately lock-free-by-ownership (one per worker, like WorldPool)
-// rather than shared-and-locked.
+// is per worker (like WorldPool) rather than shared, so only a STATS
+// read from another worker ever contends for its lock.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "qelect/serve/protocol.hpp"
+#include "qelect/util/lru_cache.hpp"
 
 namespace qelect::graph {
 class Graph;
@@ -68,44 +64,16 @@ struct ServiceLimits {
 };
 
 /// Bounded LRU of encoded responses keyed by (opcode, request payload).
-/// One per worker thread; not thread-safe by design.
-class ResponseCache {
+/// One per worker thread.
+class ResponseCache
+    : public util::LruCache<std::string, std::vector<std::uint8_t>> {
  public:
-  explicit ResponseCache(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  ResponseCache(const ResponseCache&) = delete;
-  ResponseCache& operator=(const ResponseCache&) = delete;
-
-  /// The cached response, or nullptr.  Hits refresh LRU position.
-  const std::vector<std::uint8_t>* lookup(const std::string& key);
-  void insert(const std::string& key, std::vector<std::uint8_t> response);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-  Stats stats() const;
+  using LruCache::LruCache;
 
   /// The memo key: opcode bytes + raw request payload (requests are
   /// canonical encodings, so byte equality is request equality).
   static std::string key(std::uint16_t opcode,
                          const std::vector<std::uint8_t>& payload);
-
- private:
-  struct Entry {
-    std::vector<std::uint8_t> response;
-    std::list<std::string>::iterator lru;
-  };
-  std::size_t capacity_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::unordered_map<std::string, Entry> map_;
-  std::list<std::string> lru_;  // front = most recent
 };
 
 class Service {
@@ -119,7 +87,7 @@ class Service {
   /// given, are appended to STATS responses (the server injects its
   /// cross-worker aggregates there).  Thread-safe: per-opcode counters are
   /// atomics and all shared state below this call is lock-protected
-  /// (CertificateCache) or thread-local (WorldPool).
+  /// (the util::LruCache memos) or thread-local (WorldPool).
   std::vector<std::uint8_t> handle(
       std::uint16_t opcode, const std::vector<std::uint8_t>& payload,
       ResponseCache* cache = nullptr,

@@ -1,6 +1,9 @@
 #include "qelect/serve/protocol.hpp"
 
 #include <cstring>
+#include <string_view>
+
+#include "qelect/util/hash.hpp"
 
 namespace qelect::serve {
 
@@ -67,12 +70,8 @@ const char* status_name(std::uint32_t status) {
 }
 
 std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+  return util::fnv1a64(
+      std::string_view(reinterpret_cast<const char*>(data), size));
 }
 
 std::vector<std::uint8_t> encode_frame(

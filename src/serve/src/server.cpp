@@ -19,7 +19,6 @@
 
 #include "qelect/campaign/world_pool.hpp"
 #include "qelect/core/elect_batch_cache.hpp"
-#include "qelect/iso/cert_cache.hpp"
 #include "qelect/util/assert.hpp"
 
 // epoll_pwait2 (nanosecond timeouts, needed for sub-millisecond coalescing
@@ -138,8 +137,6 @@ struct Server::Worker {
   std::vector<CoalesceGroup> full_groups;
 
   // Published (relaxed) after every request so any shard can aggregate.
-  std::atomic<std::uint64_t> resp_hits{0}, resp_misses{0}, resp_evictions{0},
-      resp_entries{0};
   std::atomic<std::uint64_t> pool_hits{0}, pool_misses{0}, pool_evictions{0},
       pool_entries{0};
   std::atomic<std::uint64_t> requests{0};
@@ -154,11 +151,10 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   QELECT_CHECK(!started_, "server already started");
+  QELECT_CHECK(options_.workers <= kMaxWorkers,
+               "workers " + std::to_string(options_.workers) +
+                   " is above the limit of " + std::to_string(kMaxWorkers));
 
-  if (options_.cert_cache_capacity > 0) {
-    iso::CertificateCache::global().set_capacity(
-        options_.cert_cache_capacity);
-  }
   if (options_.plan_cache_capacity > 0) {
     core::ElectBatchPlanCache::global().set_capacity(
         options_.plan_cache_capacity);
@@ -476,7 +472,7 @@ void Server::dispatch_request(Worker& w, Connection& c, std::uint16_t opcode,
     RunElectRequest req;
     if (decode_run_elect_request(payload, &req) && Service::coalescible(req)) {
       std::string key = ResponseCache::key(opcode, payload);
-      if (const auto* hit = w.cache.lookup(key)) {
+      if (const auto hit = w.cache.lookup(key)) {
         service_.note_request(opcode);
         Connection::Slot& slot = c.slots[slot_id - c.slots_base];
         slot.ready = true;
@@ -653,11 +649,6 @@ void Server::close_connection(Worker& w, Connection& c) {
 }
 
 void Server::publish_worker_stats(Worker& w) {
-  const auto rc = w.cache.stats();
-  w.resp_hits.store(rc.hits, std::memory_order_relaxed);
-  w.resp_misses.store(rc.misses, std::memory_order_relaxed);
-  w.resp_evictions.store(rc.evictions, std::memory_order_relaxed);
-  w.resp_entries.store(rc.entries, std::memory_order_relaxed);
   const auto pool = campaign::WorldPool::local().stats();
   w.pool_hits.store(pool.hits, std::memory_order_relaxed);
   w.pool_misses.store(pool.misses, std::memory_order_relaxed);
@@ -672,10 +663,11 @@ std::vector<std::pair<std::string, std::uint64_t>> Server::aggregate_stats()
   std::uint64_t co_slabs = 0, co_requests = 0, co_window = 0, co_full = 0;
   std::vector<std::pair<std::string, std::uint64_t>> out;
   for (const auto& w : workers_) {
-    rc_hits += w->resp_hits.load(std::memory_order_relaxed);
-    rc_misses += w->resp_misses.load(std::memory_order_relaxed);
-    rc_evictions += w->resp_evictions.load(std::memory_order_relaxed);
-    rc_entries += w->resp_entries.load(std::memory_order_relaxed);
+    const util::CacheStats rc = w->cache.stats();  // under the cache's lock
+    rc_hits += rc.hits;
+    rc_misses += rc.misses;
+    rc_evictions += rc.evictions;
+    rc_entries += rc.entries;
     wp_hits += w->pool_hits.load(std::memory_order_relaxed);
     wp_misses += w->pool_misses.load(std::memory_order_relaxed);
     wp_evictions += w->pool_evictions.load(std::memory_order_relaxed);

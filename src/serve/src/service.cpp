@@ -13,7 +13,6 @@
 #include "qelect/sim/world.hpp"
 #include "qelect/graph/labeling.hpp"
 #include "qelect/graph/placement.hpp"
-#include "qelect/iso/cert_cache.hpp"
 #include "qelect/util/assert.hpp"
 #include "qelect/util/cancel.hpp"
 #include "qelect/views/symmetricity.hpp"
@@ -132,44 +131,6 @@ std::uint32_t response_status(const std::vector<std::uint8_t>& response) {
 
 // ---- ResponseCache -------------------------------------------------------
 
-const std::vector<std::uint8_t>* ResponseCache::lookup(const std::string& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  return &it->second.response;
-}
-
-void ResponseCache::insert(const std::string& key,
-                           std::vector<std::uint8_t> response) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second.response = std::move(response);
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return;
-  }
-  while (map_.size() >= capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{std::move(response), lru_.begin()});
-}
-
-ResponseCache::Stats ResponseCache::stats() const {
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.entries = map_.size();
-  s.capacity = capacity_;
-  return s;
-}
-
 std::string ResponseCache::key(std::uint16_t opcode,
                                const std::vector<std::uint8_t>& payload) {
   std::string key;
@@ -209,7 +170,7 @@ std::vector<std::uint8_t> Service::handle(
   std::string key;
   if (cache != nullptr) {
     key = ResponseCache::key(opcode, payload);
-    if (const auto* hit = cache->lookup(key)) return *hit;
+    if (const auto hit = cache->lookup(key)) return *hit;
   }
 
   std::vector<std::uint8_t> response;
@@ -587,14 +548,6 @@ std::vector<std::uint8_t> Service::run_stats(
   counters.emplace_back("plan_cache_evictions", pc.evictions);
   counters.emplace_back("plan_cache_entries", pc.entries);
   counters.emplace_back("plan_cache_capacity", pc.capacity);
-
-  const auto cert = iso::CertificateCache::global().stats();
-  counters.emplace_back("cert_cache_hits", cert.hits);
-  counters.emplace_back("cert_cache_misses", cert.misses);
-  counters.emplace_back("cert_cache_insertions", cert.insertions);
-  counters.emplace_back("cert_cache_evictions", cert.evictions);
-  counters.emplace_back("cert_cache_entries", cert.entries);
-  counters.emplace_back("cert_cache_capacity", cert.capacity);
 
   if (cache != nullptr) {
     const auto rc = cache->stats();

@@ -39,6 +39,7 @@
 #include "qelect/iso/enumerate.hpp"
 #include "qelect/trace/sink.hpp"
 #include "qelect/util/assert.hpp"
+#include "qelect/util/hash.hpp"
 
 namespace qelect::campaign {
 namespace {
@@ -443,14 +444,9 @@ CampaignSpec fault_sweep_shaped() {
 
 /// FNV-1a over the bytes of `qelect tasks` output: each key, then '\n'.
 std::uint64_t key_digest(const TaskSpace& space) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&](unsigned char c) {
-    h ^= c;
-    h *= 1099511628211ull;
-  };
+  std::uint64_t h = util::kFnvBasis;
   for (std::size_t i = 0; i < space.size(); ++i) {
-    for (const char c : space.key(i)) mix(static_cast<unsigned char>(c));
-    mix('\n');
+    h = util::fnv1a64("\n", util::fnv1a64(space.key(i), h));
   }
   return h;
 }

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qelect/core/baselines.hpp"
@@ -41,6 +42,7 @@
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/schedule.hpp"
 #include "qelect/trace/sink.hpp"
+#include "qelect/util/hash.hpp"
 
 namespace qelect {
 namespace {
@@ -53,16 +55,16 @@ using graph::Placement;
 
 class Fnv {
  public:
+  /// Hashes the eight bytes of `v`, least significant first.
   void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h_ ^= (v >> (8 * b)) & 0xff;
-      h_ *= 1099511628211ull;
-    }
+    char bytes[8];
+    for (int b = 0; b < 8; ++b) bytes[b] = static_cast<char>(v >> (8 * b));
+    h_ = util::fnv1a64(std::string_view(bytes, 8), h_);
   }
   std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 1469598103934665603ull;
+  std::uint64_t h_ = util::kFnvBasis;
 };
 
 // Colors are opaque (equality only), so they enter the digest as their

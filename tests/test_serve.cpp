@@ -329,9 +329,10 @@ TEST(Service, StatsReportCountersAndExtras) {
   EXPECT_EQ(counter("response_cache_hits"), 1u);
   EXPECT_EQ(counter("response_cache_misses"), 1u);
   EXPECT_EQ(counter("workers"), 3u);
-  // The cert-cache section is present (values depend on suite order).
-  counter("cert_cache_hits");
-  counter("cert_cache_capacity");
+  // No certificate cache exists, so STATS reports no counter for one.
+  for (const auto& [k, v] : resp.counters) {
+    EXPECT_EQ(k.find("cert_cache_"), std::string::npos) << k;
+  }
 }
 
 // ---- multi-replica RUN_ELECT bursts (batch backend) ----------------------
@@ -451,6 +452,14 @@ TEST(Service, StatsExposeBatchCounters) {
 }
 
 // ---- end-to-end over loopback -------------------------------------------
+
+TEST(Server, RefusesMoreWorkersThanTheBoundBeforeOpeningASocket) {
+  ServerOptions options;
+  options.workers = kMaxWorkers + 1;
+  Server server(options);
+  EXPECT_THROW(server.start(), CheckError);
+  EXPECT_EQ(server.worker_count(), 0u);
+}
 
 TEST(Server, EndToEndQueriesOverLoopback) {
   ServerOptions options;

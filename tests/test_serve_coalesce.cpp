@@ -69,6 +69,24 @@ TEST(PlanCache, RepeatedStructureHits) {
   EXPECT_EQ(cache.plan(a2.g, a2.p).get(), first.get());
 }
 
+// Keys are exact, not up to isomorphism: the same ring with its bases
+// rotated by one node is an isomorphic instance but not an equal one, so it
+// gets its own entry, and the two plans agree on what isomorphism keeps.
+TEST(PlanCache, IsomorphicButDistinctInstancesGetDistinctEntries) {
+  core::ElectBatchPlanCache cache(8);
+  const Built a = build("ring", {6}, {0, 2});
+  const Built b = build("ring", {6}, {1, 3});
+  const auto pa = cache.plan(a.g, a.p);
+  const auto pb = cache.plan(b.g, b.p);
+  EXPECT_NE(pa.get(), pb.get());
+  EXPECT_EQ(pa->agent_count, pb->agent_count);
+  EXPECT_EQ(pa->final_gcd, pb->final_gcd);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.compiles, 2u);
+  EXPECT_EQ(s.entries, 2u);
+}
+
 TEST(PlanCache, EvictsLeastRecentlyUsed) {
   core::ElectBatchPlanCache cache(2);
   const Built a = build("ring", {4}, {0, 1});

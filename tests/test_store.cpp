@@ -25,6 +25,7 @@
 #include "qelect/campaign/json.hpp"
 #include "qelect/campaign/store.hpp"
 #include "qelect/util/assert.hpp"
+#include "qelect/util/hash.hpp"
 
 namespace qelect::campaign {
 namespace {
@@ -135,14 +136,6 @@ std::uint32_t crc32_of(const char* p, std::size_t n) {
     }
   }
   return ~crc;
-}
-
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  return h;
 }
 
 /// Record `i` shaped like an elect-sweep task: a ring key and the eight
@@ -739,9 +732,11 @@ TEST(WalStore, FileBytesArePinned) {
   ScratchDir scratch("pinned");
   const std::string path = scratch.path("s.qws");
   std::vector<std::uint64_t> hashes;
+  // The pins were taken with the published FNV-1a 64 basis.
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
   auto pin = [&] {
-    hashes.push_back(fnv1a(slurp(path)));
-    hashes.push_back(fnv1a(slurp(path + ".snap")));
+    hashes.push_back(util::fnv1a64(slurp(path), kBasis));
+    hashes.push_back(util::fnv1a64(slurp(path + ".snap"), kBasis));
   };
   {
     StoreWriter writer(path, test_header());

@@ -300,25 +300,25 @@ campaign::TaskSpec elect_task(std::vector<std::size_t> ring_params,
 TEST(WorldPool, HitsReuseTheSameWorldObject) {
   campaign::WorldPool pool(4);
   sim::World& a = pool.acquire(elect_task({6}, 1), false);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.stats().hits, 0u);
 
   sim::World& b = pool.acquire(elect_task({6}, 1), false);
   EXPECT_EQ(&a, &b);  // same arena, reset in place
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.stats().entries, 1u);
 
   // Different structure -> different entry.
   sim::World& c = pool.acquire(elect_task({8}, 1), false);
   EXPECT_NE(&a, &c);
-  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.stats().misses, 2u);
 
   // Same graph and placement but quantitative -> distinct entry (labels
   // differ observationally).
   sim::World& q = pool.acquire(elect_task({6}, 1), true);
   EXPECT_NE(&a, &q);
   EXPECT_EQ(q.agent_colors().size(), 2u);
-  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.stats().entries, 3u);
 }
 
 TEST(WorldPool, HitRetargetsColorSeed) {
@@ -348,7 +348,7 @@ TEST(WorldPool, PooledRunMatchesFreshWorld) {
   traced_run(pool.acquire(task, false), elect, config);
   // ...then the pooled re-acquisition must be observationally fresh.
   const Observed got = traced_run(pool.acquire(task, false), elect, config);
-  ASSERT_EQ(pool.hits(), 1u);
+  ASSERT_EQ(pool.stats().hits, 1u);
   expect_identical(want, got);
 }
 
@@ -357,16 +357,16 @@ TEST(WorldPool, EvictsLeastRecentlyUsedAtCapacity) {
   pool.acquire(elect_task({5}, 1), false);
   pool.acquire(elect_task({6}, 1), false);
   pool.acquire(elect_task({5}, 1), false);  // touch ring(5): ring(6) is LRU
-  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.stats().entries, 2u);
 
   pool.acquire(elect_task({7}, 1), false);  // evicts ring(6)
-  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool.stats().entries, 2u);
   pool.acquire(elect_task({5}, 1), false);
-  EXPECT_EQ(pool.hits(), 2u);
+  EXPECT_EQ(pool.stats().hits, 2u);
 
-  const std::size_t misses_before = pool.misses();
+  const std::size_t misses_before = pool.stats().misses;
   pool.acquire(elect_task({6}, 1), false);  // was evicted: a miss again
-  EXPECT_EQ(pool.misses(), misses_before + 1);
+  EXPECT_EQ(pool.stats().misses, misses_before + 1);
 }
 
 TEST(WorldPool, StatsSnapshotTracksHitsMissesEvictions) {
@@ -388,10 +388,7 @@ TEST(WorldPool, StatsSnapshotTracksHitsMissesEvictions) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.evictions, 1u);
-  // The snapshot agrees with the scalar accessors.
-  EXPECT_EQ(s.hits, pool.hits());
-  EXPECT_EQ(s.misses, pool.misses());
-  EXPECT_EQ(s.entries, pool.size());
+  EXPECT_EQ(s.compiles, 3u);  // one World built per miss
 
   pool.acquire(elect_task({5}, 1), false);  // evicted shape: miss + evict
   s = pool.stats();

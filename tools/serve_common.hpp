@@ -3,10 +3,13 @@
 // entry points, so the daemon binary and the CLI cannot drift apart.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "qelect/campaign/workloads.hpp"
@@ -23,9 +26,8 @@ inline int serve_usage() {
       "\n"
       "  --host ADDR           listen address (default 127.0.0.1)\n"
       "  --port P              TCP port; 0 = ephemeral (default 7677)\n"
-      "  --workers N           worker shards; 0 = hardware concurrency\n"
+      "  --workers N           worker shards (<= 256); 0 = hardware concurrency\n"
       "  --response-cache N    per-worker response cache entries (default 4096)\n"
-      "  --cert-cache N        shared certificate cache entries (0 = default)\n"
       "  --plan-cache N        shared batch-plan cache entries (0 = default)\n"
       "  --coalesce-window US  RUN_ELECT coalescing window in microseconds\n"
       "                        (default 200; 0 disables micro-batching)\n"
@@ -36,6 +38,27 @@ inline int serve_usage() {
       "\n"
       "Runs until SIGINT/SIGTERM, then shuts down cleanly.\n");
   return 2;
+}
+
+/// Sets `field` to `text`, the value of numeric flag `flag`: decimal
+/// digits that fit the field and are at most `max` (for a floating-point
+/// field, a finite number >= 0).  Anything else -- a sign, a wrap,
+/// trailing text -- is a CheckError naming the flag.
+template <typename T>
+void parse_number(const std::string& flag, const std::string& text, T& field,
+                  T max = std::numeric_limits<T>::max()) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if constexpr (std::is_floating_point_v<T>) {
+    QELECT_CHECK(ec == std::errc() && ptr == end && value >= 0 && value <= max,
+                 flag + " takes a finite number >= 0, got '" + text + "'");
+  } else {
+    QELECT_CHECK(ec == std::errc() && ptr == end && value <= max,
+                 flag + " takes an integer in [0, " + std::to_string(max) +
+                     "], got '" + text + "'");
+  }
+  field = value;
 }
 
 /// `qelectd` / `qelect serve`: flags from argv[from..), runs the daemon
@@ -52,25 +75,23 @@ inline int serve_main(int argc, char** argv, int from) {
     if (flag == "--host") {
       options.host = value(i);
     } else if (flag == "--port") {
-      options.port = static_cast<std::uint16_t>(std::stoul(value(i)));
+      parse_number(flag, value(i), options.port);
     } else if (flag == "--workers") {
-      options.workers = std::stoul(value(i));
+      parse_number(flag, value(i), options.workers, serve::kMaxWorkers);
     } else if (flag == "--response-cache") {
-      options.response_cache_capacity = std::stoul(value(i));
-    } else if (flag == "--cert-cache") {
-      options.cert_cache_capacity = std::stoul(value(i));
+      parse_number(flag, value(i), options.response_cache_capacity);
     } else if (flag == "--plan-cache") {
-      options.plan_cache_capacity = std::stoul(value(i));
+      parse_number(flag, value(i), options.plan_cache_capacity);
     } else if (flag == "--coalesce-window") {
-      options.coalesce_window_us = std::stoull(value(i));
+      parse_number(flag, value(i), options.coalesce_window_us);
     } else if (flag == "--coalesce-max") {
-      options.coalesce_max = static_cast<std::uint32_t>(std::stoul(value(i)));
+      parse_number(flag, value(i), options.coalesce_max);
     } else if (flag == "--max-nodes") {
-      options.limits.max_nodes = std::stoul(value(i));
+      parse_number(flag, value(i), options.limits.max_nodes);
     } else if (flag == "--max-payload") {
-      options.max_payload = std::stoul(value(i));
+      parse_number(flag, value(i), options.max_payload);
     } else if (flag == "--sigma-budget") {
-      options.limits.sigma_budget = std::stod(value(i));
+      parse_number(flag, value(i), options.limits.sigma_budget);
     } else if (flag == "--help" || flag == "-h") {
       return serve_usage();
     } else {
@@ -127,19 +148,17 @@ inline int query_usage() {
   return 2;
 }
 
-inline std::vector<std::uint64_t> parse_u64_list(const std::string& text) {
-  std::vector<std::uint64_t> out;
-  std::string token;
-  for (char c : text) {
-    if (c == ',') {
-      QELECT_CHECK(!token.empty(), "empty element in list '" + text + "'");
-      out.push_back(std::stoull(token));
-      token.clear();
-    } else {
-      token.push_back(c);
-    }
+/// The comma-separated values of numeric list flag `flag`, each checked
+/// as parse_number checks one.
+template <typename T>
+std::vector<T> parse_list(const std::string& flag, const std::string& text) {
+  std::vector<T> out;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    const std::size_t comma = std::min(text.find(',', begin), text.size());
+    parse_number(flag, text.substr(begin, comma - begin), out.emplace_back());
+    begin = comma + 1;
   }
-  if (!token.empty()) out.push_back(std::stoull(token));
   return out;
 }
 
@@ -171,24 +190,21 @@ inline int query_main(int argc, char** argv, int from) {
     if (flag == "--host") {
       host = value(i);
     } else if (flag == "--port") {
-      port = static_cast<std::uint16_t>(std::stoul(value(i)));
+      parse_number(flag, value(i), port);
     } else if (flag == "--family") {
       inst.family = value(i);
     } else if (flag == "--params") {
-      inst.params = parse_u64_list(value(i));
+      inst.params = parse_list<std::uint64_t>(flag, value(i));
     } else if (flag == "--bases") {
-      inst.home_bases.clear();
-      for (std::uint64_t b : parse_u64_list(value(i))) {
-        inst.home_bases.push_back(static_cast<std::uint32_t>(b));
-      }
+      inst.home_bases = parse_list<std::uint32_t>(flag, value(i));
     } else if (flag == "--alphabet") {
-      alphabet = static_cast<std::uint32_t>(std::stoul(value(i)));
+      parse_number(flag, value(i), alphabet);
     } else if (flag == "--seed") {
-      seed = std::stoull(value(i));
+      parse_number(flag, value(i), seed);
     } else if (flag == "--scheduler") {
       scheduler = value(i);
     } else if (flag == "--replicas") {
-      replicas = static_cast<std::uint32_t>(std::stoul(value(i)));
+      parse_number(flag, value(i), replicas);
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
       return query_usage();
