@@ -49,8 +49,12 @@ class TraceSink;
 
 namespace qelect::campaign {
 
+/// The most worker shards run_campaign starts; it refuses more.
+inline constexpr unsigned kMaxShards = 256;
+
 struct EngineOptions {
   /// Worker shards; 0 = hardware concurrency (clamped to the task count).
+  /// At most kMaxShards.
   unsigned shards = 0;
   /// Override spec.retries when >= 0.
   int retries = -1;
@@ -94,7 +98,8 @@ struct CampaignResult {
 /// to `spec` (e.g. one that still carries "backend") keeps that header.
 /// Throws CheckError for spec/store mismatches and store I/O errors (the
 /// first error cancels the run and is rethrown once every thread has
-/// joined); task failures never throw.
+/// joined), and for options.shards above kMaxShards before it opens the
+/// store or starts a thread; task failures never throw.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const std::string& store_path,
                             const EngineOptions& options = {});

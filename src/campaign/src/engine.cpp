@@ -91,6 +91,10 @@ TaskRecord execute_task(const TaskSpec& task, const CampaignSpec& spec,
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const std::string& store_path,
                             const EngineOptions& options) {
+  QELECT_CHECK(options.shards <= kMaxShards,
+               "run_campaign: " + std::to_string(options.shards) +
+                   " shards is above the limit of " +
+                   std::to_string(kMaxShards));
   const Clock::time_point wall0 = Clock::now();
   const TaskSpace space(spec);
   const std::size_t total = space.size();

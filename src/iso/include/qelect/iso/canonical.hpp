@@ -56,6 +56,14 @@ struct CanonicalOptions {
 };
 
 /// Runs the canonical-labeling search.
+///
+/// The search keeps its buffers per thread, across searches: one coloring,
+/// target cell and tried list for every search depth the thread has
+/// reached, plus the leaf buffers.  So it is safe to call from any thread,
+/// and a warm sequential search allocates little beyond what it returns,
+/// but each thread holds O(n * depth) words of its deepest search until it
+/// exits.  A star's surrounding is about n levels deep: about 64 MiB per
+/// thread at n = 4096.
 CanonicalForm canonical_form(const ColoredDigraph& g);
 CanonicalForm canonical_form(const ColoredDigraph& g,
                              const CanonicalOptions& options);

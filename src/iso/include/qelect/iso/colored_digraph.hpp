@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "qelect/graph/graph.hpp"
@@ -34,6 +35,12 @@ struct Arc {
 };
 
 /// Node-colored, arc-labeled digraph; the engine's sole input type.
+///
+/// The arcs are stored once in CSR form: arcs() sorted by (from, to,
+/// label) with per-node offsets, plus one copy sorted by (to, from, label)
+/// with its own offsets.  out_arcs(x) and in_arcs(x) are spans into those
+/// two arrays, valid as long as the digraph, so a digraph costs a handful
+/// of allocations however many nodes it has.
 class ColoredDigraph {
  public:
   ColoredDigraph() = default;
@@ -43,12 +50,19 @@ class ColoredDigraph {
   std::size_t node_count() const { return colors_.size(); }
   std::uint32_t color(NodeId x) const { return colors_[x]; }
   const std::vector<std::uint32_t>& colors() const { return colors_; }
+  /// Every arc, sorted by (from, to, label).
   const std::vector<Arc>& arcs() const { return arcs_; }
 
-  /// Out-arcs of x, sorted by (to, label); built once at construction.
-  const std::vector<Arc>& out_arcs(NodeId x) const { return out_[x]; }
+  /// Out-arcs of x, sorted by (to, label).
+  std::span<const Arc> out_arcs(NodeId x) const {
+    return {arcs_.data() + offsets_[x], arcs_.data() + offsets_[x + 1]};
+  }
   /// In-arcs of x, sorted by (from, label).
-  const std::vector<Arc>& in_arcs(NodeId x) const { return in_[x]; }
+  std::span<const Arc> in_arcs(NodeId x) const {
+    const std::size_t n1 = colors_.size() + 1;
+    return {in_arcs_.data() + offsets_[n1 + x],
+            in_arcs_.data() + offsets_[n1 + x + 1]};
+  }
 
   /// Returns the digraph obtained by renaming nodes with sigma
   /// (sigma[old] = new) and re-normalizing arc order.
@@ -58,13 +72,17 @@ class ColoredDigraph {
   /// other node has (individualization).
   ColoredDigraph individualize(NodeId x) const;
 
-  bool operator==(const ColoredDigraph&) const = default;
+  /// Equal node colors and arcs (the rest is derived from those).
+  bool operator==(const ColoredDigraph& other) const {
+    return colors_ == other.colors_ && arcs_ == other.arcs_;
+  }
 
  private:
   std::vector<std::uint32_t> colors_;
-  std::vector<Arc> arcs_;           // sorted by (from, to, label)
-  std::vector<std::vector<Arc>> out_;
-  std::vector<std::vector<Arc>> in_;
+  std::vector<Arc> arcs_;     // sorted by (from, to, label)
+  std::vector<Arc> in_arcs_;  // sorted by (to, from, label)
+  // n + 1 offsets into arcs_ by source, then n + 1 into in_arcs_ by target.
+  std::vector<std::uint32_t> offsets_;
 };
 
 /// Packs the two endpoint labels of an undirected labeled edge into one arc

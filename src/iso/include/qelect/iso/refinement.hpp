@@ -25,6 +25,11 @@ Coloring normalize_coloring(const Coloring& coloring);
 /// (defaulting to the digraph's own node colors).  The returned coloring is
 /// dense and ordered canonically (class index order follows the
 /// lexicographic order of class signatures, which is iso-invariant).
+///
+/// The round scratch is per thread, so refine and refine_rounds are safe to
+/// call from any thread; each thread's scratch keeps the capacity of the
+/// largest digraph it refined, and a warm thread allocates only the
+/// returned coloring.
 Coloring refine(const ColoredDigraph& g, const Coloring& initial);
 Coloring refine(const ColoredDigraph& g);
 

@@ -5,34 +5,105 @@
 
 #include "qelect/util/assert.hpp"
 #include "qelect/util/parallel.hpp"
+#include "refine_in_place.hpp"
 
 namespace qelect::iso {
 
 namespace {
 
+// The search's buffers: one set per thread, reused across searches (as
+// refinement's scratch is), so a thread stops allocating for them once
+// they fit the largest digraph it searched.
+struct SearchScratch {
+  // depth[d] is the coloring at search depth d, rewritten for each sibling
+  // there; cell[d] and tried[d] are that depth's target cell and the
+  // candidates it explored.
+  std::vector<Coloring> depth;
+  std::vector<std::vector<NodeId>> cell;
+  std::vector<std::vector<NodeId>> tried;
+  std::vector<std::uint32_t> class_size;
+  std::vector<NodeId> prefix;  // individualized nodes, root first
+  std::vector<NodeId> inverse;
+  std::vector<NodeId> best_inverse;
+  std::vector<Arc> arcs;
+  Certificate cert;
+};
+
+SearchScratch& thread_search_scratch() {
+  thread_local SearchScratch s;
+  return s;
+}
+
+// The target cell of a coloring that is not discrete: the first (lowest
+// class index) non-singleton cell, nodes ascending, written to `cell`.
+// The class index order is iso-invariant, so this choice is too.  Returns
+// the class count, a color that no class has.
+std::uint32_t target_cell(const Coloring& c,
+                          std::vector<std::uint32_t>& class_size,
+                          std::vector<NodeId>& cell) {
+  const std::uint32_t classes = 1 + *std::max_element(c.begin(), c.end());
+  class_size.assign(classes, 0);
+  for (std::uint32_t v : c) ++class_size[v];
+  const std::uint32_t target = static_cast<std::uint32_t>(
+      std::find_if(class_size.begin(), class_size.end(),
+                   [](std::uint32_t size) { return size > 1; }) -
+      class_size.begin());
+  QELECT_ASSERT(target < classes);
+  cell.clear();
+  for (NodeId x = 0; x < c.size(); ++x) {
+    if (c[x] == target) cell.push_back(x);
+  }
+  return classes;
+}
+
 class Searcher {
  public:
   Searcher(const ColoredDigraph& g, const CanonicalOptions& options)
-      : g_(g), options_(options) {}
+      : g_(g), options_(options), s_(thread_search_scratch()) {}
 
   CanonicalForm run() {
     if (g_.node_count() == 0) {
       return CanonicalForm{{0}, {}, {}, 1};
     }
-    descend(refine(g_));
+    Coloring& root = start();
+    root = g_.colors();
+    refine_to_fixed_point(root);
+    descend(0);
     return package();
   }
 
-  /// One root branch of the parallel search: the caller has individualized
-  /// `individualized` in the root coloring and refined; this explores the
-  /// whole subtree below it.
-  CanonicalForm run_branch(const Coloring& refined, NodeId individualized) {
-    prefix_.push_back(individualized);
-    descend(refined);
+  /// One root branch of the parallel search: individualizes `y` (giving it
+  /// color `fresh`) in the refined root coloring `root`, refines, and
+  /// explores the whole subtree below.
+  CanonicalForm run_branch(const Coloring& root, NodeId y,
+                           std::uint32_t fresh) {
+    Coloring& c = start();
+    c = root;
+    c[y] = fresh;
+    refine_to_fixed_point(c);
+    s_.prefix.push_back(y);
+    descend(0);
     return package();
   }
 
  private:
+  // Sizes the per-depth buffers (a search is at most n deep: each level
+  // adds a class) and returns the depth-0 coloring.
+  Coloring& start() {
+    const std::size_t n = g_.node_count();
+    if (s_.depth.size() < n + 1) {
+      s_.depth.resize(n + 1);
+      s_.cell.resize(n + 1);
+      s_.tried.resize(n + 1);
+    }
+    s_.prefix.clear();
+    return s_.depth[0];
+  }
+
+  void refine_to_fixed_point(Coloring& c) const {
+    detail::refine_in_place(g_, c, g_.node_count() + 1);
+  }
+
   CanonicalForm package() {
     CanonicalForm out;
     out.certificate = std::move(best_cert_);
@@ -42,76 +113,67 @@ class Searcher {
     return out;
   }
 
-  void descend(const Coloring& c) {
+  void descend(std::size_t d) {
+    const Coloring& c = s_.depth[d];
     if (is_discrete(c)) {
       leaf(c);
       return;
     }
-    const auto classes = color_classes(c);
-    // Target cell: the first (lowest class index) non-singleton cell.  The
-    // class index order is iso-invariant, so this choice is too.
-    std::size_t target = classes.size();
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-      if (classes[i].size() > 1) {
-        target = i;
-        break;
-      }
-    }
-    QELECT_ASSERT(target < classes.size());
-    const std::uint32_t fresh =
-        static_cast<std::uint32_t>(classes.size());  // > every class index
-    std::vector<NodeId> tried;
-    for (NodeId y : classes[target]) {
+    const std::uint32_t fresh = target_cell(c, s_.class_size, s_.cell[d]);
+    std::vector<NodeId>& tried = s_.tried[d];
+    tried.clear();
+    Coloring& child = s_.depth[d + 1];
+    for (NodeId y : s_.cell[d]) {
       if (pruned_by_automorphism(tried, y)) continue;
       tried.push_back(y);
-      Coloring c2 = c;
-      c2[y] = fresh;
-      prefix_.push_back(y);
-      descend(refine(g_, c2));
-      prefix_.pop_back();
+      child = c;
+      child[y] = fresh;
+      refine_to_fixed_point(child);
+      s_.prefix.push_back(y);
+      descend(d + 1);
+      s_.prefix.pop_back();
     }
   }
 
-  void leaf(const Coloring& c) {
+  // A discrete coloring is a permutation: node x sits at position c[x].
+  void leaf(const std::vector<NodeId>& sigma) {
     ++leaves_;
-    // A discrete coloring is a permutation: node x sits at position c[x].
-    sigma_buf_.assign(c.begin(), c.end());
-    build_certificate(sigma_buf_);
-    if (!have_best_ || cert_buf_ < best_cert_) {
-      best_cert_.swap(cert_buf_);
-      best_sigma_ = sigma_buf_;
+    build_certificate(sigma);
+    if (!have_best_ || s_.cert < best_cert_) {
+      best_cert_.assign(s_.cert.begin(), s_.cert.end());
+      best_sigma_.assign(sigma.begin(), sigma.end());
       have_best_ = true;
-    } else if (cert_buf_ == best_cert_) {
-      record_automorphism(sigma_buf_);
+    } else if (s_.cert == best_cert_) {
+      record_automorphism(sigma);
     }
   }
 
-  // Fills cert_buf_ with certificate_under(g_, sigma), byte for byte, but
+  // Fills s_.cert with certificate_under(g_, sigma), byte for byte, but
   // through reused scratch buffers and without the global arc sort: walking
   // sources in position order and sorting each source's few arcs by
   // (to, label) yields exactly the (from, to, label) order.
   void build_certificate(const std::vector<NodeId>& sigma) {
     const std::size_t n = g_.node_count();
-    inverse_buf_.resize(n);
-    for (NodeId x = 0; x < n; ++x) inverse_buf_[sigma[x]] = x;
-    cert_buf_.clear();
-    cert_buf_.reserve(1 + n + 1 + 3 * g_.arcs().size());
-    cert_buf_.push_back(n);
+    s_.inverse.resize(n);
+    for (NodeId x = 0; x < n; ++x) s_.inverse[sigma[x]] = x;
+    Certificate& cert = s_.cert;
+    cert.clear();
+    cert.reserve(1 + n + 1 + 3 * g_.arcs().size());
+    cert.push_back(n);
     for (NodeId pos = 0; pos < n; ++pos) {
-      cert_buf_.push_back(g_.color(inverse_buf_[pos]));
+      cert.push_back(g_.color(s_.inverse[pos]));
     }
-    cert_buf_.push_back(g_.arcs().size());
+    cert.push_back(g_.arcs().size());
     for (NodeId pos = 0; pos < n; ++pos) {
-      const NodeId x = inverse_buf_[pos];
-      arc_buf_.clear();
-      for (const Arc& a : g_.out_arcs(x)) {
-        arc_buf_.push_back(Arc{pos, sigma[a.to], a.label});
+      s_.arcs.clear();
+      for (const Arc& a : g_.out_arcs(s_.inverse[pos])) {
+        s_.arcs.push_back(Arc{pos, sigma[a.to], a.label});
       }
-      std::sort(arc_buf_.begin(), arc_buf_.end());
-      for (const Arc& a : arc_buf_) {
-        cert_buf_.push_back(a.from);
-        cert_buf_.push_back(a.to);
-        cert_buf_.push_back(a.label);
+      std::sort(s_.arcs.begin(), s_.arcs.end());
+      for (const Arc& a : s_.arcs) {
+        cert.push_back(a.from);
+        cert.push_back(a.to);
+        cert.push_back(a.label);
       }
     }
   }
@@ -123,13 +185,13 @@ class Searcher {
     // storage cap is hit or when pruning is disabled for ablation.
     if (!options_.automorphism_pruning) return;
     if (autos_.size() >= options_.max_stored_automorphisms) return;
-    std::vector<NodeId> best_inverse(best_sigma_.size());
+    s_.best_inverse.resize(best_sigma_.size());
     for (NodeId x = 0; x < best_sigma_.size(); ++x) {
-      best_inverse[best_sigma_[x]] = x;
+      s_.best_inverse[best_sigma_[x]] = x;
     }
     std::vector<NodeId> gamma(sigma.size());
     for (NodeId x = 0; x < sigma.size(); ++x) {
-      gamma[x] = best_inverse[sigma[x]];
+      gamma[x] = s_.best_inverse[sigma[x]];
     }
     QELECT_ASSERT(is_automorphism(g_, gamma));
     autos_.push_back(std::move(gamma));
@@ -143,7 +205,7 @@ class Searcher {
                               NodeId y) const {
     for (const auto& gamma : autos_) {
       bool fixes_prefix = true;
-      for (NodeId p : prefix_) {
+      for (NodeId p : s_.prefix) {
         if (gamma[p] != p) {
           fixes_prefix = false;
           break;
@@ -159,17 +221,12 @@ class Searcher {
 
   const ColoredDigraph& g_;
   CanonicalOptions options_;
+  SearchScratch& s_;
   Certificate best_cert_;
   std::vector<NodeId> best_sigma_;
   bool have_best_ = false;
   std::vector<std::vector<NodeId>> autos_;
-  std::vector<NodeId> prefix_;
   std::size_t leaves_ = 0;
-  // Leaf-evaluation scratch, reused across the whole search.
-  std::vector<NodeId> sigma_buf_;
-  std::vector<NodeId> inverse_buf_;
-  std::vector<Arc> arc_buf_;
-  Certificate cert_buf_;
 };
 
 }  // namespace
@@ -224,9 +281,7 @@ CanonicalForm canonical_form_root_parallel(const ColoredDigraph& g,
   std::vector<CanonicalForm> branches = parallel_map<CanonicalForm>(
       cands.size(),
       [&](std::size_t i) {
-        Coloring c2 = root;
-        c2[cands[i]] = fresh;
-        return Searcher(g, options).run_branch(refine(g, c2), cands[i]);
+        return Searcher(g, options).run_branch(root, cands[i], fresh);
       },
       threads);
   std::size_t best = 0;
@@ -279,20 +334,12 @@ CanonicalForm canonical_form(const ColoredDigraph& g,
   }
   const Coloring root = refine(g);
   if (is_discrete(root)) return Searcher(g, options).run();
-  const auto classes = color_classes(root);
-  std::size_t target = classes.size();
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    if (classes[i].size() > 1) {
-      target = i;
-      break;
-    }
-  }
-  QELECT_ASSERT(target < classes.size());
-  const std::vector<NodeId>& cands = classes[target];
+  std::vector<std::uint32_t> class_size;
+  std::vector<NodeId> cands;
+  const std::uint32_t fresh = target_cell(root, class_size, cands);
   const unsigned threads =
       resolve_parallel_threads(options.root_parallelism, cands.size());
   if (threads <= 1) return Searcher(g, options).run();
-  const std::uint32_t fresh = static_cast<std::uint32_t>(classes.size());
   return canonical_form_root_parallel(g, options, root, cands, fresh,
                                       threads);
 }

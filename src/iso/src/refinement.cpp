@@ -34,6 +34,7 @@
 #include <utility>
 
 #include "qelect/util/assert.hpp"
+#include "refine_in_place.hpp"
 
 namespace qelect::iso {
 
@@ -41,8 +42,9 @@ namespace {
 
 using LabeledClass = std::pair<std::uint64_t, std::uint32_t>;
 
-// All per-round scratch, allocated once per refine call and reused across
-// rounds so the hot loop stays allocation-free after the first round.
+// All per-round scratch.  One per thread (thread_scratch), reused across
+// rounds and calls, so a thread stops allocating once its scratch has the
+// capacity of the largest digraph it refined.
 struct Scratch {
   // Members of examined classes, grouped by class (ascending node order
   // within a class), plus the per-class offsets into `members`.
@@ -61,7 +63,27 @@ struct Scratch {
   std::vector<std::uint32_t> shift;      // class -> id shift after splicing
   std::vector<std::uint8_t> examine;     // class -> examine this round?
   std::vector<std::uint8_t> examine_next;
+  std::vector<std::uint32_t> child_size;  // split parent's child -> size
+  std::vector<std::uint32_t> values;      // normalize_in_place's scratch
 };
+
+Scratch& thread_scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+// Renumbers c in place to dense indices ordered by original value (sort-
+// unique + binary search over `values`, the same output as the seed's
+// std::map walk).
+void normalize_in_place(Coloring& c, std::vector<std::uint32_t>& values) {
+  values.assign(c.begin(), c.end());
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  for (std::uint32_t& v : c) {
+    v = static_cast<std::uint32_t>(
+        std::lower_bound(values.begin(), values.end(), v) - values.begin());
+  }
+}
 
 // Appends node x's sorted signature spans (w.r.t. coloring c) to the
 // shared buffers; `slot` is x's index within this round's member list.
@@ -201,23 +223,13 @@ bool refine_round(const ColoredDigraph& g, Coloring& c,
     const std::uint32_t begin = s.class_offset[k];
     const std::uint32_t end = s.class_offset[k + 1];
     // Child sizes; the first largest is the skipped one.
-    const std::uint32_t child_count = s.extra[k] + 1;
-    std::uint32_t sizes[2];  // small-vector fast path
-    std::vector<std::uint32_t> sizes_big;
-    std::uint32_t* size_at = sizes;
-    if (child_count > 2) {
-      sizes_big.assign(child_count, 0);
-      size_at = sizes_big.data();
-    } else {
-      sizes[0] = sizes[1] = 0;
-    }
+    s.child_size.assign(s.extra[k] + 1, 0);
     for (std::uint32_t i = begin; i < end; ++i) {
-      ++size_at[s.group_of[s.members[i]]];
+      ++s.child_size[s.group_of[s.members[i]]];
     }
-    std::uint32_t skip = 0;
-    for (std::uint32_t gidx = 1; gidx < child_count; ++gidx) {
-      if (size_at[gidx] > size_at[skip]) skip = gidx;
-    }
+    const std::uint32_t skip = static_cast<std::uint32_t>(
+        std::max_element(s.child_size.begin(), s.child_size.end()) -
+        s.child_size.begin());
     for (std::uint32_t i = begin; i < end; ++i) {
       const NodeId x = s.members[i];
       if (s.group_of[x] == skip) continue;
@@ -231,9 +243,8 @@ bool refine_round(const ColoredDigraph& g, Coloring& c,
 }
 
 std::size_t run_rounds(const ColoredDigraph& g, Coloring& c,
-                       std::size_t max_rounds) {
+                       std::size_t max_rounds, Scratch& s) {
   if (g.node_count() == 0 || max_rounds == 0) return 0;
-  Scratch s;
   std::size_t class_count =
       static_cast<std::size_t>(*std::max_element(c.begin(), c.end())) + 1;
   s.examine.assign(class_count, 1);  // round 1 examines everything
@@ -246,27 +257,27 @@ std::size_t run_rounds(const ColoredDigraph& g, Coloring& c,
 
 }  // namespace
 
+namespace detail {
+
+void refine_in_place(const ColoredDigraph& g, Coloring& c,
+                     std::size_t max_rounds) {
+  QELECT_CHECK(c.size() == g.node_count(), "refine: coloring size mismatch");
+  Scratch& s = thread_scratch();
+  normalize_in_place(c, s.values);
+  run_rounds(g, c, max_rounds, s);
+}
+
+}  // namespace detail
+
 Coloring normalize_coloring(const Coloring& coloring) {
-  // Dense renumbering ordered by original value (sort-unique + binary
-  // search; same output as the seed's std::map walk, no rb-tree).
-  std::vector<std::uint32_t> values(coloring);
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  Coloring out(coloring.size());
-  for (std::size_t i = 0; i < coloring.size(); ++i) {
-    out[i] = static_cast<std::uint32_t>(
-        std::lower_bound(values.begin(), values.end(), coloring[i]) -
-        values.begin());
-  }
+  Coloring out = coloring;
+  normalize_in_place(out, thread_scratch().values);
   return out;
 }
 
 Coloring refine(const ColoredDigraph& g, const Coloring& initial) {
-  QELECT_CHECK(initial.size() == g.node_count(),
-               "refine: coloring size mismatch");
-  Coloring c = normalize_coloring(initial);
-  if (g.node_count() == 0) return c;
-  run_rounds(g, c, g.node_count() + 1);  // fixed point in < n rounds
+  Coloring c = initial;
+  detail::refine_in_place(g, c, g.node_count() + 1);  // fixed point in < n
   return c;
 }
 
@@ -274,10 +285,8 @@ Coloring refine(const ColoredDigraph& g) { return refine(g, g.colors()); }
 
 Coloring refine_rounds(const ColoredDigraph& g, const Coloring& initial,
                        std::size_t rounds) {
-  QELECT_CHECK(initial.size() == g.node_count(),
-               "refine_rounds: coloring size mismatch");
-  Coloring c = normalize_coloring(initial);
-  run_rounds(g, c, rounds);
+  Coloring c = initial;
+  detail::refine_in_place(g, c, rounds);
   return c;
 }
 

@@ -48,7 +48,9 @@ class ScheduleRecorder : public TraceSink {
 };
 
 /// Extracts the schedule from a JSONL trace stream (the `event` records'
-/// `agent` fields, in file order).  Tolerates unknown record types.
+/// `agent` fields, in file order).  Tolerates unknown record types.  An
+/// event record whose agent is missing or is not decimal digits within
+/// uint32_t is a CheckError naming its 1-based line.
 Schedule load_schedule_jsonl(std::istream& in);
 
 /// Convenience overload: opens `path` and parses it.  Throws CheckError if

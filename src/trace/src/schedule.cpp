@@ -1,6 +1,7 @@
 #include "qelect/trace/schedule.hpp"
 
-#include <cstdlib>
+#include <cctype>
+#include <charconv>
 #include <fstream>
 
 #include "qelect/util/assert.hpp"
@@ -8,20 +9,28 @@
 namespace qelect::trace {
 namespace {
 
-/// Extracts the integer following `"key":` in a JSONL record, if present.
-/// Minimal on purpose: the sink controls the schema, so field-name lookup
-/// plus strtoull is sufficient and keeps the loader dependency-free.
-bool find_uint_field(const std::string& line, const std::string& key,
-                     std::uint64_t* out) {
-  const std::string needle = "\"" + key + "\":";
+/// The agent index after `"agent":` in event record `line`, the `line_no`th
+/// line of the stream (1-based).  Minimal on purpose: the sink controls
+/// the schema, so a field-name lookup and a digit run suffice.  A missing
+/// field, anything but decimal digits (a sign, a string, a fraction) or a
+/// value past uint32_t is a CheckError naming the line.
+std::uint32_t agent_field(const std::string& line, std::size_t line_no) {
+  static const std::string needle = "\"agent\":";
+  const auto where = [line_no] {
+    return "load_schedule_jsonl: line " + std::to_string(line_no) + ": ";
+  };
   const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const char* start = line.c_str() + at + needle.size();
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(start, &end, 10);
-  if (end == start) return false;
-  *out = value;
-  return true;
+  QELECT_CHECK(at != std::string::npos,
+               where() + "event record without agent field");
+  const char* begin = line.data() + at + needle.size();
+  const char* end = line.data() + line.size();
+  std::uint32_t agent = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, agent);
+  const bool ends_value = ptr == end || *ptr == ',' || *ptr == '}' ||
+                          std::isspace(static_cast<unsigned char>(*ptr));
+  QELECT_CHECK(ec == std::errc() && ends_value,
+               where() + "agent must be an integer in [0, 4294967295]");
+  return agent;
 }
 
 }  // namespace
@@ -29,12 +38,9 @@ bool find_uint_field(const std::string& line, const std::string& key,
 Schedule load_schedule_jsonl(std::istream& in) {
   Schedule schedule;
   std::string line;
-  while (std::getline(in, line)) {
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
     if (line.find("\"type\":\"event\"") == std::string::npos) continue;
-    std::uint64_t agent = 0;
-    QELECT_CHECK(find_uint_field(line, "agent", &agent),
-                 "load_schedule_jsonl: event record without agent field");
-    schedule.picks.push_back(static_cast<std::uint32_t>(agent));
+    schedule.picks.push_back(agent_field(line, line_no));
   }
   return schedule;
 }

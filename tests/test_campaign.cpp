@@ -22,7 +22,9 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "engine_flags.hpp"
 #include "qelect/campaign/batch.hpp"
 #include "qelect/campaign/builtin.hpp"
 #include "qelect/campaign/engine.hpp"
@@ -955,6 +957,69 @@ TEST(CampaignEngine, StoreWriteFailureThrowsAtFourShards) {
   EXPECT_TRUE(resumed.complete());
   EXPECT_GT(resumed.executed, 0u);
   EXPECT_EQ(export_of(scratch.path("limited.qws")), reference);
+}
+
+/// parse_engine_flags over `args`, as `qelect run <spec> args...` passes
+/// them.
+tools::EngineFlags parse_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), {"qelect", "run", "spec"});
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return tools::parse_engine_flags(static_cast<int>(argv.size()),
+                                   argv.data(), 3);
+}
+
+TEST(CampaignEngineFlags, NumericFlagsAreCheckedNotWrapped) {
+  const struct {
+    const char* flag;
+    const char* value;
+  } bad[] = {
+      {"--shards", "-1"},          {"--shards", "257"},
+      {"--shards", "4294967296"},  {"--shards", "2x"},
+      {"--retries", "-2"},         {"--retries", "2147483648"},
+      {"--timeout-seconds", "nan"}, {"--timeout-seconds", "-1"},
+      {"--timeout-seconds", "inf"}, {"--stop-after", "-1"},
+      {"--echo", "1e3"},           {"--compact-every", ""},
+  };
+  for (const auto& c : bad) {
+    SCOPED_TRACE(std::string(c.flag) + " " + c.value);
+    try {
+      parse_flags({c.flag, c.value});
+      ADD_FAILURE() << "accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.flag), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_flags({"--shards"}), CheckError);
+  EXPECT_THROW(parse_flags({"--shard", "2"}), CheckError);
+
+  const tools::EngineFlags flags = parse_flags(
+      {"--shards", "256", "--retries", "3", "--timeout-seconds", "0.5",
+       "--stop-after", "10", "--echo", "0", "--compact-every", "7",
+       "--deterministic", "--store", "s.qws"});
+  EXPECT_EQ(flags.options.shards, kMaxShards);
+  EXPECT_EQ(flags.options.retries, 3);
+  EXPECT_EQ(flags.options.timeout_seconds, 0.5);
+  EXPECT_EQ(flags.options.stop_after, 10u);
+  EXPECT_EQ(flags.options.echo_every, 0u);
+  EXPECT_EQ(flags.options.compact_every, 7u);
+  EXPECT_TRUE(flags.options.deterministic);
+  EXPECT_EQ(flags.store, "s.qws");
+  const tools::EngineFlags defaults = parse_flags({});
+  EXPECT_EQ(defaults.options.shards, 0u);
+  EXPECT_EQ(defaults.options.retries, -1);
+  EXPECT_EQ(defaults.options.echo_every, 20u);
+  EXPECT_EQ(defaults.options.compact_every, 131072u);
+}
+
+TEST(CampaignEngine, RefusesMoreShardsThanTheBoundBeforeOpeningTheStore) {
+  ScratchDir scratch("shards");
+  EngineOptions opts;
+  opts.shards = kMaxShards + 1;
+  EXPECT_THROW(run_campaign(small_spec(), scratch.path("r.qws"), opts),
+               CheckError);
+  EXPECT_FALSE(fs::exists(scratch.path("r.qws")));
 }
 
 TEST(CampaignTable1, MatrixMatchesDirectComputation) {

@@ -3,11 +3,20 @@
 // against known automorphism group orders and against each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <span>
+#include <thread>
+#include <vector>
+
 #include "qelect/graph/families.hpp"
 #include "qelect/iso/automorphism.hpp"
 #include "qelect/iso/canonical.hpp"
 #include "qelect/iso/colored_digraph.hpp"
+#include "qelect/iso/enumerate.hpp"
 #include "qelect/iso/equivalence.hpp"
+#include "qelect/iso/reference.hpp"
 #include "qelect/iso/refinement.hpp"
 
 namespace qelect::iso {
@@ -17,6 +26,130 @@ using graph::Placement;
 
 ColoredDigraph plain(const graph::Graph& g) {
   return from_bicolored_graph(g, Placement::empty(g.node_count()));
+}
+
+std::vector<Arc> as_vector(std::span<const Arc> arcs) {
+  return {arcs.begin(), arcs.end()};
+}
+
+// Random digraphs with loops and parallel arcs (equal and distinct labels).
+TEST(ColoredDigraph, ArcSpansAndIndividualizeMatchAFreshBuild) {
+  std::mt19937_64 rng(2026);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const std::size_t n = 1 + rng() % 12;
+    std::vector<std::uint32_t> colors(n);
+    for (std::uint32_t& c : colors) c = static_cast<std::uint32_t>(rng() % 3);
+    std::vector<Arc> arcs(rng() % 40);
+    for (Arc& a : arcs) {
+      a = Arc{static_cast<NodeId>(rng() % n), static_cast<NodeId>(rng() % n),
+              rng() % 3};
+    }
+    if (!arcs.empty()) arcs.push_back(arcs.front());
+    const ColoredDigraph g(n, colors, arcs);
+
+    std::vector<Arc> sorted = arcs;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(g.arcs(), sorted);
+    for (NodeId x = 0; x < n; ++x) {
+      // With one endpoint fixed, Arc's (from, to, label) order is the
+      // (to, label) order of out-arcs and the (from, label) order of
+      // in-arcs.
+      std::vector<Arc> out, in;
+      for (const Arc& a : arcs) {
+        if (a.from == x) out.push_back(a);
+        if (a.to == x) in.push_back(a);
+      }
+      std::sort(out.begin(), out.end());
+      std::sort(in.begin(), in.end());
+      EXPECT_EQ(as_vector(g.out_arcs(x)), out) << x;
+      EXPECT_EQ(as_vector(g.in_arcs(x)), in) << x;
+    }
+
+    const NodeId x = static_cast<NodeId>(rng() % n);
+    std::vector<std::uint32_t> fresh = colors;
+    fresh[x] = 1 + *std::max_element(colors.begin(), colors.end());
+    const ColoredDigraph built(n, fresh, arcs);
+    const ColoredDigraph individualized = g.individualize(x);
+    EXPECT_EQ(individualized, built);
+    EXPECT_EQ(individualized.colors(), fresh);
+    for (NodeId y = 0; y < n; ++y) {
+      EXPECT_EQ(as_vector(individualized.out_arcs(y)),
+                as_vector(built.out_arcs(y)));
+      EXPECT_EQ(as_vector(individualized.in_arcs(y)),
+                as_vector(built.in_arcs(y)));
+    }
+  }
+}
+
+/// Every (G, p) of the landscape: each connected graph on 2..6 nodes under
+/// each nonempty home-base set.
+std::vector<ColoredDigraph> landscape_digraphs() {
+  std::vector<ColoredDigraph> out;
+  for (std::size_t n = 2; n <= 6; ++n) {
+    for (const graph::Graph& g : all_connected_graphs(n)) {
+      for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
+        std::vector<NodeId> bases;
+        for (NodeId x = 0; x < n; ++x) {
+          if (mask >> x & 1) bases.push_back(x);
+        }
+        out.push_back(from_bicolored_graph(g, Placement(n, bases)));
+      }
+    }
+  }
+  return out;
+}
+
+/// One thread's pass over the kernel's per-thread scratch: a large digraph
+/// first, so the small ones after it run on oversized buffers, then every
+/// landscape digraph, then random initial colorings at every round count,
+/// then canonical certificates.  Returns how many answers differ from the
+/// reference engine's.
+std::size_t scratch_reuse_mismatches(
+    const std::vector<ColoredDigraph>& landscape) {
+  std::size_t mismatches = 0;
+  const ColoredDigraph big =
+      from_bicolored_graph(graph::hypercube(7), Placement(128, {0, 5, 77}));
+  mismatches += refine(big) != reference::refine(big);
+  for (const ColoredDigraph& d : landscape) {
+    mismatches += refine(d) != reference::refine(d);
+  }
+  std::mt19937_64 rng(5);
+  for (std::size_t i = 0; i < landscape.size(); i += 7) {
+    const ColoredDigraph& d = landscape[i];
+    Coloring init(d.node_count());
+    for (std::uint32_t& v : init) {
+      v = static_cast<std::uint32_t>(rng() % (d.node_count() + 2)) * 5;
+    }
+    for (std::size_t rounds = 0; rounds <= d.node_count() + 1; ++rounds) {
+      mismatches += refine_rounds(d, init, rounds) !=
+                    reference::refine_rounds(d, init, rounds);
+    }
+  }
+  const ColoredDigraph search =
+      from_bicolored_graph(graph::hypercube(4), Placement(16, {0}));
+  mismatches +=
+      canonical_certificate(search) != reference::canonical_certificate(search);
+  for (std::size_t i = 0; i < landscape.size(); i += 13) {
+    mismatches += canonical_certificate(landscape[i]) !=
+                  reference::canonical_certificate(landscape[i]);
+  }
+  return mismatches;
+}
+
+TEST(Refinement, PerThreadScratchMatchesReferenceOnOneAndFourThreads) {
+  const std::vector<ColoredDigraph> landscape = landscape_digraphs();
+  ASSERT_EQ(landscape.size(), 7814u);
+  EXPECT_EQ(scratch_reuse_mismatches(landscape), 0u);
+  std::vector<std::size_t> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      mismatches[t] = scratch_reuse_mismatches(landscape);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches, std::vector<std::size_t>(4, 0));
 }
 
 TEST(Refinement, DistinguishesDegrees) {

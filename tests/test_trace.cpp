@@ -3,9 +3,12 @@
 // Replay, the JSONL round trip, and the trace-driven invariant checkers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/elect.hpp"
@@ -169,6 +172,39 @@ TEST(Schedule, LoadFromJsonlMatchesRecorder) {
   std::istringstream in(out.str());
   const trace::Schedule loaded = trace::load_schedule_jsonl(in);
   EXPECT_EQ(loaded, recorded.schedule);
+}
+
+// An agent that is not decimal digits within uint32_t is a typed error
+// naming its line, not a wrapped pick that replays as another agent.
+TEST(Schedule, MalformedAgentIsACheckErrorNamingTheLine) {
+  const std::string meta = "{\"type\":\"meta\",\"agents\":2}\n";
+  const auto event = [](const std::string& agent_field) {
+    return "{\"type\":\"event\",\"step\":0," + agent_field +
+           ",\"kind\":\"move\"}\n";
+  };
+  const std::string good = event("\"agent\":1");
+  const std::vector<std::string> bad = {
+      "\"agent\":4294967296",  // wraps to 0
+      "\"agent\":-1",          // wraps to 4294967295
+      "\"agent\":\"1\"",       // string-typed
+      "\"agent\":1.5",         // not an integer
+      "\"agent\":",            // no value
+      "\"actor\":1",           // missing
+  };
+  for (const std::string& field : bad) {
+    SCOPED_TRACE(field);
+    std::istringstream in(meta + good + event(field));
+    try {
+      trace::load_schedule_jsonl(in);
+      ADD_FAILURE() << "loaded";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::istringstream in(meta + good + event("\"agent\":4294967295"));
+  EXPECT_EQ(trace::load_schedule_jsonl(in).picks,
+            (std::vector<std::uint32_t>{1, 4294967295u}));
 }
 
 // The ISSUE acceptance scenario: a seeded-random run on the Petersen

@@ -31,13 +31,15 @@
 #include "qelect/campaign/task.hpp"
 #include "qelect/trace/jsonl_sink.hpp"
 #include "qelect/util/assert.hpp"
+#include "engine_flags.hpp"
 #include "serve_common.hpp"
 
 namespace {
 
 using namespace qelect;
 using campaign::CampaignSpec;
-using campaign::EngineOptions;
+using tools::EngineFlags;
+using tools::parse_engine_flags;
 
 int usage() {
   std::fprintf(
@@ -59,7 +61,8 @@ int usage() {
       "\n"
       "engine flags (run/resume):\n"
       "  --store PATH            result store (default campaign_<name>/results.qws)\n"
-      "  --shards N              worker shards (default: hardware concurrency)\n"
+      "  --shards N              worker shards, <= 256 (default: hardware\n"
+      "                          concurrency)\n"
       "  --retries N             attempts beyond the first per task\n"
       "  --timeout-seconds S     cooperative per-attempt deadline\n"
       "  --deterministic         zero durations (byte-reproducible stores)\n"
@@ -83,50 +86,6 @@ std::string read_file(const std::string& path) {
 CampaignSpec resolve_spec(const std::string& arg) {
   if (campaign::is_builtin(arg)) return campaign::builtin_spec(arg);
   return CampaignSpec::from_json_text(read_file(arg));
-}
-
-struct EngineFlags {
-  std::string store;
-  std::string progress_jsonl;
-  EngineOptions options;
-};
-
-/// Parses engine flags from argv[from..); throws CheckError on unknown or
-/// malformed flags.
-EngineFlags parse_engine_flags(int argc, char** argv, int from) {
-  EngineFlags flags;
-  flags.options.echo_every = 20;
-  flags.options.compact_every = 131072;
-  auto value = [&](int& i) -> std::string {
-    QELECT_CHECK(i + 1 < argc,
-                 std::string(argv[i]) + " needs a value");
-    return argv[++i];
-  };
-  for (int i = from; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--store") {
-      flags.store = value(i);
-    } else if (flag == "--shards") {
-      flags.options.shards = static_cast<unsigned>(std::stoul(value(i)));
-    } else if (flag == "--retries") {
-      flags.options.retries = std::stoi(value(i));
-    } else if (flag == "--timeout-seconds") {
-      flags.options.timeout_seconds = std::stod(value(i));
-    } else if (flag == "--deterministic") {
-      flags.options.deterministic = true;
-    } else if (flag == "--stop-after") {
-      flags.options.stop_after = std::stoul(value(i));
-    } else if (flag == "--progress-jsonl") {
-      flags.progress_jsonl = value(i);
-    } else if (flag == "--echo") {
-      flags.options.echo_every = std::stoul(value(i));
-    } else if (flag == "--compact-every") {
-      flags.options.compact_every = std::stoul(value(i));
-    } else {
-      throw CheckError("unknown flag '" + flag + "'");
-    }
-  }
-  return flags;
 }
 
 int run_with(const CampaignSpec& spec, EngineFlags flags) {

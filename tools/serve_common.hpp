@@ -43,7 +43,7 @@ inline int serve_usage() {
 /// Sets `field` to `text`, the value of numeric flag `flag`: decimal
 /// digits that fit the field and are at most `max` (for a floating-point
 /// field, a finite number >= 0).  Anything else -- a sign, a wrap,
-/// trailing text -- is a CheckError naming the flag.
+/// trailing text, NaN -- is a CheckError naming the flag.
 template <typename T>
 void parse_number(const std::string& flag, const std::string& text, T& field,
                   T max = std::numeric_limits<T>::max()) {
@@ -54,7 +54,9 @@ void parse_number(const std::string& flag, const std::string& text, T& field,
     QELECT_CHECK(ec == std::errc() && ptr == end && value >= 0 && value <= max,
                  flag + " takes a finite number >= 0, got '" + text + "'");
   } else {
-    QELECT_CHECK(ec == std::errc() && ptr == end && value <= max,
+    // from_chars takes a minus sign for a signed field.
+    QELECT_CHECK(ec == std::errc() && ptr == end && text.front() != '-' &&
+                     value <= max,
                  flag + " takes an integer in [0, " + std::to_string(max) +
                      "], got '" + text + "'");
   }
