@@ -37,7 +37,7 @@ int main() {
 
   std::printf("== the qualitative election landscape, n <= 6 ==\n\n");
 
-  const std::string store_path = "BENCH_landscape.results.jsonl";
+  const std::string store_path = "BENCH_landscape.results.qws";
   std::filesystem::remove(store_path);
   const auto result = campaign::run_campaign(
       campaign::builtin_spec("landscape"), store_path, {});

@@ -20,10 +20,10 @@
 //                                 engine's per-slab commits)
 //       wal_commit_durable_each   StoreWriter syncing per record -- the
 //                                 floor group commit amortizes away
-//   * recovery -- jsonl_load / wal_load_tail rescan a full 10^6-record
-//     log; wal_load_snapshot loads the same store after compaction
-//     (snapshot + empty tail), which is what resume/report do on a
-//     long-running campaign.
+//   * recovery -- wal_load_tail rescans a full 10^6-record log;
+//     wal_load_snapshot loads the same store after compaction (snapshot +
+//     empty tail), which is what resume/report do on a long-running
+//     campaign.
 //
 // The ISSUE acceptance bar is the wal_vs_jsonl counter: >= 10x commit
 // throughput at 10^6 records, comparing the two stores at matched
@@ -217,10 +217,8 @@ int main() {
 
   // --- Recovery ------------------------------------------------------------
 
-  // Rebuild both stores once (the timed loops above end with partial
-  // durable-each runs) so every load case sees all kRecords.
-  jsonl_commit_all(jsonl_path, header, records, kRecords,
-                   /*sync_each=*/false);
+  // Rebuild the store once (the timed loops above end with a partial
+  // durable-each run) so every load case sees all kRecords.
   remove_store(wal_path);
   {
     StoreWriter writer(wal_path, header);
@@ -228,16 +226,6 @@ int main() {
     writer.commit();
   }
   const double wal_log_bytes = static_cast<double>(fs::file_size(wal_path));
-
-  const double jsonl_load_seconds = reporter.bench(
-      "jsonl_load",
-      [&] {
-        const LoadedStore store = load_store(jsonl_path);
-        qelect::benchjson::keep(store.records.size());
-      },
-      kSamples);
-  reporter.counter("jsonl_load", "records_per_second",
-                   static_cast<double>(kRecords) / jsonl_load_seconds);
 
   const double tail_seconds = reporter.bench(
       "wal_load_tail",
@@ -278,12 +266,11 @@ int main() {
       "wal(durable each) %.0f rec/s\n"
       "          wal_vs_jsonl %.0fx (matched durability)   "
       "%.1fx vs the non-durable legacy writer\n"
-      "  load    jsonl %.0f rec/s   wal tail %.0f rec/s   "
+      "  load    wal tail %.0f rec/s   "
       "wal snapshot %.0f rec/s (%.1fx vs rescan)\n",
       kRecords, jsonl_flush_rps, jsonl_durable_rps, wal_rps,
       static_cast<double>(kDurableRecords) / durable_seconds, wal_vs_jsonl,
       wal_vs_jsonl_nondurable,
-      static_cast<double>(kRecords) / jsonl_load_seconds,
       static_cast<double>(kRecords) / tail_seconds,
       static_cast<double>(kRecords) / snap_seconds,
       tail_seconds / snap_seconds);

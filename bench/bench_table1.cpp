@@ -58,7 +58,7 @@ int main() {
 
   // Run the built-in table1 campaign into a throwaway store and fold the
   // committed records into the feasibility matrix.
-  const std::string store_path = "BENCH_table1.results.jsonl";
+  const std::string store_path = "BENCH_table1.results.qws";
   std::filesystem::remove(store_path);
   const auto result = campaign::run_campaign(
       campaign::builtin_spec("table1"), store_path, {});

@@ -10,6 +10,13 @@
 // timed-out task is retried up to the configured budget and then committed
 // as `failed`/`timeout` with its error text -- sibling shards never notice.
 //
+// Such a record used all `retries + 1` attempts of its budget, so a run
+// under the same or a smaller `retries` runs none of them.  A run under a
+// larger `retries` (and, for timeouts, a longer deadline) runs exactly
+// those tasks again, and the store resolves each key to its later record.
+// A run's `retries` is EngineOptions::retries, else the spec's -- not the
+// budget the records were written under, which the store does not keep.
+//
 // Batch-eligible specs (batch.hpp) claim slabs instead of single tasks:
 // up to kMaxSlabReplicas adjacent pending tasks of one instance, run in
 // lockstep and staged as one group, with the scalar path's records.
@@ -56,7 +63,8 @@ struct EngineOptions {
   /// Worker shards; 0 = hardware concurrency (clamped to the task count).
   /// At most kMaxShards.
   unsigned shards = 0;
-  /// Override spec.retries when >= 0.
+  /// Override spec.retries when >= 0.  A stored failed or timed-out
+  /// record with at most this many attempts runs again.
   int retries = -1;
   /// Override spec.timeout_seconds when >= 0.
   double timeout_seconds = -1;

@@ -1,13 +1,13 @@
 // A minimal JSON reader for the campaign subsystem.
 //
-// Campaign specs are small hand-written JSON files and the result store is
-// line-delimited JSON records this library itself emits, so a dependency-
-// free recursive-descent parser covers everything: objects, arrays,
-// strings (with the escape set trace::json_escape produces), numbers,
-// booleans, null.  Numbers keep both readings -- double always, int64 when
-// the literal is integral -- because task keys and seeds must round-trip
-// exactly.  Writing stays manual (fprintf/ostream), matching the style of
-// bench/bench_json.hpp and trace/jsonl_sink.cpp.
+// Campaign specs (hand-written files, or the copy a store header embeds)
+// are small JSON documents, so a dependency-free recursive-descent parser
+// covers everything: objects, arrays, strings (with the escape set
+// trace::json_escape produces), numbers, booleans, null.  Numbers keep
+// both readings -- double always, int64 when the literal is integral --
+// because task keys and seeds must round-trip exactly.  Writing stays
+// manual (fprintf/ostream), matching the style of bench/bench_json.hpp
+// and trace/jsonl_sink.cpp.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@ class JsonValue {
   enum class Type { Null, Bool, Number, String, Array, Object };
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
 
   /// Typed accessors; each throws CheckError on a type mismatch.
   bool as_bool() const;
@@ -64,17 +63,6 @@ class JsonValue {
 /// Parses exactly one JSON document (trailing whitespace allowed).  Throws
 /// CheckError with position info on malformed input.
 JsonValue parse_json(const std::string& text);
-
-/// Locates the exact source bytes of the VALUE of top-level member `key`
-/// in the serialized object `text`: on success *begin/*end delimit the
-/// value (whitespace-trimmed), so callers can preserve a sub-document
-/// byte-for-byte without re-serializing.  The scan respects string
-/// escapes and brace/bracket nesting, so a `key`-lookalike inside another
-/// member's string value is never matched (the store-header extraction
-/// bug a raw find() had).  Returns false when the member is absent;
-/// throws CheckError when `text` is not an object.
-bool json_member_span(const std::string& text, const std::string& key,
-                      std::size_t* begin, std::size_t* end);
 
 /// Serializes a string with the campaign/trace escape conventions.
 std::string json_quote(const std::string& text);

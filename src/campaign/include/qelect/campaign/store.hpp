@@ -37,11 +37,11 @@
 // rescan.  A crash between the two steps leaves the snapshot one
 // generation ahead; reopen completes the compaction.
 //
-// The pre-WAL JSONL format is still understood: load_store sniffs it,
-// StoreWriter migrates it to WAL in place, and store_to_jsonl serializes
-// any store back to that exact text (`qelect export`) -- byte-identical
-// to what the JSONL store wrote for deterministic runs, which is how the
-// kill/resume identity suite compares stores across formats.
+// A store is read only as a WAL: load_store refuses any other file, so
+// StoreWriter, which loads first, leaves such a file as it was.
+// store_to_jsonl (`qelect export`) turns a store into JSONL text in task
+// order, which is how the kill/resume identity suite compares stores whose
+// frames landed in different orders.
 #pragma once
 
 #include <cstdint>
@@ -72,30 +72,27 @@ struct TaskRecord {
   /// Metric lookup; returns `fallback` when absent.
   double metric_or(const std::string& name, double fallback) const;
 
-  /// The legacy-JSONL store line (without trailing newline); fixed field
-  /// order.  `qelect export` emits exactly these bytes.
+  /// The record's line in `qelect export` text (without trailing
+  /// newline); fixed field order.
   std::string to_json() const;
 };
 
-/// The campaign identity embedded in the generation header (and, for the
-/// legacy format, the first JSONL line).
+/// The campaign identity embedded in the generation header (and the first
+/// line of an export).
 struct StoreHeader {
   std::string name;
   std::uint64_t spec_hash = 0;
   std::string spec_json;  // canonical CampaignSpec serialization
 };
 
-/// A parsed store (snapshot + WAL tail merged, or a legacy JSONL file).
+/// A parsed store (snapshot + WAL tail merged).
 struct LoadedStore {
-  enum class Format { Wal, Jsonl };
-
   bool exists = false;
   bool has_header = false;
-  Format format = Format::Wal;
-  bool torn_tail = false;       // trailing frame/line was incomplete/corrupt
-  std::size_t valid_bytes = 0;  // WAL/file prefix ending after the last
-                                // intact frame (line); reopen truncates here
-  std::uint64_t generation = 0;       // WAL generation (0 for legacy)
+  bool torn_tail = false;       // trailing frame was incomplete/corrupt
+  std::size_t valid_bytes = 0;  // WAL prefix ending after the last intact
+                                // frame; reopen truncates here
+  std::uint64_t generation = 0;       // WAL generation (0 without a header)
   std::size_t snapshot_records = 0;   // records loaded from <path>.snap
   bool pending_compaction = false;    // snapshot is one generation ahead
                                       // (crash mid-compaction; reopen heals)
@@ -108,14 +105,14 @@ struct LoadedStore {
 };
 
 /// Reads a store; a missing file yields exists == false.  Corrupt frames
-/// end the valid prefix (torn tail); a corrupt generation header, an
-/// unreadable-but-required snapshot, or a malformed legacy interior line
+/// end the valid prefix (torn tail); a file that is not a WAL store, a
+/// corrupt generation header, or an unreadable-but-required snapshot
 /// throws CheckError.
 LoadedStore load_store(const std::string& path);
 
-/// Serializes the store back to the legacy JSONL text: header line, then
-/// one record line per task in task_index order.  For a deterministic
-/// campaign this reproduces the pre-WAL store byte for byte.
+/// Serializes the store as JSONL text: header line, then one record line
+/// per task in task_index order, so stores holding the same records export
+/// the same bytes whatever order their frames were committed in.
 std::string store_to_jsonl(const LoadedStore& store);
 
 /// Writes a snapshot file holding `records` (exposed so tests can stage
@@ -132,9 +129,10 @@ struct StoreOptions {
 };
 
 /// Append-side of the store.  Opening verifies the spec hash against
-/// `header` (CheckError on mismatch -- wrong store for this campaign),
-/// truncates a torn tail, completes an interrupted compaction, migrates a
-/// legacy JSONL store to WAL, and creates parent directories as needed.
+/// `header` (CheckError on mismatch -- wrong store for this campaign, or a
+/// file that is not a WAL store, which is left untouched), truncates a
+/// torn tail, completes an interrupted compaction, and creates parent
+/// directories as needed.
 /// Thread-safe: appends stage, commit() group-syncs.
 class StoreWriter {
  public:
@@ -167,8 +165,7 @@ class StoreWriter {
   std::size_t record_count() const;
 
  private:
-  void open_fresh_locked(std::uint64_t generation, std::uint64_t base,
-                         const std::vector<TaskRecord>& records = {});
+  void open_fresh_locked(std::uint64_t generation, std::uint64_t base);
   std::uint64_t write_staged_locked();
   void compact_locked();
 

@@ -113,8 +113,12 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       CampaignSpec::from_json_text(prior.header.spec_json) == spec) {
     header = prior.header;
   }
+  const int retries = options.retries >= 0 ? options.retries : spec.retries;
+
   // Task indices in task order; only a store that already holds records
-  // needs keys formatted before the run.
+  // needs keys formatted before the run.  A failed or timed-out record
+  // used every attempt of the budget it ran under, so it runs again only
+  // under a larger `retries`, and its new record wins.
   std::vector<std::size_t> pending;
   std::vector<bool> terminal(total, false);
   if (prior.records.empty()) {
@@ -123,7 +127,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   } else {
     const auto done = prior.by_key();
     for (std::size_t i = 0; i < total; ++i) {
-      if (done.find(space.key(i)) == done.end()) {
+      const auto it = done.find(space.key(i));
+      if (it == done.end() ||
+          (!it->second->ok() && it->second->attempts <= retries)) {
         pending.push_back(i);
       } else {
         terminal[i] = true;
@@ -139,7 +145,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   store_options.compact_every = options.compact_every;
   StoreWriter writer(store_path, header, store_options);
 
-  const int retries = options.retries >= 0 ? options.retries : spec.retries;
   const double timeout_seconds = options.timeout_seconds >= 0
                                      ? options.timeout_seconds
                                      : spec.timeout_seconds;

@@ -314,94 +314,6 @@ JsonValue parse_json(const std::string& text) {
   return JsonParser(text).parse_document();
 }
 
-namespace {
-
-/// Advances past one string literal; `pos` is at the opening quote.
-std::size_t skip_string(const std::string& text, std::size_t pos) {
-  ++pos;  // opening quote
-  while (pos < text.size()) {
-    const char c = text[pos++];
-    if (c == '"') return pos;
-    if (c == '\\') {
-      if (pos >= text.size()) fail_at(pos, "unterminated escape");
-      ++pos;
-    }
-  }
-  fail_at(pos, "unterminated string");
-}
-
-/// Advances past one value of any type; `pos` is at its first character.
-std::size_t skip_value(const std::string& text, std::size_t pos) {
-  if (text[pos] == '"') return skip_string(text, pos);
-  if (text[pos] == '{' || text[pos] == '[') {
-    int depth = 0;
-    while (pos < text.size()) {
-      const char c = text[pos];
-      if (c == '"') {
-        pos = skip_string(text, pos);
-        continue;
-      }
-      if (c == '{' || c == '[') ++depth;
-      if (c == '}' || c == ']') --depth;
-      ++pos;
-      if (depth == 0) return pos;
-    }
-    fail_at(pos, "unterminated container");
-  }
-  // Scalar: runs to the next structural character.
-  while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-         text[pos] != ']' &&
-         !std::isspace(static_cast<unsigned char>(text[pos]))) {
-    ++pos;
-  }
-  return pos;
-}
-
-std::size_t skip_ws_at(const std::string& text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos]))) {
-    ++pos;
-  }
-  return pos;
-}
-
-}  // namespace
-
-bool json_member_span(const std::string& text, const std::string& key,
-                      std::size_t* begin, std::size_t* end) {
-  std::size_t pos = skip_ws_at(text, 0);
-  QELECT_CHECK(pos < text.size() && text[pos] == '{',
-               "json_member_span: not an object");
-  pos = skip_ws_at(text, pos + 1);
-  if (pos < text.size() && text[pos] == '}') return false;
-  for (;;) {
-    if (pos >= text.size() || text[pos] != '"') {
-      fail_at(pos, "expected a member key");
-    }
-    const std::size_t key_begin = pos + 1;
-    pos = skip_string(text, pos);
-    const std::size_t key_len = pos - 1 - key_begin;
-    // Our keys carry no escapes, so raw source bytes compare exactly.
-    const bool match = text.compare(key_begin, key_len, key) == 0;
-    pos = skip_ws_at(text, pos);
-    if (pos >= text.size() || text[pos] != ':') fail_at(pos, "expected ':'");
-    pos = skip_ws_at(text, pos + 1);
-    if (pos >= text.size()) fail_at(pos, "expected a value");
-    const std::size_t value_begin = pos;
-    pos = skip_value(text, pos);
-    if (match) {
-      *begin = value_begin;
-      *end = pos;
-      return true;
-    }
-    pos = skip_ws_at(text, pos);
-    if (pos >= text.size()) fail_at(pos, "unterminated object");
-    if (text[pos] == '}') return false;
-    if (text[pos] != ',') fail_at(pos, "expected ',' or '}'");
-    pos = skip_ws_at(text, pos + 1);
-  }
-}
-
 std::string json_quote(const std::string& text) {
   return "\"" + trace::json_escape(text) + "\"";
 }

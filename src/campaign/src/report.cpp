@@ -436,19 +436,15 @@ void print_status(const std::string& store_path) {
   std::printf("store      %s%s\n", store_path.c_str(),
               store.torn_tail ? " (torn tail; will be truncated on resume)"
                               : "");
-  if (store.format == LoadedStore::Format::Wal) {
-    std::printf("format     WAL generation %llu, %zu records from snapshot, "
-                "%zu replayed from log%s\n",
-                static_cast<unsigned long long>(store.generation),
-                store.snapshot_records,
-                store.records.size() - std::min(store.snapshot_records,
-                                                store.records.size()),
-                store.pending_compaction
-                    ? " (compaction interrupted; reopen completes it)"
-                    : "");
-  } else {
-    std::printf("format     legacy JSONL (migrates to WAL on next run)\n");
-  }
+  std::printf("format     WAL generation %llu, %zu records from snapshot, "
+              "%zu replayed from log%s\n",
+              static_cast<unsigned long long>(store.generation),
+              store.snapshot_records,
+              store.records.size() - std::min(store.snapshot_records,
+                                              store.records.size()),
+              store.pending_compaction
+                  ? " (compaction interrupted; reopen completes it)"
+                  : "");
   std::printf("spec hash  %016llx\n",
               static_cast<unsigned long long>(store.header.spec_hash));
   std::printf("low water  %zu (every task below this index is done)\n",

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -46,23 +45,6 @@ std::string hash_hex(std::uint64_t h) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
-}
-
-/// Strict hex -> u64.  The legacy loader used strtoull with no error
-/// check, so a malformed spec_hash silently became 0 and surfaced as a
-/// misleading "different campaign spec" error; now it is a CheckError.
-std::uint64_t hash_from_hex(const std::string& hex) {
-  QELECT_CHECK(!hex.empty() && hex.size() <= 16,
-               "malformed spec_hash '" + hex + "'");
-  std::uint64_t h = 0;
-  for (const char c : hex) {
-    QELECT_CHECK(std::isxdigit(static_cast<unsigned char>(c)),
-                 "malformed spec_hash '" + hex + "'");
-    h = h * 16 +
-        static_cast<std::uint64_t>(
-            c <= '9' ? c - '0' : (c | 0x20) - 'a' + 10);
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -467,93 +449,16 @@ bool load_snapshot(const std::string& snap_path, Snapshot* snap) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy JSONL parsing (the pre-WAL store format).  Kept verbatim where
-// sound; the spec-extraction and spec_hash bugs are fixed (see the
-// json_member_span and hash_from_hex comments).
-
-void load_jsonl(const std::string& path, const std::string& content,
-                LoadedStore* store) {
-  store->format = LoadedStore::Format::Jsonl;
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < content.size()) {
-    const std::size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) {
-      // No terminating newline: a write was interrupted mid-line.
-      store->torn_tail = true;
-      break;
-    }
-    const std::string line = content.substr(pos, nl - pos);
-    JsonValue v;
-    try {
-      v = parse_json(line);
-    } catch (const CheckError&) {
-      // A complete but unparseable line can only be the torn tail of a
-      // crashed run if nothing follows it; anything earlier is corruption.
-      QELECT_CHECK(content.find_first_not_of(" \t\r\n", nl) ==
-                       std::string::npos,
-                   "result store " + path + ": corrupt interior line");
-      store->torn_tail = true;
-      break;
-    }
-    const std::string type = v.string_or("type", "");
-    if (first && type == "campaign") {
-      store->has_header = true;
-      store->header.name = v.string_or("name", "");
-      try {
-        store->header.spec_hash =
-            hash_from_hex(v.string_or("spec_hash", "0"));
-      } catch (const CheckError& e) {
-        throw CheckError("result store " + path + ": " + e.what());
-      }
-      const JsonValue* spec = v.find("spec");
-      if (spec != nullptr && !spec->is_null()) {
-        // Keep the spec's exact serialized bytes (it is canonical JSON).
-        // The value span comes from a structure-aware scan -- a raw
-        // find("\"spec\":") mis-extracted whenever the line was valid
-        // JSON but not in our canonical member order (or had trailing
-        // whitespace), silently corrupting the recovered spec.
-        std::size_t b = 0, e = 0;
-        QELECT_CHECK(json_member_span(line, "spec", &b, &e),
-                     "result store " + path + ": header has no spec");
-        store->header.spec_json = line.substr(b, e - b);
-      }
-    } else if (type == "task") {
-      TaskRecord r;
-      r.key = v.require("key").as_string();
-      r.outcome = v.string_or("outcome", "failed");
-      r.attempts = static_cast<int>(v.int_or("attempts", 1));
-      r.duration_seconds = v.number_or("duration_seconds", 0);
-      r.error = v.string_or("error", "");
-      if (const JsonValue* metrics = v.find("metrics")) {
-        for (const auto& [k, mv] : metrics->members()) {
-          r.metrics.emplace_back(k, mv.as_double());
-        }
-      }
-      // The JSONL store committed strictly in task order, so file
-      // position is the logical identity.
-      r.task_index = store->records.size();
-      store->records.push_back(std::move(r));
-    }
-    // Unknown record types are preserved bytes but ignored content.
-    first = false;
-    pos = nl + 1;
-    store->valid_bytes = pos;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // WAL parsing.
 
 void load_wal(const std::string& path, const std::string& content,
               LoadedStore* store) {
-  store->format = LoadedStore::Format::Wal;
   std::size_t off = 4;  // past the magic
   store->valid_bytes = off;
 
   // Generation header first.  A torn header (frame runs past EOF) leaves
   // an empty store the writer re-creates; a complete-but-corrupt one is
-  // an error, matching the legacy "corrupt interior line" rule.
+  // an error.
   WalHeader wal;
   {
     std::string_view payload;
@@ -713,16 +618,13 @@ LoadedStore load_store(const std::string& path) {
 
   if (content.size() >= 4 && std::memcmp(content.data(), kWalMagic, 4) == 0) {
     load_wal(path, content, &store);
-  } else if (!content.empty() && content[0] == '{') {
-    load_jsonl(path, content, &store);
   } else if (content.size() < 4 &&
              std::memcmp(content.data(), kWalMagic, content.size()) == 0) {
     // A crash inside the very first write can leave a bare magic prefix
     // (including an empty file); nothing was committed.
     store.torn_tail = !content.empty();
   } else {
-    throw CheckError("result store " + path +
-                     ": neither a WAL nor a JSONL store");
+    throw CheckError("result store " + path + ": not a WAL store");
   }
   store.low_water = compute_low_water(store.records);
   return store;
@@ -878,14 +780,6 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
                      hash_hex(prior.header.spec_hash) + " != " +
                      hash_hex(header.spec_hash) + ")");
     records_ = prior.records.size();
-    if (prior.format == LoadedStore::Format::Jsonl) {
-      // Migrate in place: the whole legacy store becomes a fresh WAL
-      // (every record replayed into the log; no snapshot yet).
-      const std::string snap = path_ + ".snap";
-      if (fs::exists(snap)) fs::remove(snap);
-      open_fresh_locked(1, 0, prior.records);
-      return;
-    }
     generation_ = prior.generation;
     snapshot_base_ = prior.snapshot_records;
     if (prior.pending_compaction) {
@@ -924,8 +818,7 @@ StoreWriter::~StoreWriter() {
 }
 
 void StoreWriter::open_fresh_locked(std::uint64_t generation,
-                                    std::uint64_t base,
-                                    const std::vector<TaskRecord>& records) {
+                                    std::uint64_t base) {
   ReplacementFile out(path_);
   std::string frames(kWalMagic, 4);
   WalHeader wal;
@@ -937,13 +830,6 @@ void StoreWriter::open_fresh_locked(std::uint64_t generation,
   encode_header_body(payload, wal);
   append_frame(frames, payload);
   out.write(frames);
-  // A migrating legacy store's records, encoded once, straight into the
-  // new log.
-  for (const TaskRecord& r : records) {
-    frames.clear();
-    append_task_frame(frames, r);
-    out.write(frames);
-  }
   out.commit();
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);

@@ -1,7 +1,6 @@
 #include "qelect/core/agent_map.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 
 #include "qelect/util/assert.hpp"
@@ -55,11 +54,13 @@ BfsTrees bfs_trees(const graph::Graph& g) {
   for (NodeId from = 0; from < n; ++from) {
     std::vector<int>& prev_node = trees.prev_node[from];
     std::vector<PortId>& prev_port = trees.prev_port[from];
-    std::deque<NodeId> queue{from};
+    // Each node is queued at most once: a vector read through a head index.
+    std::vector<NodeId> queue;
+    queue.reserve(n);
+    queue.push_back(from);
     prev_node[from] = static_cast<int>(from);
-    while (!queue.empty()) {
-      const NodeId x = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId x = queue[head];
       for (PortId p = 0; p < g.degree(x); ++p) {
         const graph::HalfEdge& h = g.peer(x, p);
         if (prev_node[h.to] < 0) {

@@ -1,7 +1,6 @@
 #include "qelect/graph/graph.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -120,11 +119,14 @@ bool Graph::is_connected() const {
 std::vector<int> Graph::bfs_distances(NodeId from) const {
   QELECT_CHECK(from < adjacency_.size(), "bfs_distances: node out of range");
   std::vector<int> dist(adjacency_.size(), -1);
-  std::deque<NodeId> queue{from};
+  // Each node is queued at most once, so a vector read through a head
+  // index is the whole queue.
+  std::vector<NodeId> queue;
+  queue.reserve(adjacency_.size());
+  queue.push_back(from);
   dist[from] = 0;
-  while (!queue.empty()) {
-    const NodeId x = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId x = queue[head];
     for (const HalfEdge& h : adjacency_[x]) {
       if (dist[h.to] < 0) {
         dist[h.to] = dist[x] + 1;

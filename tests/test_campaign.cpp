@@ -787,45 +787,84 @@ TEST(CampaignEngine, InjectedFailureIsRetriedThenSucceeds) {
 
 TEST(CampaignEngine, ExhaustedRetriesRecordFailedWithoutPoisoningSiblings) {
   ScratchDir scratch("fail");
+  const std::string path = scratch.path("store.qws");
   CampaignSpec spec = small_spec();
   spec.inject = {"ring(4)", 100};  // every attempt throws, all ring(4) tasks
   spec.retries = 1;
   EngineOptions opts;
   opts.shards = 4;
-  const CampaignResult result =
-      run_campaign(spec, scratch.path("store.jsonl"), opts);
+  opts.deterministic = true;
+  const CampaignResult result = run_campaign(spec, path, opts);
   EXPECT_TRUE(result.complete());
   EXPECT_GT(result.failed, 0u);
-  const auto store = load_store(scratch.path("store.jsonl"));
+  const auto store = load_store(path);
+  std::set<std::size_t> failed;
   for (const TaskRecord& r : store.records) {
     if (r.key.find("ring(4)") != std::string::npos) {
       EXPECT_EQ(r.outcome, "failed");
       EXPECT_EQ(r.attempts, 2);  // 1 + retries
       EXPECT_NE(r.error.find("injected failure"), std::string::npos);
+      failed.insert(r.task_index);
     } else {
       EXPECT_EQ(r.outcome, "ok") << r.key;
     }
   }
-  // Failed records are terminal: resume re-executes nothing.
-  const CampaignResult resumed =
-      run_campaign(spec, scratch.path("store.jsonl"), opts);
+  // Failed records are terminal under the budget they used: resume
+  // re-executes nothing.
+  const CampaignResult resumed = run_campaign(spec, path, opts);
   EXPECT_EQ(resumed.executed, 0u);
+
+  // A run without an override uses the spec's budget, not the one the
+  // records were written under: failures committed under `retries = 0`
+  // run again under the spec's 1.
+  EngineOptions fewer = opts;
+  fewer.retries = 0;
+  run_campaign(spec, scratch.path("fewer.qws"), fewer);
+  EXPECT_EQ(run_campaign(spec, scratch.path("fewer.qws"), opts).executed,
+            failed.size());
+
+  // A larger budget runs exactly the failed tasks again, and their new
+  // records win: the store exports what a fresh run under it writes.
+  EngineOptions more = opts;
+  more.retries = 2;
+  run_campaign(spec, scratch.path("fresh.qws"), more);
+  trace::VectorSink sink;
+  more.progress = &sink;
+  const CampaignResult rerun = run_campaign(spec, path, more);
+  EXPECT_EQ(rerun.executed, failed.size());
+  std::set<std::size_t> ran;
+  for (const trace::TraceEvent& e : sink.events()) ran.insert(e.node);
+  EXPECT_EQ(ran, failed);
+  EXPECT_EQ(export_of(path), export_of(scratch.path("fresh.qws")));
 }
 
 TEST(CampaignEngine, ExpiredDeadlineRecordsTimeout) {
   ScratchDir scratch("timeout");
+  const std::string path = scratch.path("store.qws");
   CampaignSpec spec = small_spec();
   spec.retries = 1;
   spec.timeout_seconds = 1e-9;  // expired before the first poll
-  const CampaignResult result =
-      run_campaign(spec, scratch.path("store.jsonl"), {});
+  EngineOptions opts;
+  opts.deterministic = true;
+  const CampaignResult result = run_campaign(spec, path, opts);
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.timeout, result.total);
-  const auto store = load_store(scratch.path("store.jsonl"));
+  const auto store = load_store(path);
   for (const TaskRecord& r : store.records) {
     EXPECT_EQ(r.outcome, "timeout");
     EXPECT_EQ(r.attempts, 2);
   }
+  EXPECT_EQ(run_campaign(spec, path, opts).executed, 0u);
+
+  // A larger budget with the deadline off runs every timed-out task again.
+  EngineOptions more = opts;
+  more.retries = 2;
+  more.timeout_seconds = 0;
+  const CampaignResult rerun = run_campaign(spec, path, more);
+  EXPECT_EQ(rerun.executed, result.total);
+  EXPECT_EQ(rerun.ok, result.total);
+  run_campaign(spec, scratch.path("fresh.qws"), more);
+  EXPECT_EQ(export_of(path), export_of(scratch.path("fresh.qws")));
 }
 
 TEST(CampaignEngine, ProgressStreamsThroughTraceSinks) {

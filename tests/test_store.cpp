@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "qelect/campaign/json.hpp"
 #include "qelect/campaign/store.hpp"
 #include "qelect/util/assert.hpp"
 #include "qelect/util/hash.hpp"
@@ -173,7 +172,6 @@ TEST(WalStore, RoundTripsRecordsAndHeader) {
   const LoadedStore store = load_store(path);
   EXPECT_TRUE(store.exists);
   EXPECT_TRUE(store.has_header);
-  EXPECT_EQ(store.format, LoadedStore::Format::Wal);
   EXPECT_FALSE(store.torn_tail);
   EXPECT_EQ(store.generation, 1u);
   EXPECT_EQ(store.header.name, "store-suite");
@@ -227,43 +225,6 @@ TEST(WalStore, TruncationSweepRecoversExactLogicalPrefix) {
     }
     EXPECT_EQ(store_to_jsonl(load_store(path)), full_export)
         << "cut=" << cut;
-  }
-}
-
-// Same sweep over the legacy JSONL format: the export path must recover
-// the identical logical prefix (complete lines) at every kill point.
-TEST(WalStore, JsonlTruncationSweepRecoversExactLogicalPrefix) {
-  ScratchDir scratch("jsonlsweep");
-  const std::string path = scratch.path("s.jsonl");
-  constexpr std::size_t kRecords = 8;
-  const std::string full = expected_export(kRecords);
-
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    spit(path, full.substr(0, cut));
-    const LoadedStore store = load_store(path);
-    if (cut > 0) {
-      EXPECT_EQ(store.format, LoadedStore::Format::Jsonl);
-    }
-    const std::size_t k = store.records.size();
-    for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(store.records[i].to_json(), test_record(i).to_json())
-          << "cut=" << cut << " record=" << i;
-      ASSERT_EQ(store.records[i].task_index, i) << "cut=" << cut;
-    }
-    if (!store.has_header) {
-      EXPECT_EQ(k, 0u) << "cut=" << cut;
-      continue;
-    }
-    // Resume: the writer migrates the wreck to WAL, dropping the torn
-    // line; refilling the suffix must reproduce the full export.
-    {
-      StoreWriter writer(path, test_header());
-      for (std::size_t i = k; i < kRecords; ++i) {
-        writer.append(test_record(i));
-      }
-      writer.commit();
-    }
-    EXPECT_EQ(store_to_jsonl(load_store(path)), full) << "cut=" << cut;
   }
 }
 
@@ -401,84 +362,25 @@ TEST(WalStore, AutoCompactionTriggersDuringCommits) {
   EXPECT_EQ(store_to_jsonl(store), expected_export(100));
 }
 
-TEST(WalStore, LegacyJsonlStoreMigratesInPlaceAndExportsIdentically) {
-  ScratchDir scratch("migrate");
+// A store is read only as a WAL.  An export's text at a store path is
+// refused by the reader and the writer alike, and nothing is written: not
+// the file, not a snapshot beside it.
+TEST(WalStore, ExportTextIsRefusedAndLeftUntouched) {
+  ScratchDir scratch("notwal");
   const std::string path = scratch.path("s.jsonl");
-  const std::string legacy_text = expected_export(9);
-  spit(path, legacy_text);
-
-  const LoadedStore before = load_store(path);
-  EXPECT_EQ(before.format, LoadedStore::Format::Jsonl);
-  ASSERT_EQ(before.records.size(), 9u);
-  EXPECT_EQ(store_to_jsonl(before), legacy_text);
-
-  {
-    StoreWriter writer(path, test_header());
-    EXPECT_EQ(writer.record_count(), 9u);
-    writer.append(test_record(9));
-    writer.commit();
+  const std::string text = expected_export(9);
+  spit(path, text);
+  try {
+    load_store(path);
+    ADD_FAILURE() << "load_store read export text as a store";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ": not a WAL store"),
+              std::string::npos)
+        << e.what();
   }
-  const LoadedStore after = load_store(path);
-  EXPECT_EQ(after.format, LoadedStore::Format::Wal);
-  ASSERT_EQ(after.records.size(), 10u);
-  EXPECT_EQ(store_to_jsonl(after), expected_export(10));
-}
-
-// Regression for the strtoull bug: a malformed spec_hash used to parse as
-// 0 and surface later as a bogus "different campaign spec" mismatch.
-TEST(WalStore, MalformedLegacySpecHashIsRejectedUpFront) {
-  ScratchDir scratch("badhash");
-  const std::string path = scratch.path("s.jsonl");
-  for (const std::string bad : {"\"not-hex\"", "\"12345678901234567\"",
-                                "\"\"", "\"12g4\""}) {
-    spit(path,
-         "{\"type\":\"campaign\",\"name\":\"x\",\"spec_hash\":" + bad +
-             ",\"spec\":null}\n");
-    EXPECT_THROW(load_store(path), CheckError) << bad;
-  }
-  // Upper-case hex is valid.
-  spit(path,
-       "{\"type\":\"campaign\",\"name\":\"x\",\"spec_hash\":\"00C0FFEE\","
-       "\"spec\":null}\n");
-  EXPECT_EQ(load_store(path).header.spec_hash, 0xc0ffeeu);
-}
-
-// Regression for the raw find("\"spec\":") bug: the spec must be located
-// structurally, so lookalike bytes inside other members' strings and
-// non-canonical member order cannot corrupt the recovered spec.
-TEST(WalStore, LegacySpecExtractionIsStructureAware) {
-  ScratchDir scratch("specspan");
-  const std::string path = scratch.path("s.jsonl");
-  const std::string spec = R"({"name":"evil","workload":"elect"})";
-  // The name's escaped quotes decode to the bytes "spec": -- a raw
-  // substring search would lock onto them and mis-slice the line.
-  spit(path,
-       "{\"type\":\"campaign\",\"name\":\"evil \\\"spec\\\": here\","
-       "\"spec_hash\":\"ff\",\"spec\":" + spec + "}\n");
-  EXPECT_EQ(load_store(path).header.spec_json, spec);
-
-  // Valid JSON, non-canonical member order: spec first.
-  spit(path,
-       "{\"spec\":" + spec +
-           ",\"type\":\"campaign\",\"name\":\"x\",\"spec_hash\":\"ff\"}\n");
-  EXPECT_EQ(load_store(path).header.spec_json, spec);
-}
-
-TEST(JsonMemberSpan, FindsValuesAndRejectsNonObjects) {
-  // "a"'s string value carries brace, bracket, and "b": lookalikes that a
-  // byte-level search would trip over.
-  const std::string text =
-      R"({"a":"{\"b\":[1,","b":[1,{"c":2}],"d":{"e":"}"},"f":3.5})";
-  std::size_t b = 0, e = 0;
-  ASSERT_TRUE(json_member_span(text, "b", &b, &e));
-  EXPECT_EQ(text.substr(b, e - b), R"([1,{"c":2}])");
-  ASSERT_TRUE(json_member_span(text, "d", &b, &e));
-  EXPECT_EQ(text.substr(b, e - b), R"({"e":"}"})");
-  ASSERT_TRUE(json_member_span(text, "f", &b, &e));
-  EXPECT_EQ(text.substr(b, e - b), "3.5");
-  EXPECT_FALSE(json_member_span(text, "c", &b, &e));  // nested, not top-level
-  EXPECT_FALSE(json_member_span("{}", "a", &b, &e));
-  EXPECT_THROW(json_member_span("[1,2]", "a", &b, &e), CheckError);
+  EXPECT_THROW(StoreWriter(path, test_header()), CheckError);
+  EXPECT_EQ(slurp(path), text);
+  EXPECT_FALSE(fs::exists(path + ".snap"));
 }
 
 TEST(WalStore, ExportOrdersByTaskIndexNotCommitOrder) {

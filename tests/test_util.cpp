@@ -162,13 +162,8 @@ TEST(Check, SitesAreRelativeToTheRepository) {
     const std::string what = e.what();
     EXPECT_NE(what.find(" at src/util/src/math.cpp:"), std::string::npos)
         << what;
-    // Test sources are built without the mapping, so this file's own name
-    // still carries the absolute root.
-    const std::string self = __FILE__;
-    const std::string root = self.substr(0, self.rfind("tests/"));
-    if (!root.empty()) {
-      EXPECT_EQ(what.find(root), std::string::npos) << what;
-    }
+    // The mapping covers this file too, so the build passes the root in.
+    EXPECT_EQ(what.find(QELECT_SOURCE_ROOT), std::string::npos) << what;
   }
 }
 

@@ -13,10 +13,9 @@ mode (QELECT_BENCH_SMOKE=1), whose timings are single uncalibrated runs.
 
 Campaign result stores -- binary WAL stores (*.results.qws and
 campaign_*/results.qws, snapshot + frame log; format in docs/STORAGE.md)
-and legacy JSONL stores (*.results.jsonl and campaign_*/results.jsonl;
-schema in docs/CAMPAIGNS.md) -- are folded into a `campaigns` section:
-per-store task/outcome/retry counts, with warnings for failed or
-timed-out tasks and torn tails.
+-- are folded into a `campaigns` section: per-store task/outcome/retry
+counts, with warnings for failed or timed-out tasks and torn tails.  A
+file there that is not a WAL store is skipped with a warning.
 
 Exit status is 0 even on warnings by default: CI archives smoke-mode
 artifacts for schema checks, and gating on wall times of shared runners
@@ -113,15 +112,21 @@ def _load_snapshot_tasks(snap_path):
     return tasks
 
 
-def load_wal_campaign(path, raw):
+def load_campaign(path):
     """Parse one binary WAL store (docs/STORAGE.md) into a summary dict.
 
-    Mirrors campaign::load_store: the log's valid prefix ends at the first
-    frame with a bad length or checksum (torn tail); a compacted store's
-    records come from <path>.snap plus the replayed tail; later records for
-    a key win.
+    Mirrors campaign::load_store: a file that does not start with the WAL
+    magic is an error, and a bare magic prefix is an empty store; the log's
+    valid prefix ends at the first frame with a bad length or checksum
+    (torn tail); a compacted store's records come from <path>.snap plus the
+    replayed tail; later records for a key win.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:4] != b"QWAL"[:len(raw)]:
+        raise ValueError("not a WAL store")
     summary = _empty_campaign_summary(path)
+    summary["torn_tail"] = 0 < len(raw) < 4
     by_key = {}
     off, header_seen, base_records = 4, False, 0
     while off < len(raw):
@@ -157,50 +162,10 @@ def load_wal_campaign(path, raw):
     return summary
 
 
-def load_campaign(path):
-    """Parse one campaign result store (WAL or legacy JSONL) into a
-    summary dict.
-
-    JSONL: tolerates a torn final line (a kill mid-append leaves one); any
-    other malformed line is an error, mirroring campaign::load_store.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] == b"QWAL":
-        return load_wal_campaign(path, raw)
-    summary = _empty_campaign_summary(path)
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    elif lines:
-        summary["torn_tail"] = True
-        lines.pop()
-    for i, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                summary["torn_tail"] = True
-                continue
-            raise ValueError(f"{path}: malformed line {i + 1}")
-        if rec.get("type") == "campaign":
-            summary["campaign"] = rec.get("name")
-            summary["spec_hash"] = rec.get("spec_hash")
-        elif rec.get("type") == "task":
-            summary["tasks"] += 1
-            outcome = rec.get("outcome", "failed")
-            key = outcome if outcome in ("ok", "failed", "timeout") else "failed"
-            summary[key] += 1
-            summary["retries"] += max(0, rec.get("attempts", 1) - 1)
-    return summary
-
-
 def collect_campaigns(root):
     paths = sorted(
         glob.glob(os.path.join(root, "*.results.qws"))
-        + glob.glob(os.path.join(root, "campaign_*", "results.qws"))
-        + glob.glob(os.path.join(root, "*.results.jsonl"))
-        + glob.glob(os.path.join(root, "campaign_*", "results.jsonl")))
+        + glob.glob(os.path.join(root, "campaign_*", "results.qws")))
     summaries, warnings = [], []
     for path in paths:
         try:
@@ -228,9 +193,7 @@ def main():
     args = ap.parse_args()
 
     paths = sorted(glob.glob(os.path.join(args.dir, "BENCH_*.json")))
-    paths = [p for p in paths
-             if os.path.basename(p) != "BENCH_summary.json"
-             and not p.endswith(".results.jsonl")]
+    paths = [p for p in paths if os.path.basename(p) != "BENCH_summary.json"]
     campaigns, campaign_warnings = collect_campaigns(args.dir)
     if not paths and not campaigns:
         print(f"bench_summary: no BENCH_*.json under {args.dir}",

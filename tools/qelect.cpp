@@ -11,10 +11,13 @@
 //
 // `run` is idempotent: it loads the store first and only executes tasks
 // without a terminal record, so run and resume differ only in where the
-// spec comes from (resume reads it back out of the store header).
-// Stores are binary WAL files (see docs/STORAGE.md); `export` emits the
-// legacy JSONL text, byte-identical to what the pre-WAL store wrote for
-// deterministic runs.
+// spec comes from (resume reads it back out of the store header).  A
+// failed or timed-out record is terminal unless the run's retries
+// (--retries, else the spec's) is larger than the budget it ran under, so
+// raising --retries re-runs exactly those.
+// Stores are binary WAL files (see docs/STORAGE.md), and every command
+// that takes a store refuses any other file; `export` writes a store as
+// JSONL text in task order.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,7 +66,8 @@ int usage() {
       "  --store PATH            result store (default campaign_<name>/results.qws)\n"
       "  --shards N              worker shards, <= 256 (default: hardware\n"
       "                          concurrency)\n"
-      "  --retries N             attempts beyond the first per task\n"
+      "  --retries N             attempts beyond the first per task; a\n"
+      "                          larger N re-runs stored failures\n"
       "  --timeout-seconds S     cooperative per-attempt deadline\n"
       "  --deterministic         zero durations (byte-reproducible stores)\n"
       "  --stop-after N          commit N tasks then stop (simulated kill)\n"
