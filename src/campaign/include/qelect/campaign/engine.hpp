@@ -88,6 +88,7 @@ struct EngineOptions {
 struct CampaignResult {
   std::size_t total = 0;     // tasks in the expansion
   std::size_t skipped = 0;   // already terminal in the store (not re-run)
+  std::size_t skipped_not_ok = 0;  // of skipped: failed or timeout records
   std::size_t executed = 0;  // made durable by this invocation
   std::size_t ok = 0;        // of executed
   std::size_t failed = 0;    // of executed (exhausted retries)

@@ -35,7 +35,6 @@ class JsonValue {
   const std::vector<JsonValue>& as_array() const;
 
   /// Object access: get returns null for a missing key, require throws.
-  bool has(const std::string& key) const;
   const JsonValue* find(const std::string& key) const;
   const JsonValue& require(const std::string& key) const;
 

@@ -119,6 +119,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // needs keys formatted before the run.  A failed or timed-out record
   // used every attempt of the budget it ran under, so it runs again only
   // under a larger `retries`, and its new record wins.
+  CampaignResult result;
+  result.total = total;
   std::vector<std::size_t> pending;
   std::vector<bool> terminal(total, false);
   if (prior.records.empty()) {
@@ -133,12 +135,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         pending.push_back(i);
       } else {
         terminal[i] = true;
+        if (!it->second->ok()) ++result.skipped_not_ok;
       }
     }
   }
-
-  CampaignResult result;
-  result.total = total;
   result.skipped = total - pending.size();
 
   StoreOptions store_options;

@@ -45,10 +45,6 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
   return array_;
 }
 
-bool JsonValue::has(const std::string& key) const {
-  return find(key) != nullptr;
-}
-
 const JsonValue* JsonValue::find(const std::string& key) const {
   QELECT_CHECK(type_ == Type::Object, "json: not an object");
   for (const auto& [k, v] : object_) {

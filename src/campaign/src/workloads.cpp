@@ -14,7 +14,6 @@
 #include "qelect/sim/message_world.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/invariants.hpp"
-#include "qelect/trace/sink.hpp"
 #include "qelect/util/assert.hpp"
 #include "qelect/util/hash.hpp"
 #include "qelect/util/rng.hpp"
@@ -145,31 +144,40 @@ Metrics run_moves(const TaskSpec& task, const CancelToken& cancel) {
                              static_cast<double>(budget)}};
 }
 
-// One degradation cell: run ELECT with the task's FaultPlan live, trace
-// the run, post-check the trace with the invariant checkers, and join the
+// One degradation cell: run ELECT with the task's FaultPlan live, check
+// the run's trace with the invariant checkers as it streams, and join the
 // first violation against the fault log (which axis fired before the
-// model broke).  Message-axis points run the Figure 1 message-passing
-// reading (the only world with links to be lossy on); everything else
-// runs the pooled mobile-agent World.
+// model broke).  (G, p) come from the pooled mobile-agent World, which
+// runs every point but the message-axis ones: those run the Figure 1
+// message-passing reading (the only world with links to be lossy on),
+// built from the same instance.
 Metrics run_degradation(const TaskSpec& task, const CancelToken& cancel) {
   cancel.throw_if_cancelled();
-  const graph::Graph g = task.graph.build();
-  const graph::Placement p(g.node_count(), task.home_bases);
-  const auto proto_plan = core::protocol_plan(g, p);
+  sim::World& w = WorldPool::local().acquire(task, /*quantitative=*/false);
+  const graph::Graph& g = w.graph();
+  const graph::Placement& p = w.placement();
+  const std::uint64_t final_gcd = core::protocol_plan_shared(g, p)->final_gcd;
   const std::uint64_t budget = core::theorem31_move_budget(g, p);
 
   sim::RunConfig config = run_config(task);
   const fault::FaultPlan fault_plan = derived_faults(task);
   if (fault_plan.enabled()) config.faults = &fault_plan;
-  trace::VectorSink sink;
-  config.sink = &sink;
+  trace::InvariantSpec inv;
+  inv.graph = &g;
+  inv.home_bases = task.home_bases;
+  // Certificate factor, not the measured ratio: fault-free ELECT runs at
+  // ~2-4 r|E| units (see docs/TRACING.md), so 16 only fires on runs a
+  // fault genuinely pushed out of the model; the measured inflation is
+  // reported separately as move_inflation.
+  inv.theorem31_factor = 16.0;
+  trace::InvariantChecker checker(std::move(inv));
+  config.sink = &checker;
 
   sim::RunResult r;
   if (fault_plan.message_enabled()) {
-    sim::MessageWorld w(g, p, task.color_seed);
-    r = w.run(core::make_elect_protocol(), config);
+    sim::MessageWorld mw(g, p, task.color_seed);
+    r = mw.run(core::make_elect_protocol(), config);
   } else {
-    sim::World& w = WorldPool::local().acquire(task, /*quantitative=*/false);
     r = w.run(core::make_elect_protocol(), config);
   }
 
@@ -186,25 +194,17 @@ Metrics run_degradation(const TaskSpec& task, const CancelToken& cancel) {
     }
   }
   surviving_failure = surviving_failure && survivors > 0;
-  const bool correct = proto_plan.final_gcd == 1 ? r.surviving_election()
-                                                 : surviving_failure;
+  const bool correct =
+      final_gcd == 1 ? r.surviving_election() : surviving_failure;
 
-  trace::InvariantSpec inv;
-  inv.graph = &g;
-  inv.home_bases = task.home_bases;
-  // Certificate factor, not the measured ratio: fault-free ELECT runs at
-  // ~2-4 r|E| units (see docs/TRACING.md), so 16 only fires on runs a
-  // fault genuinely pushed out of the model; the measured inflation is
-  // reported separately as move_inflation.
-  inv.theorem31_factor = 16.0;
-  const auto report = trace::check_trace(sink.events(), inv);
+  const auto report = checker.finish();
   const auto fv = fault::diagnose_first_violation(report, r.fault_events);
 
   const auto& fs = r.fault_summary;
   return {{"n", static_cast<double>(g.node_count())},
           {"edges", static_cast<double>(g.edge_count())},
           {"agents", static_cast<double>(p.agent_count())},
-          {"final_gcd", static_cast<double>(proto_plan.final_gcd)},
+          {"final_gcd", static_cast<double>(final_gcd)},
           {"completed", r.completed ? 1 : 0},
           {"correct", correct ? 1 : 0},
           {"crashed", static_cast<double>(r.crashed_count())},

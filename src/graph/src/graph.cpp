@@ -32,20 +32,21 @@ Graph Graph::from_explicit_edges(std::size_t node_count,
   for (NodeId x = 0; x < node_count; ++x) {
     g.adjacency_[x].assign(degree[x], HalfEdge{});
   }
-  std::vector<std::vector<bool>> used(node_count);
-  for (NodeId x = 0; x < node_count; ++x) used[x].assign(degree[x], false);
+  // A port is taken once its half-edge leads somewhere: a fresh HalfEdge
+  // leads to kInvalidNode, and every endpoint was checked to be a node.
   for (EdgeId id = 0; id < edges.size(); ++id) {
     const Edge& e = edges[id];
-    QELECT_CHECK(!used[e.u][e.u_port] && !used[e.v][e.v_port],
+    HalfEdge& at_u = g.adjacency_[e.u][e.u_port];
+    HalfEdge& at_v = g.adjacency_[e.v][e.v_port];
+    QELECT_CHECK(at_u.to == kInvalidNode && at_v.to == kInvalidNode,
                  "from_explicit_edges: duplicate port assignment");
-    used[e.u][e.u_port] = true;
-    used[e.v][e.v_port] = true;
-    g.adjacency_[e.u][e.u_port] = HalfEdge{e.v, e.v_port, id};
-    g.adjacency_[e.v][e.v_port] = HalfEdge{e.u, e.u_port, id};
+    at_u = HalfEdge{e.v, e.v_port, id};
+    at_v = HalfEdge{e.u, e.u_port, id};
   }
-  for (NodeId x = 0; x < node_count; ++x) {
-    for (bool b : used[x]) {
-      QELECT_CHECK(b, "from_explicit_edges: port gap at a node");
+  for (const std::vector<HalfEdge>& ports : g.adjacency_) {
+    for (const HalfEdge& h : ports) {
+      QELECT_CHECK(h.to != kInvalidNode,
+                   "from_explicit_edges: port gap at a node");
     }
   }
   return g;

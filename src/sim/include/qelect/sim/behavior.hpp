@@ -13,6 +13,13 @@
 // action slot: wherever in the call chain an action is requested, it is
 // parked in the root promise and the World resumes the deepest suspended
 // coroutine (the `leaf`), so composition is free of trampolines.
+//
+// Exceptions take the same shortcut.  Whichever frame an exception escapes
+// (a QELECT_CHECK tripping in a subroutine, say), it is stored on the root
+// promise and control returns straight to the World, which rethrows it
+// once.  The awaiting parents are never resumed: code after their co_await
+// does not run, and a try/catch around a co_await in a protocol catches
+// nothing.
 #pragma once
 
 #include <coroutine>
@@ -48,11 +55,15 @@ using PendingAction =
                  ActionYield>;
 
 /// State shared by all coroutine frames of one agent: the root slot where
-/// pending actions are parked and the deepest suspended frame to resume.
+/// pending actions are parked, the deepest suspended frame to resume, and
+/// the exception that escaped any of the agent's frames.
 struct AgentPromiseBase {
   PendingAction pending;
   AgentPromiseBase* root = nullptr;     // the Behavior promise of this agent
   std::coroutine_handle<> leaf;         // meaningful on the root only
+  std::exception_ptr exception;         // meaningful on the root only
+
+  void unhandled_exception() { root->exception = std::current_exception(); }
 
   // All agent coroutine frames (Behavior and every nested Task) come from
   // the recycling FramePool instead of the raw heap.
@@ -68,8 +79,6 @@ struct AgentPromiseBase {
 class Behavior {
  public:
   struct promise_type : AgentPromiseBase {
-    std::exception_ptr exception;
-
     promise_type() { root = this; }
     Behavior get_return_object() {
       return Behavior(
@@ -78,7 +87,6 @@ class Behavior {
     std::suspend_always initial_suspend() noexcept { return {}; }
     std::suspend_always final_suspend() noexcept { return {}; }
     void return_void() {}
-    void unhandled_exception() { exception = std::current_exception(); }
   };
 
   using Handle = std::coroutine_handle<promise_type>;
@@ -137,24 +145,24 @@ struct ActionAwaiter {
 
 namespace detail {
 
-/// Transfers control back to the awaiting parent when a Task finishes.
+/// Transfers control back to the awaiting parent when a Task finishes, or
+/// out to the World when an exception escaped it.
 struct FinalAwaiter {
   bool await_ready() const noexcept { return false; }
   template <typename Promise>
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
+    if (h.promise().root->exception) return std::noop_coroutine();
     return h.promise().continuation;
   }
   void await_resume() const noexcept {}
 };
 
 struct TaskPromiseBase : AgentPromiseBase {
-  std::exception_ptr exception;
   std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
-  void unhandled_exception() { exception = std::current_exception(); }
 };
 
 }  // namespace detail
@@ -192,9 +200,6 @@ class [[nodiscard]] Task {
     return handle_;  // start (or resume into) the subroutine
   }
   T await_resume() {
-    if (handle_.promise().exception) {
-      std::rethrow_exception(handle_.promise().exception);
-    }
     QELECT_ASSERT(handle_.promise().value.has_value());
     return std::move(*handle_.promise().value);
   }
@@ -232,11 +237,7 @@ class [[nodiscard]] Task<void> {
     handle_.promise().continuation = parent;
     return handle_;
   }
-  void await_resume() {
-    if (handle_.promise().exception) {
-      std::rethrow_exception(handle_.promise().exception);
-    }
-  }
+  void await_resume() const noexcept {}
 
  private:
   explicit Task(Handle handle) : handle_(handle) {}

@@ -382,9 +382,10 @@ MessageRunResult MessageWorld::run_impl(const Protocol& protocol,
         behaviors[i].resume_target().resume();
       }
     }
-    const Behavior::Handle handle = behaviors[i].handle();
-    if (handle.done() && handle.promise().exception) {
-      std::rethrow_exception(handle.promise().exception);
+    // An exception that escaped any of the agent's frames ends the run
+    // here, in one throw (see World).
+    if (const auto& e = behaviors[i].handle().promise().exception) {
+      std::rethrow_exception(e);
     }
     if constexpr (kTraced) {
       sink->on_event(TraceEvent{result.steps, static_cast<std::uint32_t>(i),

@@ -456,7 +456,9 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
     // ActionWait (already satisfied), ActionYield, monostate: no effect.
     pending = std::monostate{};
     behaviors[i].resume_target().resume();
-    if (handle.done() && handle.promise().exception) {
+    // An exception that escaped any of the agent's frames, nested or not,
+    // ends the run here, in one throw.
+    if (handle.promise().exception) {
       std::rethrow_exception(handle.promise().exception);
     }
     if constexpr (kTraced) {

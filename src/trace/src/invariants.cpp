@@ -1,6 +1,7 @@
 #include "qelect/trace/invariants.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "qelect/util/assert.hpp"
 
@@ -8,15 +9,6 @@ namespace qelect::trace {
 namespace {
 
 constexpr std::size_t kMaxReportedViolations = 32;
-
-void report_violation(InvariantReport* report, const TraceEvent& event,
-                      const std::string& what) {
-  if (report->violations.size() >= kMaxReportedViolations) return;
-  report->violations.push_back("step " + std::to_string(event.step) +
-                               " agent " + std::to_string(event.agent) + " (" +
-                               kind_name(event.kind) + "): " + what);
-  report->details.push_back({true, event.step, event.agent, what});
-}
 
 void report_bound_violation(InvariantReport* report, const std::string& what) {
   report->violations.push_back(what);
@@ -36,203 +28,212 @@ std::string InvariantReport::to_string() const {
               : "");
 }
 
-InvariantReport check_trace(const std::vector<TraceEvent>& events,
-                            const InvariantSpec& spec, bool complete_trace) {
-  QELECT_CHECK(spec.graph != nullptr, "check_trace: spec.graph is required");
-  const graph::Graph& g = *spec.graph;
-  const std::size_t r = spec.home_bases.size();
+InvariantChecker::InvariantChecker(InvariantSpec spec, bool complete_trace)
+    : spec_(std::move(spec)), complete_trace_(complete_trace) {
+  QELECT_CHECK(spec_.graph != nullptr, "check_trace: spec.graph is required");
+  reset();
+}
 
-  InvariantReport report;
-  report.per_agent_moves.assign(r, 0);
+void InvariantChecker::begin_run(const RunMetadata&) { reset(); }
 
+void InvariantChecker::reset() {
+  const std::size_t r = spec_.home_bases.size();
+  report_ = InvariantReport{};
+  report_.per_agent_moves.assign(r, 0);
   // Observer-side position tracking: start every agent at its home base
   // (or, for a partial trace, at its first observed node).
-  enum class Where { Unknown, AtNode, InTransit };
-  struct AgentState {
-    Where where = Where::Unknown;
-    bool crashed = false;  // saw a Crash event; no further actions allowed
-    graph::NodeId pos = graph::kInvalidNode;
-    graph::NodeId arrival = graph::kInvalidNode;  // expected delivery node
-  };
-  std::vector<AgentState> state(r);
-  if (complete_trace) {
+  state_.assign(r, AgentState{});
+  if (complete_trace_) {
     for (std::size_t i = 0; i < r; ++i) {
-      state[i].where = Where::AtNode;
-      state[i].pos = spec.home_bases[i];
+      state_[i].where = Where::AtNode;
+      state_[i].pos = spec_.home_bases[i];
     }
   }
+  have_prev_step_ = false;
+  prev_step_ = 0;
+}
 
-  bool have_prev_step = false;
-  std::uint64_t prev_step = 0;
-  for (const TraceEvent& e : events) {
-    ++report.events_checked;
-    if (e.agent >= r) {
-      report_violation(&report, e, "agent index out of range");
-      continue;
-    }
-    if (e.node >= g.node_count()) {
-      report_violation(&report, e, "node id out of range");
-      continue;
-    }
-    // Atomicity / whiteboard mutual exclusion: the executed steps form a
-    // strict total order, so no two actions -- in particular no two board
-    // accesses -- can overlap.
-    if (have_prev_step && e.step <= prev_step) {
-      report_violation(&report, e,
-                       "step order not strictly increasing (atomicity "
-                       "broken: two actions share an execution slot)");
-    }
-    have_prev_step = true;
-    prev_step = e.step;
+void InvariantChecker::violation(const TraceEvent& event,
+                                 const std::string& what) {
+  if (report_.violations.size() >= kMaxReportedViolations) return;
+  report_.violations.push_back("step " + std::to_string(event.step) +
+                               " agent " + std::to_string(event.agent) + " (" +
+                               kind_name(event.kind) + "): " + what);
+  report_.details.push_back({true, event.step, event.agent, what});
+}
 
-    AgentState& st = state[e.agent];
-    // Crash-stop means *stop*: once an agent crashed, any further action of
-    // its is itself a model violation (a faulty world must not resurrect).
-    if (st.crashed && e.kind != TraceEvent::Kind::TaskOk &&
-        e.kind != TraceEvent::Kind::TaskFail) {
-      report_violation(&report, e, "action after crash-stop");
-    }
-    switch (e.kind) {
-      case TraceEvent::Kind::Move:
-        ++report.total_moves;
-        ++report.per_agent_moves[e.agent];
-        if (st.where == Where::AtNode) {
-          if (e.port == kNoPort) {
-            report_violation(&report, e, "move event carries no port");
-          } else if (e.port >= g.degree(st.pos)) {
-            report_violation(&report, e,
-                             "moved through nonexistent port " +
-                                 std::to_string(e.port) + " of node " +
-                                 std::to_string(st.pos) + " (degree " +
-                                 std::to_string(g.degree(st.pos)) + ")");
-          } else if (g.peer(st.pos, e.port).to != e.node) {
-            report_violation(&report, e,
-                             "move landed at node " + std::to_string(e.node) +
-                                 " but port " + std::to_string(e.port) +
-                                 " of node " + std::to_string(st.pos) +
-                                 " leads to node " +
-                                 std::to_string(g.peer(st.pos, e.port).to));
-          }
-        } else if (st.where == Where::InTransit) {
-          report_violation(&report, e, "move while in transit");
+void InvariantChecker::on_event(const TraceEvent& e) {
+  const graph::Graph& g = *spec_.graph;
+  ++report_.events_checked;
+  if (e.agent >= state_.size()) {
+    violation(e, "agent index out of range");
+    return;
+  }
+  if (e.node >= g.node_count()) {
+    violation(e, "node id out of range");
+    return;
+  }
+  // Atomicity / whiteboard mutual exclusion: the executed steps form a
+  // strict total order, so no two actions -- in particular no two board
+  // accesses -- can overlap.
+  if (have_prev_step_ && e.step <= prev_step_) {
+    violation(e,
+              "step order not strictly increasing (atomicity "
+              "broken: two actions share an execution slot)");
+  }
+  have_prev_step_ = true;
+  prev_step_ = e.step;
+
+  AgentState& st = state_[e.agent];
+  // Crash-stop means *stop*: once an agent crashed, any further action of
+  // its is itself a model violation (a faulty world must not resurrect).
+  if (st.crashed && e.kind != TraceEvent::Kind::TaskOk &&
+      e.kind != TraceEvent::Kind::TaskFail) {
+    violation(e, "action after crash-stop");
+  }
+  switch (e.kind) {
+    case TraceEvent::Kind::Move:
+      ++report_.total_moves;
+      ++report_.per_agent_moves[e.agent];
+      if (st.where == Where::AtNode) {
+        if (e.port == kNoPort) {
+          violation(e, "move event carries no port");
+        } else if (e.port >= g.degree(st.pos)) {
+          violation(e, "moved through nonexistent port " +
+                           std::to_string(e.port) + " of node " +
+                           std::to_string(st.pos) + " (degree " +
+                           std::to_string(g.degree(st.pos)) + ")");
+        } else if (g.peer(st.pos, e.port).to != e.node) {
+          violation(e, "move landed at node " + std::to_string(e.node) +
+                           " but port " + std::to_string(e.port) +
+                           " of node " + std::to_string(st.pos) +
+                           " leads to node " +
+                           std::to_string(g.peer(st.pos, e.port).to));
         }
-        st.where = Where::AtNode;
-        st.pos = e.node;
-        break;
-      case TraceEvent::Kind::Send:
-        if (st.where == Where::InTransit) {
-          report_violation(&report, e, "send while already in transit");
-        }
-        if (st.where == Where::AtNode) {
-          if (e.port == kNoPort || e.port >= g.degree(st.pos)) {
-            report_violation(&report, e,
-                             "send through nonexistent port of node " +
-                                 std::to_string(st.pos));
-            st.arrival = graph::kInvalidNode;
-          } else {
-            st.arrival = g.peer(st.pos, e.port).to;
-          }
-        } else {
+      } else if (st.where == Where::InTransit) {
+        violation(e, "move while in transit");
+      }
+      st.where = Where::AtNode;
+      st.pos = e.node;
+      break;
+    case TraceEvent::Kind::Send:
+      if (st.where == Where::InTransit) {
+        violation(e, "send while already in transit");
+      }
+      if (st.where == Where::AtNode) {
+        if (e.port == kNoPort || e.port >= g.degree(st.pos)) {
+          violation(e, "send through nonexistent port of node " +
+                           std::to_string(st.pos));
           st.arrival = graph::kInvalidNode;
+        } else {
+          st.arrival = g.peer(st.pos, e.port).to;
         }
-        st.where = Where::InTransit;
-        break;
-      case TraceEvent::Kind::Deliver:
-        ++report.total_moves;
-        ++report.per_agent_moves[e.agent];
-        if (st.where == Where::AtNode) {
-          report_violation(&report, e, "delivery without a matching send");
-        } else if (st.where == Where::InTransit &&
-                   st.arrival != graph::kInvalidNode &&
-                   st.arrival != e.node) {
-          report_violation(&report, e,
-                           "delivered to node " + std::to_string(e.node) +
-                               " but the send was aimed at node " +
-                               std::to_string(st.arrival));
-        }
-        st.where = Where::AtNode;
-        st.pos = e.node;
-        break;
-      case TraceEvent::Kind::Start:
-      case TraceEvent::Kind::Board:
-      case TraceEvent::Kind::WaitResume:
-      case TraceEvent::Kind::Yield:
-        if (st.where == Where::InTransit) {
-          report_violation(&report, e, "local action while in transit");
-        } else if (st.where == Where::AtNode && st.pos != e.node) {
-          report_violation(&report, e,
-                           "acted at node " + std::to_string(e.node) +
-                               " but tracked position is node " +
-                               std::to_string(st.pos));
-        }
-        st.where = Where::AtNode;
-        st.pos = e.node;
-        break;
-      case TraceEvent::Kind::TaskOk:
-      case TraceEvent::Kind::TaskFail:
-        // Campaign progress events are not simulator actions; they carry no
-        // position and are ignored by the execution-model checkers.
-        break;
-      case TraceEvent::Kind::Crash:
-        // Crash-stop happens at a node (message-world transit losses never
-        // emit an event for the lost agent -- its trace just ends).
-        if (st.where == Where::InTransit) {
-          report_violation(&report, e, "crash event while in transit");
-        } else if (st.where == Where::AtNode && st.pos != e.node) {
-          report_violation(&report, e,
-                           "crashed at node " + std::to_string(e.node) +
-                               " but tracked position is node " +
-                               std::to_string(st.pos));
-        }
-        st.where = Where::AtNode;
-        st.pos = e.node;
-        st.crashed = true;
-        break;
-      case TraceEvent::Kind::MoveCut:
-        // A cut traversal leaves the agent where it was; no move counted.
-        if (st.where == Where::InTransit) {
-          report_violation(&report, e, "cut traversal while in transit");
-        } else if (st.where == Where::AtNode && st.pos != e.node) {
-          report_violation(&report, e,
-                           "traversal cut at node " + std::to_string(e.node) +
-                               " but tracked position is node " +
-                               std::to_string(st.pos));
-        }
-        st.where = Where::AtNode;
-        st.pos = e.node;
-        break;
-      case TraceEvent::Kind::Stall:
-        // A delayed delivery: the agent must be in transit and stays there.
-        if (st.where == Where::AtNode) {
-          report_violation(&report, e, "stall without a matching send");
-        }
-        if (st.where != Where::Unknown) st.where = Where::InTransit;
-        break;
-    }
+      } else {
+        st.arrival = graph::kInvalidNode;
+      }
+      st.where = Where::InTransit;
+      break;
+    case TraceEvent::Kind::Deliver:
+      ++report_.total_moves;
+      ++report_.per_agent_moves[e.agent];
+      if (st.where == Where::AtNode) {
+        violation(e, "delivery without a matching send");
+      } else if (st.where == Where::InTransit &&
+                 st.arrival != graph::kInvalidNode && st.arrival != e.node) {
+        violation(e, "delivered to node " + std::to_string(e.node) +
+                         " but the send was aimed at node " +
+                         std::to_string(st.arrival));
+      }
+      st.where = Where::AtNode;
+      st.pos = e.node;
+      break;
+    case TraceEvent::Kind::Start:
+    case TraceEvent::Kind::Board:
+    case TraceEvent::Kind::WaitResume:
+    case TraceEvent::Kind::Yield:
+      if (st.where == Where::InTransit) {
+        violation(e, "local action while in transit");
+      } else if (st.where == Where::AtNode && st.pos != e.node) {
+        violation(e, "acted at node " + std::to_string(e.node) +
+                         " but tracked position is node " +
+                         std::to_string(st.pos));
+      }
+      st.where = Where::AtNode;
+      st.pos = e.node;
+      break;
+    case TraceEvent::Kind::TaskOk:
+    case TraceEvent::Kind::TaskFail:
+      // Campaign progress events are not simulator actions; they carry no
+      // position and are ignored by the execution-model checkers.
+      break;
+    case TraceEvent::Kind::Crash:
+      // Crash-stop happens at a node (message-world transit losses never
+      // emit an event for the lost agent -- its trace just ends).
+      if (st.where == Where::InTransit) {
+        violation(e, "crash event while in transit");
+      } else if (st.where == Where::AtNode && st.pos != e.node) {
+        violation(e, "crashed at node " + std::to_string(e.node) +
+                         " but tracked position is node " +
+                         std::to_string(st.pos));
+      }
+      st.where = Where::AtNode;
+      st.pos = e.node;
+      st.crashed = true;
+      break;
+    case TraceEvent::Kind::MoveCut:
+      // A cut traversal leaves the agent where it was; no move counted.
+      if (st.where == Where::InTransit) {
+        violation(e, "cut traversal while in transit");
+      } else if (st.where == Where::AtNode && st.pos != e.node) {
+        violation(e, "traversal cut at node " + std::to_string(e.node) +
+                         " but tracked position is node " +
+                         std::to_string(st.pos));
+      }
+      st.where = Where::AtNode;
+      st.pos = e.node;
+      break;
+    case TraceEvent::Kind::Stall:
+      // A delayed delivery: the agent must be in transit and stays there.
+      if (st.where == Where::AtNode) {
+        violation(e, "stall without a matching send");
+      }
+      if (st.where != Where::Unknown) st.where = Where::InTransit;
+      break;
   }
+}
 
-  if (spec.theorem31_factor > 0.0 && r > 0) {
-    const double budget =
-        spec.theorem31_factor * static_cast<double>(r) *
-        static_cast<double>(g.edge_count());
-    if (static_cast<double>(report.total_moves) > budget) {
+InvariantReport InvariantChecker::finish() {
+  const std::size_t r = spec_.home_bases.size();
+  if (spec_.theorem31_factor > 0.0 && r > 0) {
+    const double budget = spec_.theorem31_factor * static_cast<double>(r) *
+                          static_cast<double>(spec_.graph->edge_count());
+    if (static_cast<double>(report_.total_moves) > budget) {
       report_bound_violation(
-          &report,
-          "Theorem 3.1 bound exceeded: " + std::to_string(report.total_moves) +
+          &report_,
+          "Theorem 3.1 bound exceeded: " + std::to_string(report_.total_moves) +
               " total moves > " + std::to_string(budget) + " (= " +
-              std::to_string(spec.theorem31_factor) + " * r * |E|)");
+              std::to_string(spec_.theorem31_factor) + " * r * |E|)");
     }
     for (std::size_t i = 0; i < r; ++i) {
-      if (static_cast<double>(report.per_agent_moves[i]) > budget) {
+      if (static_cast<double>(report_.per_agent_moves[i]) > budget) {
         report_bound_violation(
-            &report, "Theorem 3.1 bound exceeded by agent " +
-                         std::to_string(i) + ": " +
-                         std::to_string(report.per_agent_moves[i]) +
-                         " moves > " + std::to_string(budget));
+            &report_, "Theorem 3.1 bound exceeded by agent " +
+                          std::to_string(i) + ": " +
+                          std::to_string(report_.per_agent_moves[i]) +
+                          " moves > " + std::to_string(budget));
       }
     }
   }
+  InvariantReport report = std::move(report_);
+  reset();
   return report;
+}
+
+InvariantReport check_trace(const std::vector<TraceEvent>& events,
+                            const InvariantSpec& spec, bool complete_trace) {
+  InvariantChecker checker(spec, complete_trace);
+  for (const TraceEvent& e : events) checker.on_event(e);
+  return checker.finish();
 }
 
 }  // namespace qelect::trace

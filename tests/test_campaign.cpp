@@ -838,6 +838,35 @@ TEST(CampaignEngine, ExhaustedRetriesRecordFailedWithoutPoisoningSiblings) {
   EXPECT_EQ(export_of(path), export_of(scratch.path("fresh.qws")));
 }
 
+// A run counts the failed records it skips, so `qelect run`/`resume` can
+// exit 1 while failures remain in the store; a rerun that clears them
+// counts none.
+TEST(CampaignEngine, SkippedFailuresAreCountedUntilARerunClearsThem) {
+  ScratchDir scratch("skipped");
+  const std::string path = scratch.path("store.qws");
+  CampaignSpec spec = small_spec();
+  spec.inject = {"ring(4)", 2};  // the first two attempts throw
+  spec.retries = 1;
+  EngineOptions opts;
+  opts.deterministic = true;
+  const CampaignResult first = run_campaign(spec, path, opts);
+  ASSERT_GT(first.failed, 0u);
+  EXPECT_EQ(first.skipped_not_ok, 0u);
+
+  const CampaignResult same = run_campaign(spec, path, opts);
+  EXPECT_EQ(same.executed, 0u);
+  EXPECT_EQ(same.skipped, same.total);
+  EXPECT_EQ(same.skipped_not_ok, first.failed);
+
+  EngineOptions more = opts;
+  more.retries = 2;
+  const CampaignResult rerun = run_campaign(spec, path, more);
+  EXPECT_EQ(rerun.executed, first.failed);
+  EXPECT_EQ(rerun.ok, first.failed);
+  EXPECT_EQ(rerun.skipped_not_ok, 0u);
+  EXPECT_EQ(run_campaign(spec, path, more).skipped_not_ok, 0u);
+}
+
 TEST(CampaignEngine, ExpiredDeadlineRecordsTimeout) {
   ScratchDir scratch("timeout");
   const std::string path = scratch.path("store.qws");
@@ -854,7 +883,9 @@ TEST(CampaignEngine, ExpiredDeadlineRecordsTimeout) {
     EXPECT_EQ(r.outcome, "timeout");
     EXPECT_EQ(r.attempts, 2);
   }
-  EXPECT_EQ(run_campaign(spec, path, opts).executed, 0u);
+  const CampaignResult skipped = run_campaign(spec, path, opts);
+  EXPECT_EQ(skipped.executed, 0u);
+  EXPECT_EQ(skipped.skipped_not_ok, result.total);
 
   // A larger budget with the deadline off runs every timed-out task again.
   EngineOptions more = opts;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "qelect/campaign/task.hpp"
@@ -26,6 +27,7 @@
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/invariants.hpp"
 #include "qelect/trace/sink.hpp"
+#include "qelect/util/assert.hpp"
 #include "qelect/util/rng.hpp"
 
 namespace qelect {
@@ -267,6 +269,56 @@ TEST(FaultedRuns, HighCrashRateCrashStopsAgents) {
     // A crash-stopped agent's last trace event can't postdate the crash.
     EXPECT_TRUE(obs.result.fault_summary.any);
   }
+}
+
+// A faulted run's trace, checked as it streams and as a post-pass over the
+// recorded vector, gives one report on every axis -- including runs a
+// fault-stop ended early, whose trace is the prefix before the throw.
+TEST(FaultedRuns, StreamingCheckerMatchesPostPassOnEveryAxis) {
+  const Graph g = graph::ring(8);
+  const Placement p(8, {0, 4});
+  std::size_t with_violations = 0;
+  for (const fault::FaultAxis axis :
+       {fault::FaultAxis::Crash, fault::FaultAxis::Board,
+        fault::FaultAxis::Message, fault::FaultAxis::Edge}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      fault::FaultPlan plan = axis_plan(axis, 0.02);
+      plan.fault_seed = seed;
+      SCOPED_TRACE(std::string(fault::axis_name(axis)) + " seed " +
+                   std::to_string(seed));
+      trace::InvariantSpec spec;
+      spec.graph = &g;
+      spec.home_bases = p.home_bases();
+      spec.theorem31_factor = 16.0;
+      trace::VectorSink recorded;
+      trace::InvariantChecker streamed(spec);
+      trace::TeeSink tee({&recorded, &streamed});
+      sim::RunConfig config;
+      config.seed = seed;
+      config.faults = &plan;
+      config.sink = &tee;
+      try {
+        if (axis == fault::FaultAxis::Message) {
+          sim::MessageWorld w(g, p, 21);
+          w.run(core::make_elect_protocol(), config);
+        } else {
+          sim::World w(g, p, 21);
+          w.run(core::make_elect_protocol(), config);
+        }
+      } catch (const CheckError&) {
+        // A fault-stop: both checkers saw the same events up to it.
+      }
+      const trace::InvariantReport live = streamed.finish();
+      const trace::InvariantReport post =
+          trace::check_trace(recorded.events(), spec);
+      EXPECT_TRUE(live == post) << "streamed " << live.to_string()
+                                << ", post-pass " << post.to_string();
+      EXPECT_EQ(post.events_checked, recorded.events().size());
+      if (!post.ok()) ++with_violations;
+    }
+  }
+  // Wormholes break locality, so some reports carry violations to compare.
+  EXPECT_GT(with_violations, 0u);
 }
 
 // ---- replay-under-faults (the satellite determinism suite) --------------

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "qelect/campaign/workloads.hpp"
 #include "qelect/graph/families.hpp"
@@ -85,6 +87,31 @@ TEST(Graph, FromExplicitEdgesRejectsPortGaps) {
   EXPECT_THROW(Graph::from_explicit_edges(
                    2, {Edge{0, 1, 1, 0}}),
                CheckError);
+}
+
+TEST(Graph, FromExplicitEdgesNamesEachRejection) {
+  const auto error_of = [](std::size_t n, const std::vector<Edge>& edges) {
+    try {
+      Graph::from_explicit_edges(n, edges);
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto names = [](const std::string& error, const char* what) {
+    return error.find(what) != std::string::npos;
+  };
+  EXPECT_PRED2(names, error_of(2, {Edge{0, 0, 2, 0}}),
+               "from_explicit_edges: endpoint out of range");
+  // Port 0 of node 0 twice.
+  EXPECT_PRED2(names, error_of(3, {Edge{0, 0, 1, 0}, Edge{0, 0, 2, 0}}),
+               "from_explicit_edges: duplicate port assignment");
+  // A loop holds ports 0 and 1 of node 0; the second edge claims port 1.
+  EXPECT_PRED2(names, error_of(2, {Edge{0, 0, 0, 1}, Edge{0, 1, 1, 0}}),
+               "from_explicit_edges: duplicate port assignment");
+  // Node 0 uses port 1 but never port 0.
+  EXPECT_PRED2(names, error_of(2, {Edge{0, 1, 1, 0}}),
+               "from_explicit_edges: port gap at a node");
 }
 
 TEST(Graph, PermutePortsPreservesTopology) {

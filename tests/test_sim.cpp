@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "qelect/campaign/world_pool.hpp"
+#include "qelect/core/elect.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/sim/behavior.hpp"
 #include "qelect/sim/color.hpp"
+#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/replay.hpp"
 #include "qelect/sim/scheduler.hpp"
 #include "qelect/sim/whiteboard.hpp"
@@ -258,6 +263,90 @@ TEST(World, ProtocolExceptionPropagates) {
                    },
                    RunConfig{}),
                CheckError);
+}
+
+// A check that trips three Task levels below the root.  `after` counts
+// parent code that ran past its co_await, `caught` the catch handlers
+// around one: a failure escapes to the World in one throw, so neither
+// ever runs.
+struct NestedProbe {
+  int after = 0;
+  int caught = 0;
+};
+
+Task<int> nested_level3(AgentCtx& ctx) {
+  co_await ctx.yield();
+  QELECT_CHECK(ctx.degree() == 0, "nested protocol check");
+  co_return 3;
+}
+Task<int> nested_level2(AgentCtx& ctx, NestedProbe& probe) {
+  const int level = co_await nested_level3(ctx);
+  ++probe.after;
+  co_return level;
+}
+Task<void> nested_level1(AgentCtx& ctx, NestedProbe& probe) {
+  try {
+    co_await nested_level2(ctx, probe);
+  } catch (...) {
+    ++probe.caught;
+  }
+  ++probe.after;
+}
+Behavior nested_check_protocol(AgentCtx& ctx, NestedProbe& probe) {
+  co_await ctx.move(0);
+  co_await nested_level1(ctx, probe);
+  ++probe.after;
+  ctx.declare_leader();
+}
+
+template <typename W>
+std::string nested_check_error(W& world, NestedProbe& probe) {
+  try {
+    world.run(
+        [&probe](AgentCtx& ctx) { return nested_check_protocol(ctx, probe); },
+        RunConfig{});
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(World, NestedCheckFailureEscapesTheRunInOneThrow) {
+  const graph::Graph g = graph::ring(4);
+  NestedProbe in_world;
+  World w(g, graph::Placement(4, {0}), 3);
+  const std::string world_error = nested_check_error(w, in_world);
+  NestedProbe in_messages;
+  MessageWorld m(g, graph::Placement(4, {0}), 3);
+  const std::string message_error = nested_check_error(m, in_messages);
+
+  EXPECT_NE(world_error.find("nested protocol check"), std::string::npos)
+      << world_error;
+  EXPECT_EQ(world_error, message_error);
+  for (const NestedProbe& probe : {in_world, in_messages}) {
+    EXPECT_EQ(probe.after, 0);
+    EXPECT_EQ(probe.caught, 0);
+  }
+}
+
+TEST(World, PooledWorldRunsCleanAfterANestedThrow) {
+  const graph::Graph g = graph::ring(6);
+  const std::vector<graph::NodeId> bases{0, 2};
+  campaign::WorldPool pool;
+  World& pooled = pool.acquire("ring(6)", g, bases, 11, false);
+  NestedProbe probe;
+  EXPECT_NE(nested_check_error(pooled, probe), "");
+
+  World& again = pool.acquire("ring(6)", g, bases, 11, false);
+  ASSERT_EQ(&again, &pooled);
+  World fresh(g, graph::Placement(6, bases), 11);
+  const Protocol elect = core::make_elect_protocol();
+  const RunResult reused = again.run(elect, RunConfig{});
+  const RunResult expected = fresh.run(elect, RunConfig{});
+  EXPECT_TRUE(reused.completed);
+  EXPECT_EQ(reused.steps, expected.steps);
+  EXPECT_EQ(reused.total_moves, expected.total_moves);
+  EXPECT_EQ(reused.agents, expected.agents);
 }
 
 TEST(World, SchedulerPoliciesAllComplete) {

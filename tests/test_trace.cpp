@@ -390,5 +390,61 @@ TEST(Invariants, RingWindowChecksWithoutHomeBases) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(Invariants, RingWindowStreamsLikeThePostPass) {
+  // The checker fed a window event by event, with complete_trace = false,
+  // reports what check_trace reports on the same window.  Two appended
+  // events (a repeated step, then a port node 0's ring degree lacks) make
+  // the report carry violations to compare.
+  const graph::Graph g = graph::ring(8);
+  sim::World w(g, graph::Placement(8, {0, 4}), 5);
+  trace::RingSink sink(32);
+  RunConfig cfg;
+  cfg.sink = &sink;
+  ASSERT_TRUE(w.run(core::make_elect_protocol(), cfg).completed);
+  std::vector<trace::TraceEvent> window = sink.snapshot();
+  ASSERT_EQ(window.size(), 32u);
+  trace::TraceEvent repeated = window.back();
+  window.push_back(repeated);
+  window.push_back({repeated.step + 1, repeated.agent,
+                    trace::TraceEvent::Kind::Move, 1, 7});
+  trace::InvariantSpec spec;
+  spec.graph = &g;
+  spec.home_bases = {0, 4};
+  trace::InvariantChecker checker(spec, /*complete_trace=*/false);
+  for (const trace::TraceEvent& e : window) checker.on_event(e);
+  const trace::InvariantReport streamed = checker.finish();
+  const trace::InvariantReport post =
+      trace::check_trace(window, spec, /*complete_trace=*/false);
+  EXPECT_TRUE(streamed == post)
+      << streamed.to_string() << " vs " << post.to_string();
+  EXPECT_EQ(post.events_checked, window.size());
+  EXPECT_EQ(post.violations.size(), 2u) << post.to_string();
+}
+
+TEST(Invariants, CheckerReusedAcrossRunsStartsFreshAtBeginRun) {
+  const graph::Graph g = graph::hypercube(3);
+  const graph::Placement p(8, {0, 3, 5});
+  trace::InvariantSpec spec;
+  spec.graph = &g;
+  spec.home_bases = p.home_bases();
+  spec.theorem31_factor = 16.0;
+  trace::InvariantChecker checker(spec);
+  // Left over from a run that ended without finish(): a bad port.
+  checker.on_event({0, 0, trace::TraceEvent::Kind::Move, 1, 9});
+  sim::World w(g, p, 23);
+  for (const std::uint64_t seed : {1, 2}) {
+    trace::VectorSink recorded;
+    trace::TeeSink tee({&recorded, &checker});
+    RunConfig cfg;
+    cfg.seed = seed;
+    cfg.sink = &tee;
+    const sim::RunResult r = w.run(core::make_elect_protocol(), cfg);
+    const trace::InvariantReport streamed = checker.finish();
+    EXPECT_TRUE(streamed.ok()) << streamed.to_string();
+    EXPECT_EQ(streamed.events_checked, r.steps);
+    EXPECT_TRUE(streamed == trace::check_trace(recorded.events(), spec));
+  }
+}
+
 }  // namespace
 }  // namespace qelect

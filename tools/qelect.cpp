@@ -14,7 +14,8 @@
 // spec comes from (resume reads it back out of the store header).  A
 // failed or timed-out record is terminal unless the run's retries
 // (--retries, else the spec's) is larger than the budget it ran under, so
-// raising --retries re-runs exactly those.
+// raising --retries re-runs exactly those.  run and resume exit 1 while
+// the store holds such a record, run by this invocation or skipped.
 // Stores are binary WAL files (see docs/STORAGE.md), and every command
 // that takes a store refuses any other file; `export` writes a store as
 // JSONL text in task order.
@@ -106,17 +107,19 @@ int run_with(const CampaignSpec& spec, EngineFlags flags) {
   const auto result = campaign::run_campaign(spec, flags.store,
                                              flags.options);
   std::printf(
-      "%s: %zu tasks, %zu skipped (already done), %zu executed "
+      "%s: %zu tasks, %zu skipped (already done, %zu not ok), %zu executed "
       "(%zu ok, %zu failed, %zu timeout, %zu retries) in %.2fs%s\n",
       result.complete() ? "done" : "stopped", result.total, result.skipped,
-      result.executed, result.ok, result.failed, result.timeout,
-      result.retried, result.wall_seconds,
+      result.skipped_not_ok, result.executed, result.ok, result.failed,
+      result.timeout, result.retried, result.wall_seconds,
       result.stopped_early ? " [stopped early by --stop-after]" : "");
   if (result.complete()) {
     std::printf("\n");
     campaign::print_report(flags.store);
   }
-  return result.failed + result.timeout > 0 ? 1 : 0;
+  // Failures left in the store fail the command, whether this run
+  // executed them or skipped them.
+  return result.failed + result.timeout + result.skipped_not_ok > 0 ? 1 : 0;
 }
 
 int cmd_run(int argc, char** argv) {
