@@ -15,7 +15,6 @@
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/elect.hpp"
 #include "qelect/graph/families.hpp"
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/replay.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/counting_sink.hpp"
@@ -80,18 +79,16 @@ int main() {
   TextTable models("mobile vs message-passing (Figure 1), random scheduler",
                    {"instance", "model", "moves", "peak in-transit"});
   for (const Inst& inst : insts) {
-    {
-      sim::World w(inst.g, inst.p, 5);
-      const auto r = w.run(core::make_elect_protocol(), {});
-      models.add_row({inst.name, "mobile", std::to_string(r.total_moves),
-                      "-"});
-    }
-    {
-      sim::MessageWorld w(inst.g, inst.p, 5);
-      const auto r = w.run(core::make_elect_protocol(), {});
-      models.add_row({inst.name, "message", std::to_string(r.total_moves),
-                      std::to_string(r.max_in_transit)});
-    }
+    sim::World w(inst.g, inst.p, 5);
+    sim::RunConfig config;
+    const auto mobile = w.run(core::make_elect_protocol(), config);
+    models.add_row({inst.name, "mobile", std::to_string(mobile.total_moves),
+                    "-"});
+    config.message_passing = true;
+    const auto message = w.run(core::make_elect_protocol(), config);
+    models.add_row({inst.name, "message",
+                    std::to_string(message.total_moves),
+                    std::to_string(message.max_in_transit)});
   }
   models.print();
 

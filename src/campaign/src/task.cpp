@@ -251,9 +251,21 @@ TaskSpace::TaskSpace(const CampaignSpec& spec)
       max_steps_(spec.max_steps),
       labeling_budget_(spec.labeling_budget) {
   QELECT_CHECK(!spec.name.empty(), "campaign spec: name must be non-empty");
+  QELECT_CHECK(spec.workload == "table1" || spec.workload == "analyze" ||
+                   spec.workload == "elect" ||
+                   spec.workload == "quantitative" ||
+                   spec.workload == "moves" ||
+                   spec.workload == "degradation",
+               "campaign spec: unknown workload '" + spec.workload + "'");
+  // Only the workloads that run the simulator with the plan attached take
+  // a faults axis; on any other, every fault point would record its
+  // fault-free twin's metrics.
+  QELECT_CHECK(spec.faults.empty() || spec.workload == "elect" ||
+                   spec.workload == "moves" ||
+                   spec.workload == "degradation",
+               "campaign spec: the " + spec.workload +
+                   " workload has no faults axis");
   if (spec.workload == "table1") {
-    QELECT_CHECK(spec.faults.empty(),
-                 "campaign spec: the table1 workload has no faults axis");
     cells_ = true;
     // Cell computations that are one task each.  Graph/placement fields
     // name the witness instance so the key stays self-describing.
@@ -273,11 +285,6 @@ TaskSpace::TaskSpace(const CampaignSpec& spec)
                    inst.home_bases, 11);
     }
   } else {
-    QELECT_CHECK(spec.workload == "analyze" || spec.workload == "elect" ||
-                     spec.workload == "quantitative" ||
-                     spec.workload == "moves" ||
-                     spec.workload == "degradation",
-                 "campaign spec: unknown workload '" + spec.workload + "'");
     QELECT_CHECK(spec.workload != "degradation" || !spec.faults.empty(),
                  "campaign spec: the degradation workload needs a non-empty "
                  "faults axis (add a zero-rate point for the control row)");

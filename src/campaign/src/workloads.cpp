@@ -11,7 +11,6 @@
 #include "qelect/fault/diagnosis.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/graph/placement.hpp"
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/invariants.hpp"
 #include "qelect/util/assert.hpp"
@@ -40,6 +39,16 @@ fault::FaultPlan derived_faults(const TaskSpec& task) {
   fault::FaultPlan plan = task.faults;
   plan.fault_seed = hash_combine(plan.fault_seed, util::fnv1a64(task.key));
   return plan;
+}
+
+/// Attaches `plan` to `config` when any of its axes is live.  A live
+/// message axis selects the Figure 1 message-passing reading, the only one
+/// with links to be lossy on; every other plan runs the mobile reading.
+/// The caller keeps `plan` alive for the run.
+void attach_faults(const fault::FaultPlan& plan, sim::RunConfig& config) {
+  if (!plan.enabled()) return;
+  config.faults = &plan;
+  config.message_passing = plan.message_enabled();
 }
 
 std::size_t max_degree_of(const graph::Graph& g) {
@@ -99,7 +108,7 @@ Metrics run_elect(const TaskSpec& task, const CancelToken& cancel) {
   cancel.throw_if_cancelled();
   sim::RunConfig config = run_config(task);
   const fault::FaultPlan fault_plan = derived_faults(task);
-  if (fault_plan.enabled()) config.faults = &fault_plan;
+  attach_faults(fault_plan, config);
   const auto r = w.run(core::make_elect_protocol(), config);
   const bool matches = r.completed &&
                        r.clean_election() == (plan.final_gcd == 1) &&
@@ -129,7 +138,7 @@ Metrics run_moves(const TaskSpec& task, const CancelToken& cancel) {
   const graph::Placement& p = w.placement();
   sim::RunConfig config = run_config(task);
   const fault::FaultPlan fault_plan = derived_faults(task);
-  if (fault_plan.enabled()) config.faults = &fault_plan;
+  attach_faults(fault_plan, config);
   const auto r = w.run(core::make_elect_protocol(), config);
   const std::uint64_t budget = core::theorem31_move_budget(g, p);
   return {{"n", static_cast<double>(g.node_count())},
@@ -147,10 +156,8 @@ Metrics run_moves(const TaskSpec& task, const CancelToken& cancel) {
 // One degradation cell: run ELECT with the task's FaultPlan live, check
 // the run's trace with the invariant checkers as it streams, and join the
 // first violation against the fault log (which axis fired before the
-// model broke).  (G, p) come from the pooled mobile-agent World, which
-// runs every point but the message-axis ones: those run the Figure 1
-// message-passing reading (the only world with links to be lossy on),
-// built from the same instance.
+// model broke).  The pooled World runs every point; message-axis points
+// run in the Figure 1 message-passing reading (see attach_faults).
 Metrics run_degradation(const TaskSpec& task, const CancelToken& cancel) {
   cancel.throw_if_cancelled();
   sim::World& w = WorldPool::local().acquire(task, /*quantitative=*/false);
@@ -161,7 +168,7 @@ Metrics run_degradation(const TaskSpec& task, const CancelToken& cancel) {
 
   sim::RunConfig config = run_config(task);
   const fault::FaultPlan fault_plan = derived_faults(task);
-  if (fault_plan.enabled()) config.faults = &fault_plan;
+  attach_faults(fault_plan, config);
   trace::InvariantSpec inv;
   inv.graph = &g;
   inv.home_bases = task.home_bases;
@@ -173,13 +180,7 @@ Metrics run_degradation(const TaskSpec& task, const CancelToken& cancel) {
   trace::InvariantChecker checker(std::move(inv));
   config.sink = &checker;
 
-  sim::RunResult r;
-  if (fault_plan.message_enabled()) {
-    sim::MessageWorld mw(g, p, task.color_seed);
-    r = mw.run(core::make_elect_protocol(), config);
-  } else {
-    r = w.run(core::make_elect_protocol(), config);
-  }
+  const sim::RunResult r = w.run(core::make_elect_protocol(), config);
 
   // "Correct" is the fault-tolerant oracle match: gcd-1 instances must
   // elect among the survivors, obstructed instances must have every

@@ -10,13 +10,15 @@
 // and replayable through SchedulerPolicy::Replay (see docs/FAULTS.md).
 //
 //   * Crash axis   -- crash-stop agents: an agent may halt forever at any
-//                     of its scheduled steps (and, in MessageWorld, a
-//                     message may be lost in transit, which is a crash of
-//                     the carried agent).
+//                     of its scheduled compute steps (a message lost in
+//                     transit, a crash of the carried agent, belongs to
+//                     the message axis).
 //   * Board axis   -- whiteboard corruption: after an atomic access, a
 //                     uniformly random sign on that board may be lost or
 //                     duplicated.
-//   * Message axis -- MessageWorld link faults: loss (the sent agent never
+//   * Message axis -- link faults of the Figure 1 message-passing reading
+//                     (sim::RunConfig::message_passing, which a live
+//                     message axis requires): loss (the sent agent never
 //                     arrives), duplication (a second copy is delivered
 //                     and absorbed), delay (a scheduled delivery stalls,
 //                     realizing adversarial reordering).
@@ -64,8 +66,9 @@ struct FaultPlan {
   double sign_loss_rate = 0;
   double sign_dup_rate = 0;
 
-  // Message axis (MessageWorld only): drawn at send (loss), at delivery
-  // (duplication), and at every scheduled delivery attempt (delay).
+  // Message axis (message-passing runs only): drawn at send (loss), at
+  // delivery (duplication), and at every scheduled delivery attempt
+  // (delay).
   double msg_loss_rate = 0;
   double msg_dup_rate = 0;
   double msg_delay_rate = 0;
@@ -84,7 +87,7 @@ struct FaultPlan {
     return edge_cut_rate > 0 || edge_wormhole_rate > 0;
   }
 
-  /// True when any axis can fire.  The simulators dispatch on this: a
+  /// True when any axis can fire.  The simulator dispatches on this: a
   /// disabled plan takes the exact fault-free code path.
   bool enabled() const {
     return crash_enabled() || board_enabled() || message_enabled() ||

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "qelect/util/assert.hpp"
+
 namespace qelect::graph {
 
 using NodeId = std::uint32_t;
@@ -74,10 +76,18 @@ class Graph {
   std::size_t node_count() const { return adjacency_.size(); }
   std::size_t edge_count() const { return edges_.size(); }
 
-  std::size_t degree(NodeId x) const;
+  // Inline: the simulator and the trace checkers call these on every step.
+  std::size_t degree(NodeId x) const {
+    QELECT_CHECK(x < adjacency_.size(), "degree: node out of range");
+    return adjacency_[x].size();
+  }
 
   /// The far side of port `p` of node `x`.
-  const HalfEdge& peer(NodeId x, PortId p) const;
+  const HalfEdge& peer(NodeId x, PortId p) const {
+    QELECT_CHECK(x < adjacency_.size(), "peer: node out of range");
+    QELECT_CHECK(p < adjacency_[x].size(), "peer: port out of range");
+    return adjacency_[x][p];
+  }
 
   const Edge& edge(EdgeId e) const;
   const std::vector<Edge>& edges() const { return edges_; }

@@ -71,17 +71,6 @@ EdgeId Graph::add_edge(NodeId u, NodeId v) {
   return id;
 }
 
-std::size_t Graph::degree(NodeId x) const {
-  QELECT_CHECK(x < adjacency_.size(), "degree: node out of range");
-  return adjacency_[x].size();
-}
-
-const HalfEdge& Graph::peer(NodeId x, PortId p) const {
-  QELECT_CHECK(x < adjacency_.size(), "peer: node out of range");
-  QELECT_CHECK(p < adjacency_[x].size(), "peer: port out of range");
-  return adjacency_[x][p];
-}
-
 const Edge& Graph::edge(EdgeId e) const {
   QELECT_CHECK(e < edges_.size(), "edge id out of range");
   return edges_[e];

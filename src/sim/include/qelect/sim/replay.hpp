@@ -12,7 +12,6 @@
 
 #include <string>
 
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/schedule.hpp"
 
@@ -24,26 +23,16 @@ struct RecordedRun {
   trace::Schedule schedule;
 };
 
-struct RecordedMessageRun {
-  MessageRunResult result;
-  trace::Schedule schedule;
-};
-
 /// Runs `protocol` under `config` while recording the schedule.  Any sink
 /// already present in `config` still receives the event stream (the
 /// recorder is tee'd in front of it).
 RecordedRun record_run(World& world, const Protocol& protocol,
                        RunConfig config);
-RecordedMessageRun record_run(MessageWorld& world, const Protocol& protocol,
-                              RunConfig config);
 
-/// Field-for-field comparison of two run results; returns the empty string
-/// when identical, otherwise a description of the first divergence.  The
-/// deprecated `events` buffers are ignored (they depend on observer
-/// configuration, not on the execution).
+/// Field-for-field comparison of two run results (flags, totals, fault
+/// log, message counters, per-agent reports); returns the empty string
+/// when identical, otherwise a description of the first divergence.
 std::string compare_run_results(const RunResult& a, const RunResult& b);
-std::string compare_run_results(const MessageRunResult& a,
-                                const MessageRunResult& b);
 
 /// Outcome of a replay verification.
 struct ReplayVerification {
@@ -56,10 +45,6 @@ struct ReplayVerification {
 /// configuration; its policy/replay/sink fields are overridden.
 ReplayVerification verify_replay(World& world, const Protocol& protocol,
                                  RunConfig config, const RunResult& expected,
-                                 const trace::Schedule& schedule);
-ReplayVerification verify_replay(MessageWorld& world, const Protocol& protocol,
-                                 RunConfig config,
-                                 const MessageRunResult& expected,
                                  const trace::Schedule& schedule);
 
 }  // namespace qelect::sim

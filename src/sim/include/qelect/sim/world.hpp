@@ -1,6 +1,8 @@
-// The mobile-agent world: anonymous network + whiteboards + scheduler.
+// The simulation arena: anonymous network + whiteboards + scheduler.
 //
-// World hosts one run of a protocol on (G, p).  Faithfulness to Section 1.2:
+// World hosts one run of a protocol on (G, p), in the mobile-agent reading
+// or, with RunConfig::message_passing, in Figure 1's message-passing one.
+// Faithfulness to Section 1.2:
 //
 //   * nodes are anonymous -- AgentCtx never exposes a node identity; an
 //     agent observes only its color, the local degree, the port it entered
@@ -107,7 +109,6 @@ class AgentCtx {
 
  private:
   friend class World;
-  friend class MessageWorld;
   Color color_;
   std::optional<std::int64_t> quant_id_;
   graph::NodeId position_ = 0;
@@ -170,6 +171,34 @@ struct RunConfig {
   const fault::FaultPlan* faults = nullptr;
   /// Free-text instance label copied into trace::RunMetadata::label.
   std::string trace_label;
+
+  /// The Figure 1 transformation: mobile agents as messages in an
+  /// anonymous processor network.
+  ///
+  /// Theorem 2.1's proof converts any mobile-agent protocol into a
+  /// distributed protocol for the same anonymous network: a processor's
+  /// memory is its whiteboard, a *message* is an agent (program + memory),
+  /// and "the agent moves through port i" becomes "send the message
+  /// through port i".  When set, the run executes exactly this reading:
+  ///
+  ///   * an agent is either AT a processor (computing against the local
+  ///     whiteboard) or IN TRANSIT on a link (a message);
+  ///   * a move suspends the agent into the link (a Send event); a
+  ///     separate, adversarially scheduled *delivery* step (Deliver) makes
+  ///     it arrive -- so unlike the mobile reading, where a move is one
+  ///     atomic step, transit has unpredictable duration and the network
+  ///     state can change arbitrarily while an agent is nowhere;
+  ///   * everything else (whiteboard atomicity, anonymity, color opacity)
+  ///     is identical to the mobile reading.
+  ///
+  /// The protocols proven correct in the mobile model must remain correct
+  /// here -- that is the content of the transformation -- and the test
+  /// suite runs ELECT, gathering, the quantitative baseline, and the
+  /// Petersen protocol in this reading to confirm it.  The scheduler picks
+  /// among enabled compute steps *and* pending deliveries; Lockstep
+  /// delivers and steps everything once per round.  Only this reading has
+  /// links, so a FaultPlan whose message axis is live requires it.
+  bool message_passing = false;
 };
 
 /// Per-agent outcome of a run.
@@ -199,6 +228,12 @@ struct RunResult {
   /// fault::kMaxLoggedFaultEvents).
   fault::FaultSummary fault_summary;
   std::vector<fault::FaultEvent> fault_events;
+
+  /// Message-passing runs only (zero in the mobile reading): deliveries
+  /// (the agents' total moves, plus one per duplicate the message axis
+  /// injected) and the peak number of agents in flight at once.
+  std::size_t messages_delivered = 0;
+  std::size_t max_in_transit = 0;
 
   /// Number of agents that finished as Leader.
   std::size_t leader_count() const;
@@ -231,21 +266,19 @@ class World {
   const graph::Placement& placement() const { return placement_; }
   const std::vector<Color>& agent_colors() const { return colors_; }
 
-  /// Runs `protocol` for every agent under `config`.  Resets whiteboards
-  /// and agent state first, so a World can be run multiple times; buffers
-  /// (boards, contexts, scheduler state) are reused across runs, never
-  /// reallocated.
+  /// Runs `protocol` for every agent under `config`, in the reading
+  /// `config.message_passing` selects.  Resets whiteboards and agent state
+  /// first, so a World can be run multiple times, in either reading;
+  /// buffers (boards, contexts, scheduler state) are reused across runs,
+  /// never reallocated.  Throws CheckError when `config.faults` has a live
+  /// message axis and `config.message_passing` is false.
   RunResult run(const Protocol& protocol, const RunConfig& config);
 
   /// Drops all per-run state (signs, coroutine frames) while keeping every
-  /// allocated buffer.  run() does this implicitly; calling it explicitly
-  /// just releases protocol resources early (e.g. before pooling).
-  void reset();
-
-  /// Re-mints agent colors (and quantitative labels) from `color_seed`,
-  /// then reset().  A no-op label-wise when the seed is unchanged.  This
-  /// is how campaign::WorldPool retargets a cached World at a new task:
-  /// observationally identical to constructing World(g, p, color_seed).
+  /// allocated buffer, and re-mints agent colors (and quantitative labels)
+  /// from `color_seed` when it changed.  This is how campaign::WorldPool
+  /// retargets a cached World at a new task: observationally identical to
+  /// constructing World(g, p, color_seed).
   void reset(std::uint64_t color_seed);
 
   std::uint64_t color_seed() const { return color_seed_; }
@@ -259,7 +292,7 @@ class World {
 
   void mint_labels();
 
-  template <bool kTraced, bool kFaulted>
+  template <bool kMessages, bool kTraced, bool kFaulted>
   RunResult run_impl(const Protocol& protocol, const RunConfig& config);
 
   graph::Graph graph_;
@@ -282,6 +315,8 @@ class World {
     std::vector<std::uint8_t> wait_sat;  // cached predicate value while parked
     std::vector<std::vector<std::uint32_t>> waiters;  // per node
     std::vector<std::uint8_t> crashed;   // faulted runs only
+    std::vector<std::uint8_t> in_flight;   // message runs: agent on a link
+    std::vector<graph::HalfEdge> arrival;  // far side it will arrive at
   };
   Scratch scratch_;
 };

@@ -21,8 +21,9 @@ const char* status_name(AgentStatus status) {
   return "?";
 }
 
-template <typename Result>
-std::string compare_base(const Result& a, const Result& b) {
+}  // namespace
+
+std::string compare_run_results(const RunResult& a, const RunResult& b) {
   if (a.completed != b.completed) return "completed flag differs";
   if (a.deadlock != b.deadlock) return "deadlock flag differs";
   if (a.step_limit != b.step_limit) return "step_limit flag differs";
@@ -41,6 +42,15 @@ std::string compare_base(const Result& a, const Result& b) {
   }
   if (!(a.fault_summary == b.fault_summary)) return "fault summary differs";
   if (a.fault_events != b.fault_events) return "fault event logs differ";
+  if (a.messages_delivered != b.messages_delivered) {
+    return "messages_delivered differ: " +
+           std::to_string(a.messages_delivered) + " vs " +
+           std::to_string(b.messages_delivered);
+  }
+  if (a.max_in_transit != b.max_in_transit) {
+    return "max_in_transit differs: " + std::to_string(a.max_in_transit) +
+           " vs " + std::to_string(b.max_in_transit);
+  }
   if (a.agents.size() != b.agents.size()) return "agent counts differ";
   for (std::size_t i = 0; i < a.agents.size(); ++i) {
     const AgentReport& x = a.agents[i];
@@ -72,9 +82,8 @@ std::string compare_base(const Result& a, const Result& b) {
   return "";
 }
 
-template <typename WorldT, typename Recorded>
-Recorded record_impl(WorldT& world, const Protocol& protocol,
-                     RunConfig config) {
+RecordedRun record_run(World& world, const Protocol& protocol,
+                       RunConfig config) {
   trace::ScheduleRecorder recorder;
   trace::TeeSink tee;
   if (config.sink != nullptr) {
@@ -84,70 +93,23 @@ Recorded record_impl(WorldT& world, const Protocol& protocol,
   } else {
     config.sink = &recorder;
   }
-  Recorded recorded;
+  RecordedRun recorded;
   recorded.result = world.run(protocol, config);
   recorded.schedule = recorder.take();
   return recorded;
 }
 
-template <typename WorldT, typename Result>
-ReplayVerification verify_impl(WorldT& world, const Protocol& protocol,
-                               RunConfig config, const Result& expected,
-                               const trace::Schedule& schedule) {
+ReplayVerification verify_replay(World& world, const Protocol& protocol,
+                                 RunConfig config, const RunResult& expected,
+                                 const trace::Schedule& schedule) {
   config.policy = SchedulerPolicy::Replay;
   config.replay = &schedule;
   config.sink = nullptr;
-  const Result replayed = world.run(protocol, config);
+  const RunResult replayed = world.run(protocol, config);
   ReplayVerification verification;
   verification.divergence = compare_run_results(expected, replayed);
   verification.identical = verification.divergence.empty();
   return verification;
-}
-
-}  // namespace
-
-RecordedRun record_run(World& world, const Protocol& protocol,
-                       RunConfig config) {
-  return record_impl<World, RecordedRun>(world, protocol, std::move(config));
-}
-
-RecordedMessageRun record_run(MessageWorld& world, const Protocol& protocol,
-                              RunConfig config) {
-  return record_impl<MessageWorld, RecordedMessageRun>(world, protocol,
-                                                       std::move(config));
-}
-
-std::string compare_run_results(const RunResult& a, const RunResult& b) {
-  return compare_base(a, b);
-}
-
-std::string compare_run_results(const MessageRunResult& a,
-                                const MessageRunResult& b) {
-  std::string base = compare_base(a, b);
-  if (!base.empty()) return base;
-  if (a.messages_delivered != b.messages_delivered) {
-    return "messages_delivered differ: " +
-           std::to_string(a.messages_delivered) + " vs " +
-           std::to_string(b.messages_delivered);
-  }
-  if (a.max_in_transit != b.max_in_transit) {
-    return "max_in_transit differs: " + std::to_string(a.max_in_transit) +
-           " vs " + std::to_string(b.max_in_transit);
-  }
-  return "";
-}
-
-ReplayVerification verify_replay(World& world, const Protocol& protocol,
-                                 RunConfig config, const RunResult& expected,
-                                 const trace::Schedule& schedule) {
-  return verify_impl(world, protocol, std::move(config), expected, schedule);
-}
-
-ReplayVerification verify_replay(MessageWorld& world, const Protocol& protocol,
-                                 RunConfig config,
-                                 const MessageRunResult& expected,
-                                 const trace::Schedule& schedule) {
-  return verify_impl(world, protocol, std::move(config), expected, schedule);
 }
 
 }  // namespace qelect::sim

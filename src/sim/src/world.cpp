@@ -1,12 +1,12 @@
 #include "qelect/sim/world.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "qelect/sim/scheduler.hpp"
 #include "qelect/trace/sink.hpp"
 #include "qelect/util/assert.hpp"
 #include "qelect/util/rng.hpp"
-#include "trace_support.hpp"
 
 namespace qelect::sim {
 
@@ -26,7 +26,23 @@ const char* policy_name(SchedulerPolicy policy) {
   return "?";
 }
 
-namespace detail {
+namespace {
+
+/// Stand-in injector for the non-faulted run_impl instantiations: every
+/// reference to it sits under `if constexpr (kFaulted)`, so the discarded
+/// branches are never instantiated and the fault-free path constructs
+/// nothing at all (the real injector's plan copy + log vector are small
+/// but measurable on microsecond-scale runs).
+struct NoInjector {};
+
+template <bool kFaulted>
+auto make_injector(const fault::FaultPlan* plan) {
+  if constexpr (kFaulted) {
+    return fault::FaultInjector(plan);
+  } else {
+    return NoInjector{};
+  }
+}
 
 trace::RunMetadata make_run_metadata(const RunConfig& config,
                                      const graph::Graph& graph,
@@ -56,7 +72,7 @@ trace::RunSummary make_run_summary(const RunResult& result) {
   return summary;
 }
 
-}  // namespace detail
+}  // namespace
 
 std::size_t AgentCtx::degree() const {
   QELECT_ASSERT(graph_ != nullptr);
@@ -180,15 +196,11 @@ void World::mint_labels() {
   }
 }
 
-void World::reset() {
+void World::reset(std::uint64_t color_seed) {
   // Coroutine frames hold references into contexts; drop them first.
   scratch_.behaviors.clear();
   scratch_.contexts.clear();
   for (Whiteboard& b : boards_) b.clear();
-}
-
-void World::reset(std::uint64_t color_seed) {
-  reset();
   if (color_seed != color_seed_) {
     color_seed_ = color_seed;
     mint_labels();
@@ -201,20 +213,31 @@ const Whiteboard& World::board_at(graph::NodeId node) const {
 }
 
 RunResult World::run(const Protocol& protocol, const RunConfig& config) {
-  // The untraced path is the campaign hot loop: compiling it separately
-  // removes every sink branch from the per-step code.  Likewise for
-  // faults: only a plan with a live axis selects the hooked instantiation,
+  // The untraced mobile path is the campaign hot loop: compiling each
+  // (reading, sink, faults) combination separately removes every
+  // message, sink and fault branch from the per-step code it does not
+  // need.  Only a plan with a live axis selects a hooked instantiation,
   // so a null or all-zero plan runs byte-identical fault-free code.
   const bool faulted = config.faults != nullptr && config.faults->enabled();
-  if (config.sink != nullptr) {
-    return faulted ? run_impl<true, true>(protocol, config)
-                   : run_impl<true, false>(protocol, config);
-  }
-  return faulted ? run_impl<false, true>(protocol, config)
-                 : run_impl<false, false>(protocol, config);
+  QELECT_CHECK(!faulted || config.message_passing ||
+                   !config.faults->message_enabled(),
+               "World::run: a message-axis fault plan needs "
+               "RunConfig::message_passing (the mobile reading has no "
+               "links to fault)");
+  const auto dispatch = [&](auto messages) {
+    constexpr bool kMessages = decltype(messages)::value;
+    if (config.sink != nullptr) {
+      return faulted ? run_impl<kMessages, true, true>(protocol, config)
+                     : run_impl<kMessages, true, false>(protocol, config);
+    }
+    return faulted ? run_impl<kMessages, false, true>(protocol, config)
+                   : run_impl<kMessages, false, false>(protocol, config);
+  };
+  return config.message_passing ? dispatch(std::true_type{})
+                                : dispatch(std::false_type{});
 }
 
-template <bool kTraced, bool kFaulted>
+template <bool kMessages, bool kTraced, bool kFaulted>
 RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
   const std::size_t r = placement_.agent_count();
   const std::size_t n = graph_.node_count();
@@ -227,7 +250,7 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
   trace::TraceSink* const sink = config.sink;
   if constexpr (kTraced) {
     sink->begin_run(
-        detail::make_run_metadata(config, graph_, placement_, quantitative_));
+        make_run_metadata(config, graph_, placement_, quantitative_));
   }
 
   // Mark every home-base with its owner's colored sign (Section 1.2); in
@@ -257,12 +280,23 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
                  "protocol returned an empty Behavior");
   }
 
+  // Message runs: the transit state per agent, the half-edge the message
+  // is traversing or none.  An in-transit agent's only enabled step is
+  // its delivery.
+  std::vector<std::uint8_t>& in_flight = scratch_.in_flight;
+  std::vector<graph::HalfEdge>& arrival = scratch_.arrival;
+  std::size_t in_flight_count = 0;
+  if constexpr (kMessages) {
+    in_flight.assign(r, 0);
+    arrival.assign(r, graph::HalfEdge{});
+  }
+
   Scheduler scheduler(config, r);
   RunResult result;
 
   // Fault machinery: the injector's Philox streams are keyed off the plan
   // alone, so the roll sequence is independent of scheduling and replay.
-  auto injector = detail::make_injector<kFaulted>(config.faults);
+  auto injector = make_injector<kFaulted>(config.faults);
   if constexpr (kFaulted) scratch_.crashed.assign(r, 0);
 
   // The enabled set is maintained incrementally instead of being rebuilt
@@ -299,6 +333,12 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
     if constexpr (kFaulted) {
       if (scratch_.crashed[i]) {
         enabled_erase(i);
+        return;
+      }
+    }
+    if constexpr (kMessages) {
+      if (in_flight[i]) {  // a message: delivery always enabled
+        enabled_insert(i);
         return;
       }
     }
@@ -356,11 +396,15 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
 
   const auto execute_step = [&](std::size_t i) {
     AgentCtx& ctx = contexts[i];
+    bool in_transit = false;
+    if constexpr (kMessages) in_transit = in_flight[i] != 0;
     // Crash axis: the agent's scheduled step becomes its last.  The step
     // still consumes its scheduler pick and emits exactly one event, so
-    // recorded schedules replay the crash at the same position.
+    // recorded schedules replay the crash at the same position.  Only a
+    // computing agent can crash-stop here; an in-flight agent is a
+    // message, and its loss is the message axis's business.
     if constexpr (kFaulted) {
-      if (injector.roll_crash()) {
+      if (!in_transit && injector.roll_crash()) {
         if (waiting[i]) unpark(i);
         scratch_.crashed[i] = 1;
         ctx.status_ = AgentStatus::Crashed;
@@ -384,42 +428,107 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
     graph::PortId port = trace::kNoPort;
     bool board_mutated = false;
     graph::NodeId mutated_node = 0;
-    if (auto* mv = std::get_if<ActionMove>(&pending)) {
+    // False while the agent is a message on a link: its coroutine
+    // continues only at delivery.
+    bool resume = true;
+    if (in_transit) {
+      if constexpr (kMessages) {
+        bool delivered = true;
+        if constexpr (kFaulted) {
+          if (injector.roll_msg_delay()) {
+            // Adversarial reordering: this delivery attempt stalls; the
+            // message stays on the link and remains deliverable later.
+            delivered = false;
+            kind = TraceEvent::Kind::Stall;
+            injector.record(result.steps, static_cast<std::uint32_t>(i),
+                            fault::FaultKind::MessageDelayed, arrival[i].to);
+          }
+        }
+        if (delivered) {
+          // Delivery: the message (P, M) arrives and the processor
+          // resumes executing P against its whiteboard.
+          in_flight[i] = 0;
+          --in_flight_count;
+          ctx.position_ = arrival[i].to;
+          ctx.entry_port_ = arrival[i].to_port;
+          ++ctx.moves_;
+          ++result.messages_delivered;
+          kind = TraceEvent::Kind::Deliver;
+          port = arrival[i].to_port;
+          if constexpr (kFaulted) {
+            if (injector.roll_msg_dup()) {
+              // A second copy of the message arrives and is absorbed by
+              // the already-arrived agent: it inflates delivery counts
+              // without forking the agent (the model's agents are unique).
+              ++result.messages_delivered;
+              injector.record(result.steps, static_cast<std::uint32_t>(i),
+                              fault::FaultKind::MessageDuplicated,
+                              ctx.position_);
+            }
+          }
+        }
+        resume = delivered;
+      }
+    } else if (auto* mv = std::get_if<ActionMove>(&pending)) {
       QELECT_CHECK(mv->port < graph_.degree(ctx.position_),
                    "agent moved through a nonexistent port");
       port = mv->port;
-      bool traversed = true;
+      bool cut = false;
+      bool wormhole = false;
+      graph::HalfEdge far;
       if constexpr (kFaulted) {
         if (injector.roll_edge_cut()) {
-          // The edge is transiently down: the traversal fails and the
-          // agent stays put (unaware -- it sees the same node again).
-          traversed = false;
+          // The edge is transiently down: the traversal (or send) fails
+          // and the agent stays put, unaware -- it sees the same node
+          // again.
+          cut = true;
           kind = TraceEvent::Kind::MoveCut;
           injector.record(result.steps, static_cast<std::uint32_t>(i),
                           fault::FaultKind::EdgeCut, ctx.position_);
         } else if (injector.roll_edge_wormhole()) {
-          // A transient edge not in G: the agent lands at a uniformly
-          // random node through a uniformly random entry port.  The event
-          // stays Kind::Move so the locality checker flags it; the fault
-          // log then names the wormhole as the violated assumption.
-          traversed = false;
-          const auto dest = static_cast<graph::NodeId>(bounded_draw(
+          // A transient edge not in G: the agent (or message) lands at a
+          // uniformly random node through a uniformly random entry port.
+          // The event stays a move so the locality checker flags it; the
+          // fault log then names the wormhole as the violated assumption.
+          wormhole = true;
+          far.to = static_cast<graph::NodeId>(bounded_draw(
               injector.word(fault::FaultAxis::Edge), graph_.node_count()));
-          ctx.position_ = dest;
-          ctx.entry_port_ = static_cast<graph::PortId>(bounded_draw(
-              injector.word(fault::FaultAxis::Edge), graph_.degree(dest)));
-          ++ctx.moves_;
-          kind = TraceEvent::Kind::Move;
+          far.to_port = static_cast<graph::PortId>(bounded_draw(
+              injector.word(fault::FaultAxis::Edge), graph_.degree(far.to)));
           injector.record(result.steps, static_cast<std::uint32_t>(i),
-                          fault::FaultKind::EdgeWormhole, dest);
+                          fault::FaultKind::EdgeWormhole, far.to);
         }
       }
-      if (traversed) {
-        const graph::HalfEdge& h = graph_.peer(ctx.position_, mv->port);
-        ctx.position_ = h.to;
-        ctx.entry_port_ = h.to_port;
-        ++ctx.moves_;
-        kind = TraceEvent::Kind::Move;
+      if (!cut) {
+        if (!wormhole) far = graph_.peer(ctx.position_, mv->port);
+        if constexpr (kMessages) {
+          // Send: the agent leaves the processor and becomes a message on
+          // the link; it will resume only at delivery.
+          in_flight[i] = 1;
+          ++in_flight_count;
+          arrival[i] = far;
+          kind = TraceEvent::Kind::Send;
+          resume = false;
+          if constexpr (kFaulted) {
+            if (injector.roll_msg_loss()) {
+              // The message vanishes on the link: the agent it carries is
+              // gone (a crash in transit).  The Send event still appears;
+              // the agent's trace simply ends there.
+              in_flight[i] = 0;
+              --in_flight_count;
+              scratch_.crashed[i] = 1;
+              ctx.status_ = AgentStatus::Crashed;
+              --live;
+              injector.record(result.steps, static_cast<std::uint32_t>(i),
+                              fault::FaultKind::MessageLost, ctx.position_);
+            }
+          }
+        } else {
+          ctx.position_ = far.to;
+          ctx.entry_port_ = far.to_port;
+          ++ctx.moves_;
+          kind = TraceEvent::Kind::Move;
+        }
       }
     } else if (auto* bd = std::get_if<ActionBoard>(&pending)) {
       mutated_node = ctx.position_;
@@ -455,17 +564,27 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
     }
     // ActionWait (already satisfied), ActionYield, monostate: no effect.
     pending = std::monostate{};
-    behaviors[i].resume_target().resume();
+    if (resume) behaviors[i].resume_target().resume();
     // An exception that escaped any of the agent's frames, nested or not,
     // ends the run here, in one throw.
     if (handle.promise().exception) {
       std::rethrow_exception(handle.promise().exception);
     }
     if constexpr (kTraced) {
+      // Every event names the agent's node after the step (a Send's is
+      // the processor it left), except a stalled delivery's, which names
+      // the processor the message is bound for.
+      graph::NodeId node = ctx.position_;
+      if constexpr (kMessages) {
+        if (kind == TraceEvent::Kind::Stall) node = arrival[i].to;
+      }
       sink->on_event(TraceEvent{result.steps, static_cast<std::uint32_t>(i),
-                                kind, ctx.position_, port});
+                                kind, node, port});
     }
     ++result.steps;
+    if constexpr (kMessages) {
+      result.max_in_transit = std::max(result.max_in_transit, in_flight_count);
+    }
     classify(i);
     // Coroutines only *request* actions; a resume can never touch a board
     // directly, so notifying after classify re-polls against the same
@@ -524,7 +643,7 @@ RunResult World::run_impl(const Protocol& protocol, const RunConfig& config) {
     result.fault_events = injector.events();
     fault::flush_fault_stats(result.fault_summary);
   }
-  if constexpr (kTraced) sink->end_run(detail::make_run_summary(result));
+  if constexpr (kTraced) sink->end_run(make_run_summary(result));
   return result;
 }
 

@@ -200,6 +200,28 @@ TEST(CampaignSpec, DegradationTasksCarryFaultKeySegments) {
   EXPECT_THROW(expand_tasks(no_faults), CheckError);
 }
 
+TEST(CampaignSpec, FaultsAxisIsRefusedWhereNoRunTakesThePlan) {
+  // analyze runs no simulation and quantitative never attaches the plan,
+  // so a fault point there would record its fault-free twin's metrics.
+  for (const std::string workload : {"analyze", "quantitative", "table1"}) {
+    CampaignSpec spec = small_spec();
+    spec.workload = workload;
+    FaultPoint crashy;
+    crashy.label = "crash-0.5";
+    crashy.plan.crash_rate = 0.5;
+    spec.faults = {crashy};
+    try {
+      expand_tasks(spec);
+      ADD_FAILURE() << workload << " accepted a faults axis";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("the " + workload +
+                                           " workload has no faults axis"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CampaignReport, RejectsStoreWhoseSpecNoLongerMatchesTheBuiltin) {
   // A store written under an older definition of a built-in campaign must
   // make `qelect report` fail with a clear message (nonzero exit), not

@@ -8,7 +8,6 @@
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/elect.hpp"
 #include "qelect/graph/families.hpp"
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/world.hpp"
 
 namespace qelect {
@@ -78,8 +77,10 @@ TEST(Exhaustive, MessageWorldAgreesOnSampledPlacements) {
       for (const Placement& p : graph::enumerate_placements(n, r)) {
         if (++counter % 7 != 0) continue;
         const auto plan = core::protocol_plan(cg.g, p);
-        sim::MessageWorld w(cg.g, p, counter);
-        const auto res = w.run(core::make_elect_protocol(), {});
+        sim::World w(cg.g, p, counter);
+        sim::RunConfig messages;
+        messages.message_passing = true;
+        const auto res = w.run(core::make_elect_protocol(), messages);
         ASSERT_TRUE(res.completed) << cg.name << " #" << counter;
         EXPECT_EQ(res.clean_election(), plan.final_gcd == 1)
             << cg.name << " #" << counter;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "qelect/campaign/spec.hpp"
 #include "qelect/campaign/task.hpp"
 #include "qelect/campaign/workloads.hpp"
 #include "qelect/core/elect.hpp"
@@ -22,7 +23,6 @@
 #include "qelect/fault/plan.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/graph/placement.hpp"
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/replay.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/invariants.hpp"
@@ -160,12 +160,13 @@ TEST(ZeroFaultPlan, MessageWorldRunIsByteIdenticalToNoPlan) {
   const Placement p(4, {0, 2});
   sim::RunConfig config;
   config.seed = 3;
+  config.message_passing = true;
 
   auto run_message = [&](const sim::RunConfig& c) {
     trace::VectorSink sink;
     sim::RunConfig with_sink = c;
     with_sink.sink = &sink;
-    sim::MessageWorld w(g, p, 13);
+    sim::World w(g, p, 13);
     Observed obs;
     obs.result = w.run(core::make_elect_protocol(), with_sink);
     obs.events = sink.events();
@@ -235,12 +236,13 @@ TEST(FaultedRuns, MessageAxesAreDeterministic) {
   sim::RunConfig config;
   config.seed = 4;
   config.faults = &plan;
+  config.message_passing = true;
 
   auto run_once = [&] {
     trace::VectorSink sink;
     sim::RunConfig c = config;
     c.sink = &sink;
-    sim::MessageWorld w(g, p, 17);
+    sim::World w(g, p, 17);
     Observed obs;
     obs.result = w.run(core::make_elect_protocol(), c);
     obs.events = sink.events();
@@ -297,14 +299,10 @@ TEST(FaultedRuns, StreamingCheckerMatchesPostPassOnEveryAxis) {
       config.seed = seed;
       config.faults = &plan;
       config.sink = &tee;
+      config.message_passing = axis == fault::FaultAxis::Message;
       try {
-        if (axis == fault::FaultAxis::Message) {
-          sim::MessageWorld w(g, p, 21);
-          w.run(core::make_elect_protocol(), config);
-        } else {
-          sim::World w(g, p, 21);
-          w.run(core::make_elect_protocol(), config);
-        }
+        sim::World w(g, p, 21);
+        w.run(core::make_elect_protocol(), config);
       } catch (const CheckError&) {
         // A fault-stop: both checkers saw the same events up to it.
       }
@@ -383,11 +381,12 @@ TEST(FaultReplay, MessageWorldFaultyRunReplaysIdentically) {
   sim::RunConfig config;
   config.seed = 8;
   config.faults = &plan;
+  config.message_passing = true;
 
-  sim::MessageWorld w(g, p, 23);
-  const sim::RecordedMessageRun recorded =
+  sim::World w(g, p, 23);
+  const sim::RecordedRun recorded =
       sim::record_run(w, core::make_elect_protocol(), config);
-  sim::MessageWorld replay_world(g, p, 23);
+  sim::World replay_world(g, p, 23);
   const auto verification =
       sim::verify_replay(replay_world, core::make_elect_protocol(), config,
                          recorded.result, recorded.schedule);
@@ -535,6 +534,65 @@ TEST(DegradationWorkload, TaskMetricsAreDeterministic) {
   other.color_seed = 2;
   const auto c = campaign::run_task(other, cancel);
   EXPECT_EQ(c.size(), a.size());
+
+  // A message-axis point runs in the message-passing reading on the same
+  // pooled World as the mobile points: run it, then a mobile task, then
+  // it again, and its record must not depend on what the World ran
+  // before.
+  campaign::TaskSpec lossy = task;
+  lossy.key = "degradation/ring(6)/p=0.3/s=1/f=msg-0.05";
+  lossy.fault_label = "msg-0.05";
+  lossy.faults = {};
+  lossy.faults.msg_loss_rate = 0.05;
+  lossy.faults.msg_delay_rate = 0.05;
+  const auto m1 = campaign::run_task(lossy, cancel);
+  EXPECT_EQ(campaign::run_task(task, cancel), a);
+  const auto m2 = campaign::run_task(lossy, cancel);
+  EXPECT_EQ(m1, m2);
+}
+
+// Every workload that takes a faults axis attaches the plan, and a
+// message-axis point runs in the message-passing reading: its tasks
+// record other metrics than their fault-free twins.
+TEST(FaultedWorkloads, MessagePointsDifferFromTheirFaultFreeTwins) {
+  for (const char* workload : {"elect", "moves"}) {
+    campaign::CampaignSpec spec;
+    spec.name = std::string("msg-") + workload;
+    spec.workload = workload;
+    spec.graphs.push_back({"ring", 6, 6, {}});
+    spec.placements.mode = campaign::PlacementAxis::Mode::Fixed;
+    spec.placements.fixed = {0, 2};
+    spec.color_seeds = {1, 2, 3};
+    campaign::FaultPoint none;
+    none.label = "none";
+    campaign::FaultPoint msg;
+    msg.label = "msg-0.2";
+    msg.plan.msg_loss_rate = 0.2;
+    msg.plan.msg_delay_rate = 0.2;
+    spec.faults = {none, msg};
+    const std::vector<campaign::TaskSpec> tasks = campaign::expand_tasks(spec);
+    ASSERT_EQ(tasks.size(), 6u);
+    const CancelToken cancel;
+    for (std::size_t i = 0; i < tasks.size(); i += 2) {
+      SCOPED_TRACE(tasks[i + 1].key);
+      ASSERT_EQ(tasks[i].fault_label, "none");
+      ASSERT_EQ(tasks[i + 1].fault_label, "msg-0.2");
+      EXPECT_NE(campaign::run_task(tasks[i], cancel),
+                campaign::run_task(tasks[i + 1], cancel));
+    }
+  }
+}
+
+TEST(FaultedRuns, MessagePlanInTheMobileReadingThrows) {
+  // The mobile reading has no links: a live message axis there could
+  // never fire, so the run refuses it instead of passing as fault-free.
+  const fault::FaultPlan plan = axis_plan(fault::FaultAxis::Message, 0.05);
+  sim::RunConfig config;
+  config.faults = &plan;
+  sim::World w(graph::ring(6), Placement(6, {0, 3}), 17);
+  EXPECT_THROW(w.run(core::make_elect_protocol(), config), CheckError);
+  config.message_passing = true;
+  EXPECT_NO_THROW(w.run(core::make_elect_protocol(), config));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the Figure 1 transformation: all mobile-agent protocols must
 // stay correct when executed as messages in an anonymous processor network
-// (Theorem 2.1's reduction), and the message accounting must line up with
-// the mobile model's move accounting.
+// (Theorem 2.1's reduction, RunConfig::message_passing), and the message
+// accounting must line up with the mobile model's move accounting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +12,7 @@
 #include "qelect/core/gather.hpp"
 #include "qelect/core/petersen.hpp"
 #include "qelect/graph/families.hpp"
-#include "qelect/sim/message_world.hpp"
+#include "qelect/sim/world.hpp"
 #include "qelect/util/assert.hpp"
 
 namespace qelect::sim {
@@ -20,14 +20,20 @@ namespace {
 
 using graph::Placement;
 
+/// `config` in the message-passing reading.
+RunConfig messages(RunConfig config = {}) {
+  config.message_passing = true;
+  return config;
+}
+
 TEST(MessageWorld, SingleWalkerDeliversEveryMove) {
-  MessageWorld w(graph::ring(6), Placement(6, {0}), 3);
-  const MessageRunResult r = w.run(
+  World w(graph::ring(6), Placement(6, {0}), 3);
+  const RunResult r = w.run(
       [](AgentCtx& ctx) -> Behavior {
         for (int i = 0; i < 12; ++i) co_await ctx.move(0);
         ctx.declare_leader();
       },
-      RunConfig{});
+      messages());
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.total_moves, 12u);
   EXPECT_EQ(r.messages_delivered, 12u);
@@ -40,10 +46,10 @@ TEST(MessageWorld, TransitIsObservableByOthers) {
   // destination -- transit genuinely takes time under RoundRobin.
   // (Indirect check: a two-agent ping-pong completes without deadlock and
   // the peak in-transit count reaches 2 under lockstep.)
-  MessageWorld w(graph::ring(4), Placement(4, {0, 2}), 5);
-  RunConfig cfg;
+  World w(graph::ring(4), Placement(4, {0, 2}), 5);
+  RunConfig cfg = messages();
   cfg.policy = SchedulerPolicy::Lockstep;
-  const MessageRunResult r = w.run(
+  const RunResult r = w.run(
       [](AgentCtx& ctx) -> Behavior {
         for (int i = 0; i < 8; ++i) co_await ctx.move(0);
         ctx.declare_failure_detected();
@@ -68,10 +74,10 @@ TEST(MessageWorld, ElectMatchesOracleUnderMessagePassing) {
   for (const auto& inst : insts) {
     const auto plan = core::protocol_plan(inst.g, inst.p);
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      MessageWorld w(inst.g, inst.p, seed * 10 + 1);
-      RunConfig cfg;
+      World w(inst.g, inst.p, seed * 10 + 1);
+      RunConfig cfg = messages();
       cfg.seed = seed;
-      const MessageRunResult r = w.run(core::make_elect_protocol(), cfg);
+      const RunResult r = w.run(core::make_elect_protocol(), cfg);
       ASSERT_TRUE(r.completed) << inst.g.describe();
       EXPECT_EQ(r.clean_election(), plan.final_gcd == 1);
       EXPECT_EQ(r.clean_failure(), plan.final_gcd != 1);
@@ -84,44 +90,43 @@ TEST(MessageWorld, GatherStillConverges) {
   const graph::Graph g = graph::torus({3, 3});
   const Placement p(9, {0, 4});
   ASSERT_EQ(core::protocol_plan(g, p).final_gcd, 1u);
-  MessageWorld w(g, p, 7);
-  const MessageRunResult r = w.run(core::make_gather_protocol(), {});
+  World w(g, p, 7);
+  const RunResult r = w.run(core::make_gather_protocol(), messages());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.clean_election());
   EXPECT_EQ(r.agents[0].final_position, r.agents[1].final_position);
 }
 
 TEST(MessageWorld, PetersenRaceStillElects) {
-  MessageWorld w(graph::petersen(), Placement(10, {0, 5}), 9);
-  const MessageRunResult r = w.run(core::make_petersen_protocol(), {});
+  World w(graph::petersen(), Placement(10, {0, 5}), 9);
+  const RunResult r = w.run(core::make_petersen_protocol(), messages());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.clean_election());
 }
 
 TEST(MessageWorld, QuantitativeBaselineWorks) {
-  MessageWorld w = MessageWorld::quantitative(graph::ring(6),
-                                              Placement(6, {0, 3}), 11);
-  const MessageRunResult r = w.run(core::make_quantitative_protocol(), {});
+  World w = World::quantitative(graph::ring(6), Placement(6, {0, 3}), 11);
+  const RunResult r = w.run(core::make_quantitative_protocol(), messages());
   ASSERT_TRUE(r.completed);
   EXPECT_TRUE(r.clean_election());
 }
 
 TEST(MessageWorld, DeadlockDetectedWithNoTransit) {
-  MessageWorld w(graph::ring(4), Placement(4, {0}), 2);
-  const MessageRunResult r = w.run(
+  World w(graph::ring(4), Placement(4, {0}), 2);
+  const RunResult r = w.run(
       [](AgentCtx& ctx) -> Behavior {
         co_await ctx.wait_until(
             [](const Whiteboard& wb) { return wb.count_tag(999) > 0; });
       },
-      RunConfig{});
+      messages());
   EXPECT_TRUE(r.deadlock);
 }
 
 TEST(MessageWorld, StepLimitRespected) {
-  MessageWorld w(graph::ring(4), Placement(4, {0}), 2);
-  RunConfig cfg;
+  World w(graph::ring(4), Placement(4, {0}), 2);
+  RunConfig cfg = messages();
   cfg.max_steps = 9;
-  const MessageRunResult r = w.run(
+  const RunResult r = w.run(
       [](AgentCtx& ctx) -> Behavior {
         for (;;) co_await ctx.move(0);
       },
@@ -131,19 +136,20 @@ TEST(MessageWorld, StepLimitRespected) {
 }
 
 TEST(MessageWorld, BadPortThrows) {
-  MessageWorld w(graph::ring(4), Placement(4, {0}), 2);
+  World w(graph::ring(4), Placement(4, {0}), 2);
   EXPECT_THROW(w.run(
                    [](AgentCtx& ctx) -> Behavior {
                      co_await ctx.move(7);
                    },
-                   RunConfig{}),
+                   messages()),
                CheckError);
 }
 
 TEST(MessageWorld, MobileAndMessageModelsAgreeOnOutcome) {
   // The transformation preserves protocol semantics: on a batch of seeds,
-  // the mobile World and the MessageWorld agree on the election outcome
-  // (they need not agree on traces -- transit reorders interleavings).
+  // the mobile and the message-passing readings agree on the election
+  // outcome (they need not agree on traces -- transit reorders
+  // interleavings).
   const graph::Graph g = graph::ring(6);
   const Placement p(6, {0, 2});
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -151,8 +157,8 @@ TEST(MessageWorld, MobileAndMessageModelsAgreeOnOutcome) {
     RunConfig cfg;
     cfg.seed = seed;
     const RunResult a = mobile.run(core::make_elect_protocol(), cfg);
-    MessageWorld network(g, p, seed);
-    const MessageRunResult b = network.run(core::make_elect_protocol(), cfg);
+    World network(g, p, seed);
+    const RunResult b = network.run(core::make_elect_protocol(), messages(cfg));
     ASSERT_TRUE(a.completed && b.completed);
     EXPECT_EQ(a.clean_election(), b.clean_election());
   }

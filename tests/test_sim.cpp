@@ -11,7 +11,6 @@
 #include "qelect/graph/families.hpp"
 #include "qelect/sim/behavior.hpp"
 #include "qelect/sim/color.hpp"
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/replay.hpp"
 #include "qelect/sim/scheduler.hpp"
 #include "qelect/sim/whiteboard.hpp"
@@ -299,12 +298,14 @@ Behavior nested_check_protocol(AgentCtx& ctx, NestedProbe& probe) {
   ctx.declare_leader();
 }
 
-template <typename W>
-std::string nested_check_error(W& world, NestedProbe& probe) {
+std::string nested_check_error(World& world, NestedProbe& probe,
+                               bool message_passing = false) {
+  RunConfig config;
+  config.message_passing = message_passing;
   try {
     world.run(
         [&probe](AgentCtx& ctx) { return nested_check_protocol(ctx, probe); },
-        RunConfig{});
+        config);
   } catch (const CheckError& e) {
     return e.what();
   }
@@ -317,8 +318,9 @@ TEST(World, NestedCheckFailureEscapesTheRunInOneThrow) {
   World w(g, graph::Placement(4, {0}), 3);
   const std::string world_error = nested_check_error(w, in_world);
   NestedProbe in_messages;
-  MessageWorld m(g, graph::Placement(4, {0}), 3);
-  const std::string message_error = nested_check_error(m, in_messages);
+  World m(g, graph::Placement(4, {0}), 3);
+  const std::string message_error =
+      nested_check_error(m, in_messages, /*message_passing=*/true);
 
   EXPECT_NE(world_error.find("nested protocol check"), std::string::npos)
       << world_error;

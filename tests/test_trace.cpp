@@ -14,7 +14,6 @@
 #include "qelect/core/elect.hpp"
 #include "qelect/core/petersen.hpp"
 #include "qelect/graph/families.hpp"
-#include "qelect/sim/message_world.hpp"
 #include "qelect/sim/replay.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/counting_sink.hpp"
@@ -250,10 +249,11 @@ TEST(Replay, ElectRoundTripOnHypercube) {
 }
 
 TEST(Replay, MessageWorldRoundTrip) {
-  sim::MessageWorld w(graph::ring(6), graph::Placement(6, {0, 2}), 17);
+  sim::World w(graph::ring(6), graph::Placement(6, {0, 2}), 17);
   RunConfig cfg;
   cfg.seed = 12;
-  const sim::RecordedMessageRun recorded =
+  cfg.message_passing = true;
+  const sim::RecordedRun recorded =
       sim::record_run(w, core::make_elect_protocol(), cfg);
   ASSERT_TRUE(recorded.result.completed);
   const sim::ReplayVerification v = sim::verify_replay(
@@ -263,11 +263,12 @@ TEST(Replay, MessageWorldRoundTrip) {
 }
 
 TEST(MessageWorld, EmitsSendAndDeliverEvents) {
-  sim::MessageWorld w(graph::ring(6), graph::Placement(6, {0, 3}), 7);
+  sim::World w(graph::ring(6), graph::Placement(6, {0, 3}), 7);
   trace::VectorSink sink;
   RunConfig cfg;
   cfg.sink = &sink;
-  const sim::MessageRunResult r = w.run(walker, cfg);
+  cfg.message_passing = true;
+  const sim::RunResult r = w.run(walker, cfg);
   ASSERT_TRUE(r.completed);
   std::size_t sends = 0, delivers = 0;
   for (const auto& e : sink.events()) {
@@ -303,11 +304,12 @@ TEST(Invariants, CleanElectTracePasses) {
 TEST(Invariants, MessageWorldTracePasses) {
   const graph::Graph g = graph::ring(6);
   const graph::Placement p(6, {0, 2});
-  sim::MessageWorld w(g, p, 17);
+  sim::World w(g, p, 17);
   trace::VectorSink sink;
   RunConfig cfg;
   cfg.sink = &sink;
-  const sim::MessageRunResult r = w.run(core::make_elect_protocol(), cfg);
+  cfg.message_passing = true;
+  const sim::RunResult r = w.run(core::make_elect_protocol(), cfg);
   ASSERT_TRUE(r.completed);
   trace::InvariantSpec spec;
   spec.graph = &g;

@@ -1,6 +1,6 @@
 // World reuse and the campaign WorldPool (PR 5).
 //
-// The batched run engine's whole premise is that World::reset() followed
+// The batched run engine's whole premise is that World::reset(seed) followed
 // by run() is observationally identical to constructing a fresh World:
 // same event stream, same per-agent reports, same totals, under every
 // scheduler policy including exact Replay.  The first half of this file
@@ -10,7 +10,9 @@
 // seed retargeting, and LRU eviction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,10 +22,11 @@
 #include "qelect/fault/plan.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/graph/placement.hpp"
-#include "qelect/sim/message_world.hpp"
+#include "qelect/sim/replay.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/trace/schedule.hpp"
 #include "qelect/trace/sink.hpp"
+#include "qelect/util/assert.hpp"
 
 namespace qelect {
 namespace {
@@ -38,6 +41,7 @@ using graph::Placement;
 struct Observed {
   std::vector<trace::TraceEvent> events;
   sim::RunResult result;
+  std::string error;  // a fault-stopped run's CheckError
 };
 
 Observed traced_run(sim::World& w, const sim::Protocol& protocol,
@@ -50,22 +54,24 @@ Observed traced_run(sim::World& w, const sim::Protocol& protocol,
   return obs;
 }
 
+// compare_run_results covers every RunResult field: flags, totals, the
+// fault log, the message counters and the per-agent reports.
 void expect_identical(const Observed& fresh, const Observed& reused) {
   EXPECT_EQ(fresh.events, reused.events);
-  EXPECT_EQ(fresh.result.completed, reused.result.completed);
-  EXPECT_EQ(fresh.result.deadlock, reused.result.deadlock);
-  EXPECT_EQ(fresh.result.step_limit, reused.result.step_limit);
-  EXPECT_EQ(fresh.result.steps, reused.result.steps);
-  EXPECT_EQ(fresh.result.total_moves, reused.result.total_moves);
-  EXPECT_EQ(fresh.result.total_board_accesses,
-            reused.result.total_board_accesses);
-  EXPECT_EQ(fresh.result.agents, reused.result.agents);
+  EXPECT_EQ(sim::compare_run_results(fresh.result, reused.result), "");
+  EXPECT_EQ(fresh.error, reused.error);
 }
 
 sim::RunConfig config_for(sim::SchedulerPolicy policy, std::uint64_t seed) {
   sim::RunConfig config;
   config.policy = policy;
   config.seed = seed;
+  return config;
+}
+
+/// `config` in the message-passing reading.
+sim::RunConfig messages(sim::RunConfig config) {
+  config.message_passing = true;
   return config;
 }
 
@@ -153,32 +159,23 @@ TEST(WorldReset, QuantitativeWorldKeepsLabelsAcrossReset) {
 }
 
 TEST(WorldReset, MessageWorldReusedMatchesFreshAcrossPolicies) {
-  // MessageWorld::reset parity, the pooled-reuse premise, under every
-  // scheduler policy -- the same discipline the World variant above gets.
+  // Reset parity in the message-passing reading, the pooled-reuse premise,
+  // under every scheduler policy -- on a World a mobile run dirtied first,
+  // as the pool's Worlds are when a campaign mixes the two readings.
   const Graph g = graph::ring(6);
   const Placement p(6, {0, 3});
   const sim::Protocol elect = core::make_elect_protocol();
 
-  auto run_message = [&](sim::MessageWorld& w, sim::RunConfig config) {
-    trace::VectorSink sink;
-    config.sink = &sink;
-    Observed obs;
-    obs.result = w.run(elect, config);
-    obs.events = sink.events();
-    return obs;
-  };
-
   for (const PolicyCase& pc : policy_cases()) {
     SCOPED_TRACE(pc.name);
-    sim::MessageWorld fresh(g, p, 11);
-    const Observed want =
-        run_message(fresh, config_for(pc.policy, pc.seed));
+    const sim::RunConfig config = messages(config_for(pc.policy, pc.seed));
+    sim::World fresh(g, p, 11);
+    const Observed want = traced_run(fresh, elect, config);
 
-    sim::MessageWorld reused(g, p, 3);
-    run_message(reused, config_for(sim::SchedulerPolicy::Random, 99));
+    sim::World reused(g, p, 3);
+    traced_run(reused, elect, config_for(sim::SchedulerPolicy::Random, 99));
     reused.reset(11);
-    const Observed got =
-        run_message(reused, config_for(pc.policy, pc.seed));
+    const Observed got = traced_run(reused, elect, config);
     expect_identical(want, got);
   }
 }
@@ -232,29 +229,19 @@ TEST(WorldReset, FaultedMessageWorldResetsCleanAcrossPolicies) {
   plan.msg_loss_rate = 0.03;
   plan.msg_delay_rate = 0.03;
 
-  auto run_message = [&](sim::MessageWorld& w, sim::RunConfig config) {
-    trace::VectorSink sink;
-    config.sink = &sink;
-    Observed obs;
-    obs.result = w.run(elect, config);
-    obs.events = sink.events();
-    return obs;
-  };
-
   for (const PolicyCase& pc : policy_cases()) {
     SCOPED_TRACE(pc.name);
-    sim::RunConfig faulted = config_for(pc.policy, pc.seed);
+    sim::RunConfig faulted = messages(config_for(pc.policy, pc.seed));
     faulted.faults = &plan;
 
-    sim::MessageWorld fresh(g, p, 11);
-    const Observed want = run_message(fresh, faulted);
+    sim::World fresh(g, p, 11);
+    const Observed want = traced_run(fresh, elect, faulted);
 
-    sim::MessageWorld reused(g, p, 3);
-    run_message(reused, faulted);
+    sim::World reused(g, p, 3);
+    traced_run(reused, elect, faulted);
     reused.reset(11);
-    const Observed got = run_message(reused, faulted);
+    const Observed got = traced_run(reused, elect, faulted);
     expect_identical(want, got);
-    EXPECT_EQ(want.result.fault_events, got.result.fault_events);
   }
 }
 
@@ -262,26 +249,85 @@ TEST(WorldReset, MessageWorldReusedMatchesFresh) {
   const Graph g = graph::ring(4);
   const Placement p(4, {0, 2});
   const sim::Protocol elect = core::make_elect_protocol();
-  const sim::RunConfig config = config_for(sim::SchedulerPolicy::Random, 3);
+  const sim::RunConfig config =
+      messages(config_for(sim::SchedulerPolicy::Random, 3));
 
-  auto run_message = [&](sim::MessageWorld& w) {
-    trace::VectorSink sink;
-    sim::RunConfig c = config;
-    c.sink = &sink;
+  sim::World fresh(g, p, 13);
+  const Observed want = traced_run(fresh, elect, config);
+
+  sim::World reused(g, p, 4);
+  traced_run(reused, elect, config);
+  reused.reset(13);
+  const Observed got = traced_run(reused, elect, config);
+  expect_identical(want, got);
+}
+
+TEST(WorldReset, OneWorldAlternatesReadingsWithoutResidue) {
+  // A pooled World serves every fault point of its instance, so it
+  // switches readings from task to task: no run may see what the one
+  // before it left behind, whichever reading either of them ran in.
+  const Graph g = graph::ring(6);
+  const Placement p(6, {0, 2});
+  const sim::Protocol elect = core::make_elect_protocol();
+  fault::FaultPlan edge_plan;
+  edge_plan.fault_seed = 0xed6e;
+  edge_plan.edge_cut_rate = 0.1;
+  fault::FaultPlan message_plan;
+  message_plan.fault_seed = 0x3e55;
+  message_plan.msg_loss_rate = 0.02;
+  message_plan.msg_dup_rate = 0.05;
+  message_plan.msg_delay_rate = 0.05;
+  struct Reading {
+    const char* name;
+    bool message_passing;
+    const fault::FaultPlan* faults;
+  };
+  const Reading readings[] = {
+      {"mobile", false, nullptr},
+      {"mobile/edge-faults", false, &edge_plan},
+      {"message", true, nullptr},
+      {"message/message-faults", true, &message_plan},
+      {"message/edge-faults", true, &edge_plan},
+  };
+
+  // Edge cuts can stop ELECT with a CheckError mid-run, leaving agents
+  // parked and messages in flight: the next run must not see those either.
+  const auto run = [&](sim::World& w, const sim::RunConfig& config) {
     Observed obs;
-    obs.result = w.run(elect, c);
+    trace::VectorSink sink;
+    sim::RunConfig traced = config;
+    traced.sink = &sink;
+    try {
+      obs.result = w.run(elect, traced);
+    } catch (const CheckError& e) {
+      obs.error = e.what();
+    }
     obs.events = sink.events();
     return obs;
   };
 
-  sim::MessageWorld fresh(g, p, 13);
-  const Observed want = run_message(fresh);
-
-  sim::MessageWorld reused(g, p, 4);
-  run_message(reused);
-  reused.reset(13);
-  const Observed got = run_message(reused);
-  expect_identical(want, got);
+  sim::World reused(g, p, 11);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Reading& reading : readings) {
+      SCOPED_TRACE(std::string(reading.name) + " pass " +
+                   std::to_string(pass));
+      sim::RunConfig config = config_for(sim::SchedulerPolicy::Random, 5);
+      config.message_passing = reading.message_passing;
+      config.faults = reading.faults;
+      sim::World fresh(g, p, 11);
+      const Observed want = run(fresh, config);
+      const Observed got = run(reused, config);
+      expect_identical(want, got);
+      if (reading.faults != nullptr) {
+        EXPECT_TRUE(!got.error.empty() || got.result.fault_summary.total > 0);
+      }
+      const bool sent = std::any_of(
+          got.events.begin(), got.events.end(), [](const auto& e) {
+            return e.kind == trace::TraceEvent::Kind::Send;
+          });
+      EXPECT_EQ(sent, reading.message_passing);
+    }
+  }
 }
 
 // ---- the pool -----------------------------------------------------------
