@@ -1,24 +1,25 @@
-// Batch execution for the campaign engine.
+// Batch execution: one runner for every many-replica ELECT run.
 //
-// Every batch-eligible campaign runs its elect tasks as *slabs*: adjacent
-// pending tasks of one task-space instance (graph, home_bases; scheduler
-// and max_steps are per spec) differ only in their color seed, so the
-// engine compiles the instance once
-// (compile_elect_batch_plan) and advances all seeds in lockstep through
-// sim::BatchWorld.  Each replica is keyed (seed = color_seed, replica =
-// 0), which reproduces the scalar run for that task bit-for-bit -- records
-// committed by a batch slab are identical to the records the scalar path
-// writes, so stores stay resumable and comparable.  A replica that fails
-// inside the batch run (model error) is re-run on the scalar engine by the
-// caller; the record then carries whatever the scalar attempt produced.
+// Campaign slabs, multi-replica RUN_ELECT requests and qelectd's coalesced
+// single-seed windows each look up the compiled plan, build a replica list
+// and call run_elect_replicas.  It runs the list as one sim::BatchWorld
+// slab, counts the slab in batch_stats(), and re-runs a replica the batch
+// model refuses on a fresh scalar sim::World with the same seed, replica,
+// policy and max_steps (a `scalar_fallbacks` count).  Replica (seed, r)
+// reproduces the scalar run with that RunConfig bit-for-bit (the golden
+// gate in tests/test_batch.cpp), so a fallback costs time, never a
+// different answer.
 //
-// Global counters (slabs run, replicas-per-slab histogram, scalar
-// fallbacks) feed qelectd's STATS opcode and the bench summary.
+// A campaign slab is a run of adjacent pending elect tasks of one
+// task-space instance, which differ only in their color seed; replica
+// (color_seed, 0) makes each record the one the scalar path writes, so
+// stores stay resumable and comparable.  A slab that throws as a whole is
+// re-run task by task on the scalar path by the engine.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,6 +27,7 @@
 
 #include "qelect/campaign/spec.hpp"
 #include "qelect/campaign/task.hpp"
+#include "qelect/core/elect_batch.hpp"
 
 namespace qelect::campaign {
 
@@ -50,19 +52,25 @@ struct BatchStats {
 /// both report here).
 BatchStats& batch_stats();
 
+/// Runs `replicas` of `plan` as one slab under `config`: one RunResult
+/// per replica, in order, each the scalar ELECT run with color and
+/// scheduler seed `seed`, stream `replica`, and `config`'s policy and
+/// max_steps.  Propagates what the batch engine or a scalar re-run throws.
+std::vector<sim::RunResult> run_elect_replicas(
+    const std::shared_ptr<const core::ElectBatchPlan>& plan,
+    const std::vector<sim::BatchReplicaConfig>& replicas,
+    const sim::BatchConfig& config);
+
 /// True when `spec` runs on slabs: elect workload, no fail injection, no
 /// faults axis, no per-attempt deadline, and a scheduler policy the batch
 /// engine supports.  `timeout_seconds` is the engine-resolved value
 /// (options override applied).
 bool batch_eligible(const CampaignSpec& spec, double timeout_seconds);
 
-/// Runs one slab.  All tasks must share graph, home bases, scheduler and
-/// max_steps.  Returns one metrics vector per task, in task order,
-/// identical to what the scalar "elect" workload would produce; a nullopt
-/// marks a replica that failed in batch (caller falls back to the scalar
-/// path and counts it).  Throws if the instance itself cannot be compiled
-/// (caller falls back for the whole slab).
-std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
-run_elect_slab(std::span<const TaskSpec> tasks);
+/// Runs one campaign slab (tasks sharing graph, home bases, scheduler and
+/// max_steps): one metrics vector per task, in order, identical to the
+/// scalar "elect" workload's.  Throws if the slab cannot run.
+std::vector<std::vector<std::pair<std::string, double>>> run_elect_slab(
+    std::span<const TaskSpec> tasks);
 
 }  // namespace qelect::campaign

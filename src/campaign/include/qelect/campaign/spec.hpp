@@ -23,6 +23,9 @@
 
 namespace qelect::campaign {
 
+/// Default Theorem 2.1 search budget (labelings); ELECTABLE uses it too.
+inline constexpr double kDefaultLabelingBudget = 250000.0;
+
 /// One family x size-range axis, e.g. rings n in [3, 8].  `params` carries
 /// the family-specific extras (torus side lengths, circulant offsets,
 /// random-graph edge probability in percent).  Families with a size range
@@ -92,7 +95,7 @@ struct CampaignSpec {
   std::size_t max_steps = 0;         // 0 = simulator default
   int retries = 1;                   // re-attempts after a failed attempt
   double timeout_seconds = 0;        // cooperative per-attempt deadline; 0 = off
-  double labeling_budget = 250000.0; // Theorem 2.1 exhaustive-search budget
+  double labeling_budget = kDefaultLabelingBudget;
   FailInjection inject;
   /// Fault-injection axis (src/fault).  Empty (the default, and the only
   /// value the pre-fault schema could express) is serialized as nothing at

@@ -61,7 +61,7 @@ struct TaskSpec {
   std::uint64_t color_seed = 1;
   std::string scheduler = "random";
   std::size_t max_steps = 0;
-  double labeling_budget = 250000.0;
+  double labeling_budget = kDefaultLabelingBudget;
   /// Fault axis (campaigns with a non-empty `faults:` axis only): the
   /// point's label (the "/f=<label>" key segment and report group key) and
   /// its plan.  The executed plan derives a per-task fault seed from

@@ -17,6 +17,8 @@
 //                      the corrected dichotomy; never observed)
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,9 +38,33 @@ inline constexpr double kClassViolation = 4;
 /// Stable name for a classification code ("elect", "imposs-cayley", ...).
 const char* classification_name(double code);
 
-/// Scheduler policy for a spec/task scheduler string ("random",
-/// "round-robin", "lockstep", "counter"); throws CheckError otherwise.
-sim::SchedulerPolicy policy_from_name(const std::string& name);
+/// The analyze workload's verdict on one instance.  is_cayley and
+/// obstruction (the largest |R_p|) are computed only when final_gcd != 1.
+struct Classification {
+  std::uint64_t final_gcd = 0;
+  double code = kClassElect;  // a kClass* code
+  bool is_cayley = false;
+  std::size_t obstruction = 0;
+};
+
+/// Classifies (g, p) for the analyze workload and qelectd's ELECTABLE:
+/// Theorem 3.1's gcd, then, when it is not 1, the corrected Theorem 4.1
+/// Cayley test and, within `labeling_budget` labelings, Theorem 2.1's
+/// exhaustive search.  Polls `cancel` between the stages.
+Classification classify(const graph::Graph& g, const graph::Placement& p,
+                        double labeling_budget, const CancelToken& cancel);
+
+/// The policy named "random", "round-robin", "lockstep" or "counter" (the
+/// four both sim::World and the batch engine run), or nullopt.
+std::optional<sim::SchedulerPolicy> policy_from_name(const std::string& name);
+
+/// Theorem 3.1's oracle: `run` completed, electing cleanly when the gcd of
+/// the class sizes is 1 and failing cleanly otherwise.
+bool matches_oracle(const sim::RunResult& run, std::uint64_t final_gcd);
+
+/// The elect workload's eight-metric record of one run on n nodes.
+std::vector<std::pair<std::string, double>> elect_metrics(
+    std::size_t n, std::uint64_t final_gcd, const sim::RunResult& run);
 
 /// Executes one task.  Throws on failure (unknown workload, CheckError
 /// from the libraries, Cancelled on timeout); the engine translates

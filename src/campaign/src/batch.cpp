@@ -1,7 +1,7 @@
 #include "qelect/campaign/batch.hpp"
 
 #include "qelect/campaign/workloads.hpp"
-#include "qelect/core/elect_batch.hpp"
+#include "qelect/core/elect.hpp"
 #include "qelect/core/elect_batch_cache.hpp"
 #include "qelect/graph/placement.hpp"
 #include "qelect/sim/batch.hpp"
@@ -22,6 +22,34 @@ BatchStats& batch_stats() {
   return stats;
 }
 
+std::vector<sim::RunResult> run_elect_replicas(
+    const std::shared_ptr<const core::ElectBatchPlan>& plan,
+    const std::vector<sim::BatchReplicaConfig>& replicas,
+    const sim::BatchConfig& config) {
+  core::ElectBatchOutcome outcome =
+      core::run_elect_batch(plan, replicas, config);
+
+  BatchStats& stats = batch_stats();
+  stats.slabs_run.fetch_add(1, std::memory_order_relaxed);
+  stats.replicas_run.fetch_add(replicas.size(), std::memory_order_relaxed);
+  stats.slab_size_hist[BatchStats::bucket_of(replicas.size())].fetch_add(
+      1, std::memory_order_relaxed);
+
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    if (!outcome.failed[i]) continue;
+    stats.scalar_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    sim::World world(plan->graph, plan->placement,
+                     /*color_seed=*/replicas[i].seed);
+    sim::RunConfig run;
+    run.policy = config.policy;
+    run.seed = replicas[i].seed;
+    run.replica = replicas[i].replica;
+    run.max_steps = config.max_steps;
+    outcome.runs[i] = world.run(core::make_elect_protocol(), run);
+  }
+  return std::move(outcome.runs);
+}
+
 bool batch_eligible(const CampaignSpec& spec, double timeout_seconds) {
   if (spec.workload != "elect") return false;
   if (!spec.inject.match.empty()) return false;
@@ -29,12 +57,11 @@ bool batch_eligible(const CampaignSpec& spec, double timeout_seconds) {
   // injection hooks, and the per-task fault-seed derivation is scalar-only.
   if (!spec.faults.empty()) return false;
   if (timeout_seconds > 0) return false;
-  return spec.scheduler == "random" || spec.scheduler == "round-robin" ||
-         spec.scheduler == "lockstep" || spec.scheduler == "counter";
+  return policy_from_name(spec.scheduler).has_value();
 }
 
-std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
-run_elect_slab(std::span<const TaskSpec> tasks) {
+std::vector<std::vector<std::pair<std::string, double>>> run_elect_slab(
+    std::span<const TaskSpec> tasks) {
   QELECT_CHECK(!tasks.empty(), "batch: empty slab");
   const TaskSpec& head = tasks.front();
   const graph::Graph g = head.graph.build();
@@ -51,38 +78,13 @@ run_elect_slab(std::span<const TaskSpec> tasks) {
     replicas.push_back({task.color_seed, 0});
   }
   sim::BatchConfig config;
-  config.policy = policy_from_name(head.scheduler);
+  config.policy = policy_from_name(head.scheduler).value();
   if (head.max_steps > 0) config.max_steps = head.max_steps;
-  const core::ElectBatchOutcome outcome =
-      core::run_elect_batch(plan, replicas, config);
 
-  BatchStats& stats = batch_stats();
-  stats.slabs_run.fetch_add(1, std::memory_order_relaxed);
-  stats.replicas_run.fetch_add(tasks.size(), std::memory_order_relaxed);
-  stats.slab_size_hist[BatchStats::bucket_of(tasks.size())].fetch_add(
-      1, std::memory_order_relaxed);
-
-  std::vector<std::optional<std::vector<std::pair<std::string, double>>>> out;
+  std::vector<std::vector<std::pair<std::string, double>>> out;
   out.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (outcome.failed[i]) {
-      stats.scalar_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      out.emplace_back(std::nullopt);
-      continue;
-    }
-    const sim::RunResult& r = outcome.runs[i];
-    const bool matches = r.completed &&
-                         r.clean_election() == (plan->final_gcd == 1) &&
-                         r.clean_failure() == (plan->final_gcd != 1);
-    out.emplace_back(std::vector<std::pair<std::string, double>>{
-        {"n", static_cast<double>(g.node_count())},
-        {"final_gcd", static_cast<double>(plan->final_gcd)},
-        {"completed", r.completed ? 1 : 0},
-        {"clean_election", r.clean_election() ? 1 : 0},
-        {"clean_failure", r.clean_failure() ? 1 : 0},
-        {"matches_oracle", matches ? 1 : 0},
-        {"moves", static_cast<double>(r.total_moves)},
-        {"steps", static_cast<double>(r.steps)}});
+  for (const sim::RunResult& run : run_elect_replicas(plan, replicas, config)) {
+    out.push_back(elect_metrics(g.node_count(), plan->final_gcd, run));
   }
   return out;
 }

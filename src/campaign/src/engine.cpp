@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -273,39 +272,37 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
-  // Runs `slab` (a claimed unit's filled tasks) into `records`; any task
-  // whose replica failed (and the whole slab if compilation throws) falls
-  // back to the scalar path, so worst case equals the scalar path plus one
-  // failed attempt.
+  // Runs `slab` (a claimed unit's filled tasks) into `records`.  The
+  // slab runner re-runs a replica that failed in batch on the scalar
+  // World itself; a slab that throws as a whole runs task by task on the
+  // scalar path, so the worst case equals the scalar path plus one failed
+  // attempt.
   auto execute_slab = [&](std::span<const TaskSpec> slab,
                           std::vector<TaskRecord>& records) {
     const Clock::time_point t0 = Clock::now();
-    std::vector<std::optional<std::vector<std::pair<std::string, double>>>>
-        metrics;
+    std::vector<std::vector<std::pair<std::string, double>>> metrics;
     try {
       metrics = run_elect_slab(slab);
     } catch (const std::exception&) {
-      metrics.assign(slab.size(), std::nullopt);
       batch_stats().scalar_fallbacks.fetch_add(slab.size(),
                                                std::memory_order_relaxed);
+      for (const TaskSpec& task : slab) {
+        records.push_back(execute_task(task, spec, retries, timeout_seconds,
+                                       options.deterministic));
+      }
+      return;
     }
     const double share =
         options.deterministic
             ? 0
             : seconds_since(t0) / static_cast<double>(slab.size());
     for (std::size_t i = 0; i < slab.size(); ++i) {
-      if (!metrics[i].has_value()) {
-        records.push_back(execute_task(slab[i], spec, retries,
-                                       timeout_seconds,
-                                       options.deterministic));
-        continue;
-      }
       TaskRecord& record = records.emplace_back();
       record.key = slab[i].key;
       record.outcome = "ok";
       record.attempts = 1;
       record.duration_seconds = share;
-      record.metrics = std::move(*metrics[i]);
+      record.metrics = std::move(metrics[i]);
     }
   };
 

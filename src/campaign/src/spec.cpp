@@ -122,16 +122,11 @@ std::string CampaignSpec::to_json() const {
       const FaultPoint& f = faults[i];
       if (i > 0) out << ',';
       out << "{\"label\":" << json_quote(f.label)
-          << ",\"seed\":" << f.plan.fault_seed
-          << ",\"crash\":" << json_number(f.plan.crash_rate)
-          << ",\"sign_loss\":" << json_number(f.plan.sign_loss_rate)
-          << ",\"sign_dup\":" << json_number(f.plan.sign_dup_rate)
-          << ",\"msg_loss\":" << json_number(f.plan.msg_loss_rate)
-          << ",\"msg_dup\":" << json_number(f.plan.msg_dup_rate)
-          << ",\"msg_delay\":" << json_number(f.plan.msg_delay_rate)
-          << ",\"edge_cut\":" << json_number(f.plan.edge_cut_rate)
-          << ",\"edge_wormhole\":" << json_number(f.plan.edge_wormhole_rate)
-          << '}';
+          << ",\"seed\":" << f.plan.fault_seed;
+      for (const fault::RateField& r : fault::kRateFields) {
+        out << ",\"" << r.key << "\":" << json_number(f.plan.*r.rate);
+      }
+      out << '}';
     }
     out << ']';
   }
@@ -201,7 +196,8 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
   spec.max_steps = integer_or<std::size_t>(root, "max_steps", 0);
   spec.retries = integer_or<int>(root, "retries", 1);
   spec.timeout_seconds = root.number_or("timeout_seconds", 0);
-  spec.labeling_budget = root.number_or("labeling_budget", 250000.0);
+  spec.labeling_budget =
+      root.number_or("labeling_budget", kDefaultLabelingBudget);
   if (const JsonValue* inject = root.find("inject")) {
     check_known_keys(*inject, {"match", "fail_attempts"}, "inject");
     spec.inject.match = inject->string_or("match", "");
@@ -219,14 +215,9 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
       QELECT_CHECK(!point.label.empty(),
                    "campaign spec: fault point label must be non-empty");
       point.plan.fault_seed = integer_or<std::uint64_t>(f, "seed", 0);
-      point.plan.crash_rate = f.number_or("crash", 0);
-      point.plan.sign_loss_rate = f.number_or("sign_loss", 0);
-      point.plan.sign_dup_rate = f.number_or("sign_dup", 0);
-      point.plan.msg_loss_rate = f.number_or("msg_loss", 0);
-      point.plan.msg_dup_rate = f.number_or("msg_dup", 0);
-      point.plan.msg_delay_rate = f.number_or("msg_delay", 0);
-      point.plan.edge_cut_rate = f.number_or("edge_cut", 0);
-      point.plan.edge_wormhole_rate = f.number_or("edge_wormhole", 0);
+      for (const fault::RateField& r : fault::kRateFields) {
+        point.plan.*r.rate = f.number_or(r.key, 0);
+      }
       spec.faults.push_back(std::move(point));
     }
   }

@@ -25,7 +25,11 @@ using Metrics = std::vector<std::pair<std::string, double>>;
 
 sim::RunConfig run_config(const TaskSpec& task) {
   sim::RunConfig config;
-  config.policy = policy_from_name(task.scheduler);
+  const auto policy = policy_from_name(task.scheduler);
+  if (!policy) {
+    throw CheckError("campaign: unknown scheduler '" + task.scheduler + "'");
+  }
+  config.policy = *policy;
   config.seed = task.color_seed;
   if (task.max_steps > 0) config.max_steps = task.max_steps;
   config.trace_label = task.key;
@@ -59,45 +63,6 @@ std::size_t max_degree_of(const graph::Graph& g) {
   return max_degree;
 }
 
-Metrics run_analyze(const graph::Graph& g, const graph::Placement& p,
-                    double budget, const CancelToken& cancel) {
-  Metrics out;
-  const std::uint64_t gcd = core::final_gcd(g, p);
-  out.emplace_back("n", static_cast<double>(g.node_count()));
-  out.emplace_back("final_gcd", static_cast<double>(gcd));
-  if (gcd == 1) {
-    out.emplace_back("class", kClassElect);
-    return out;
-  }
-  cancel.throw_if_cancelled();
-  // Recognition only runs on obstructed instances, and once per graph: in
-  // the landscape sweep the gcd-1 majority never pays for it.
-  const auto rec = core::recognize_cayley_shared(g);
-  const std::size_t obstruction =
-      rec->is_cayley
-          ? cayley::max_translation_obstruction(rec->regular_subgroups, p)
-          : 0;
-  out.emplace_back("is_cayley", rec->is_cayley ? 1 : 0);
-  out.emplace_back("obstruction", static_cast<double>(obstruction));
-  if (obstruction > 1) {
-    out.emplace_back("class", kClassImpossCayley);
-    return out;
-  }
-  if (rec->is_cayley) {
-    out.emplace_back("class", kClassViolation);
-    return out;
-  }
-  cancel.throw_if_cancelled();
-  const std::size_t alphabet = max_degree_of(g);
-  if (labeling_count(g, alphabet) <= budget &&
-      core::impossibility_by_exhaustive_labelings(g, p, alphabet)) {
-    out.emplace_back("class", kClassImpossLabeling);
-  } else {
-    out.emplace_back("class", kClassOpen);
-  }
-  return out;
-}
-
 Metrics run_elect(const TaskSpec& task, const CancelToken& cancel) {
   // Pooled: a shard sweeping seeds/schedulers over one instance reuses the
   // same arena (boards, colors, scheduler buffers) for every task.
@@ -109,18 +74,8 @@ Metrics run_elect(const TaskSpec& task, const CancelToken& cancel) {
   sim::RunConfig config = run_config(task);
   const fault::FaultPlan fault_plan = derived_faults(task);
   attach_faults(fault_plan, config);
-  const auto r = w.run(core::make_elect_protocol(), config);
-  const bool matches = r.completed &&
-                       r.clean_election() == (plan.final_gcd == 1) &&
-                       r.clean_failure() == (plan.final_gcd != 1);
-  return {{"n", static_cast<double>(g.node_count())},
-          {"final_gcd", static_cast<double>(plan.final_gcd)},
-          {"completed", r.completed ? 1 : 0},
-          {"clean_election", r.clean_election() ? 1 : 0},
-          {"clean_failure", r.clean_failure() ? 1 : 0},
-          {"matches_oracle", matches ? 1 : 0},
-          {"moves", static_cast<double>(r.total_moves)},
-          {"steps", static_cast<double>(r.steps)}};
+  return elect_metrics(g.node_count(), plan.final_gcd,
+                       w.run(core::make_elect_protocol(), config));
 }
 
 Metrics run_quantitative(const TaskSpec& task) {
@@ -290,12 +245,55 @@ Metrics run_petersen_witness(const TaskSpec& task) {
 
 }  // namespace
 
-sim::SchedulerPolicy policy_from_name(const std::string& name) {
+Classification classify(const graph::Graph& g, const graph::Placement& p,
+                        double labeling_budget, const CancelToken& cancel) {
+  Classification out;
+  out.final_gcd = core::final_gcd(g, p);
+  if (out.final_gcd == 1) return out;
+  cancel.throw_if_cancelled();
+  // Recognition only runs on obstructed instances, and once per graph: in
+  // the landscape sweep the gcd-1 majority never pays for it.
+  const auto rec = core::recognize_cayley_shared(g);
+  out.is_cayley = rec->is_cayley;
+  if (out.is_cayley) {
+    out.obstruction =
+        cayley::max_translation_obstruction(rec->regular_subgroups, p);
+    out.code = out.obstruction > 1 ? kClassImpossCayley : kClassViolation;
+    return out;
+  }
+  cancel.throw_if_cancelled();
+  const std::size_t alphabet = max_degree_of(g);
+  out.code = labeling_count(g, alphabet) <= labeling_budget &&
+                     core::impossibility_by_exhaustive_labelings(g, p,
+                                                                 alphabet)
+                 ? kClassImpossLabeling
+                 : kClassOpen;
+  return out;
+}
+
+std::optional<sim::SchedulerPolicy> policy_from_name(const std::string& name) {
   if (name == "random") return sim::SchedulerPolicy::Random;
   if (name == "round-robin") return sim::SchedulerPolicy::RoundRobin;
   if (name == "lockstep") return sim::SchedulerPolicy::Lockstep;
   if (name == "counter") return sim::SchedulerPolicy::Counter;
-  throw CheckError("campaign: unknown scheduler '" + name + "'");
+  return std::nullopt;
+}
+
+bool matches_oracle(const sim::RunResult& run, std::uint64_t final_gcd) {
+  return run.completed && run.clean_election() == (final_gcd == 1) &&
+         run.clean_failure() == (final_gcd != 1);
+}
+
+std::vector<std::pair<std::string, double>> elect_metrics(
+    std::size_t n, std::uint64_t final_gcd, const sim::RunResult& run) {
+  return {{"n", static_cast<double>(n)},
+          {"final_gcd", static_cast<double>(final_gcd)},
+          {"completed", run.completed ? 1 : 0},
+          {"clean_election", run.clean_election() ? 1 : 0},
+          {"clean_failure", run.clean_failure() ? 1 : 0},
+          {"matches_oracle", matches_oracle(run, final_gcd) ? 1 : 0},
+          {"moves", static_cast<double>(run.total_moves)},
+          {"steps", static_cast<double>(run.steps)}};
 }
 
 const char* classification_name(double code) {
@@ -334,7 +332,15 @@ std::vector<std::pair<std::string, double>> run_task(
   const graph::Graph g = task.graph.build();
   const graph::Placement p(g.node_count(), task.home_bases);
   if (task.workload == "analyze") {
-    return run_analyze(g, p, task.labeling_budget, cancel);
+    const Classification c = classify(g, p, task.labeling_budget, cancel);
+    Metrics out{{"n", static_cast<double>(g.node_count())},
+                {"final_gcd", static_cast<double>(c.final_gcd)}};
+    if (c.final_gcd != 1) {
+      out.emplace_back("is_cayley", c.is_cayley ? 1 : 0);
+      out.emplace_back("obstruction", static_cast<double>(c.obstruction));
+    }
+    out.emplace_back("class", c.code);
+    return out;
   }
   if (task.workload == "cayley-dichotomy") return run_cayley_dichotomy(g, p);
   throw CheckError("campaign: unknown workload '" + task.workload + "'");

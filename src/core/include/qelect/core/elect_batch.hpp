@@ -192,8 +192,8 @@ class ElectBatchModel {
 };
 
 /// Outcome of one batch invocation.  A replica that failed mid-run (model
-/// error) has failed[i] set and an empty RunResult; callers re-run it on
-/// the scalar engine.
+/// error) has failed[i] set and an empty RunResult;
+/// campaign::run_elect_replicas re-runs it on the scalar engine.
 struct ElectBatchOutcome {
   std::vector<sim::RunResult> runs;
   std::vector<std::uint8_t> failed;
@@ -215,8 +215,6 @@ class ElectBatchRunner {
   ElectBatchOutcome run(const std::vector<sim::BatchReplicaConfig>& replicas,
                         const sim::BatchConfig& config);
 
-  const ElectBatchPlan& plan() const { return *plan_; }
-
  private:
   std::shared_ptr<const ElectBatchPlan> plan_;
   sim::BatchWorld world_;
@@ -224,8 +222,9 @@ class ElectBatchRunner {
 };
 
 /// One-call driver: advances every replica of the compiled instance to
-/// completion under `config` and returns per-replica results.  Builds a
-/// fresh ElectBatchRunner per call; loops should hold a runner instead.
+/// completion under `config` and returns per-replica results.  Each thread
+/// reuses one ElectBatchRunner while the plan stays the same.  Callers
+/// outside core use campaign::run_elect_replicas (scalar fallback).
 ElectBatchOutcome run_elect_batch(
     const std::shared_ptr<const ElectBatchPlan>& plan,
     const std::vector<sim::BatchReplicaConfig>& replicas,

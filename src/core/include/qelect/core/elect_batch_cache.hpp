@@ -19,8 +19,7 @@
 //
 // It is a util::LruCache: compilation runs outside the lock, two threads
 // racing on one cold key may both compile (the first insert wins), and
-// LRU eviction bounds it.  qelectd resizes the global instance at startup
-// (--plan-cache).
+// LRU eviction bounds it at kDefaultCapacity plans.
 #pragma once
 
 #include <cstdint>

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "qelect/fault/plan.hpp"
@@ -78,14 +79,9 @@ class FaultInjector {
   /// fault-free path, so this constructor is off the hot loop.
   explicit FaultInjector(const FaultPlan* plan) {
     if (plan != nullptr) plan_ = *plan;
-    thresholds_[0] = threshold(plan_.crash_rate);
-    thresholds_[1] = threshold(plan_.sign_loss_rate);
-    thresholds_[2] = threshold(plan_.sign_dup_rate);
-    thresholds_[3] = threshold(plan_.msg_loss_rate);
-    thresholds_[4] = threshold(plan_.msg_dup_rate);
-    thresholds_[5] = threshold(plan_.msg_delay_rate);
-    thresholds_[6] = threshold(plan_.edge_cut_rate);
-    thresholds_[7] = threshold(plan_.edge_wormhole_rate);
+    for (std::size_t i = 0; i < std::size(kRateFields); ++i) {
+      thresholds_[i] = threshold(plan_.*kRateFields[i].rate);
+    }
   }
 
   const FaultPlan& plan() const { return plan_; }
@@ -141,7 +137,7 @@ class FaultInjector {
   }
 
   FaultPlan plan_{};
-  std::uint64_t thresholds_[8] = {};
+  std::uint64_t thresholds_[std::size(kRateFields)] = {};
   std::uint64_t counters_[kFaultAxisCount] = {};
   FaultSummary summary_;
   std::vector<FaultEvent> events_;

@@ -97,4 +97,22 @@ struct FaultPlan {
   bool operator==(const FaultPlan&) const = default;
 };
 
+/// A FaultPlan rate and its key in a campaign spec's fault point and in a
+/// trace's meta line.
+struct RateField {
+  const char* key;
+  double FaultPlan::*rate;
+};
+
+/// Every rate of FaultPlan, in declaration order.
+inline constexpr RateField kRateFields[] = {
+    {"crash", &FaultPlan::crash_rate},
+    {"sign_loss", &FaultPlan::sign_loss_rate},
+    {"sign_dup", &FaultPlan::sign_dup_rate},
+    {"msg_loss", &FaultPlan::msg_loss_rate},
+    {"msg_dup", &FaultPlan::msg_dup_rate},
+    {"msg_delay", &FaultPlan::msg_delay_rate},
+    {"edge_cut", &FaultPlan::edge_cut_rate},
+    {"edge_wormhole", &FaultPlan::edge_wormhole_rate}};
+
 }  // namespace qelect::fault

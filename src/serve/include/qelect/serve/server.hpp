@@ -74,8 +74,6 @@ struct ServerOptions {
   /// waiting out the window.  Clamped to kMaxCoalesceSlab and to
   /// limits.max_replicas.
   std::uint32_t coalesce_max = 128;
-  /// Process-wide ElectBatchPlanCache capacity; 0 keeps the default.
-  std::size_t plan_cache_capacity = 0;
   ServiceLimits limits;
 };
 

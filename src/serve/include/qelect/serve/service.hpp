@@ -8,12 +8,15 @@
 // Execution reuses the layers the repo already trusts instead of
 // reimplementing them:
 //
-//   * ELECTABLE and RUN_ELECT are literally campaign workloads: the
-//     request becomes a campaign::TaskSpec and runs through
-//     campaign::run_task, so a RUN_ELECT answer is bit-for-bit the metrics
-//     an equivalent campaign task commits to its store (the golden
-//     cross-check in tests/test_serve.cpp pins this).  RUN_ELECT therefore
-//     also inherits the per-worker campaign::WorldPool arena reuse.
+//   * ELECTABLE classifies the instance it built with campaign::classify,
+//     as the campaign "analyze" workload does.
+//   * A single-seed RUN_ELECT handled on its own becomes a
+//     campaign::TaskSpec run by campaign::run_task on the worker's
+//     campaign::WorldPool, so its answer is bit-for-bit the metrics an
+//     equivalent campaign task commits (tests/test_serve.cpp pins this).
+//     It is the reference for the batch paths: a multi-replica RUN_ELECT
+//     and a window of coalesced single-seed ones each run as one slab
+//     through campaign::run_elect_replicas, the campaign slab runner.
 //   * SIGMA and VIEW_CLASSES call views:: directly; SIGMA's exhaustive
 //     labeling enumeration is bounded by ServiceLimits::sigma_budget and
 //     refused with kStatusTooLarge beyond it (a server must not let one
@@ -35,11 +38,6 @@
 
 #include "qelect/serve/protocol.hpp"
 #include "qelect/util/lru_cache.hpp"
-
-namespace qelect::graph {
-class Graph;
-class Placement;
-}  // namespace qelect::graph
 
 namespace qelect::serve {
 
@@ -134,9 +132,6 @@ class Service {
   std::vector<std::uint8_t> run_sigma(const SigmaRequest& req);
   std::vector<std::uint8_t> run_view_classes(const InstanceRef& inst);
   std::vector<std::uint8_t> run_run_elect(const RunElectRequest& req);
-  std::vector<std::uint8_t> run_run_elect_batch(const RunElectRequest& req,
-                                                const graph::Graph& g,
-                                                const graph::Placement& p);
   std::vector<std::uint8_t> run_stats(
       const ResponseCache* cache,
       const std::vector<std::pair<std::string, std::uint64_t>>* extra);

@@ -18,7 +18,6 @@
 #include <unordered_map>
 
 #include "qelect/campaign/world_pool.hpp"
-#include "qelect/core/elect_batch_cache.hpp"
 #include "qelect/util/assert.hpp"
 
 // epoll_pwait2 (nanosecond timeouts, needed for sub-millisecond coalescing
@@ -155,10 +154,6 @@ void Server::start() {
                "workers " + std::to_string(options_.workers) +
                    " is above the limit of " + std::to_string(kMaxWorkers));
 
-  if (options_.plan_cache_capacity > 0) {
-    core::ElectBatchPlanCache::global().set_capacity(
-        options_.plan_cache_capacity);
-  }
   options_.coalesce_max = std::max<std::uint32_t>(
       1, std::min({options_.coalesce_max, kMaxCoalesceSlab,
                    options_.limits.max_replicas}));

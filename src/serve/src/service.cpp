@@ -6,7 +6,6 @@
 #include "qelect/campaign/task.hpp"
 #include "qelect/campaign/workloads.hpp"
 #include "qelect/core/analysis.hpp"
-#include "qelect/core/elect.hpp"
 #include "qelect/core/elect_batch.hpp"
 #include "qelect/core/elect_batch_cache.hpp"
 #include "qelect/fault/injector.hpp"
@@ -106,20 +105,55 @@ BuiltInstance validate_run_elect(const RunElectRequest& req,
                                  const ServiceLimits& limits) {
   QELECT_CHECK(!req.instance.home_bases.empty(),
                "RUN_ELECT needs at least one home base");
-  QELECT_CHECK(req.scheduler == "random" || req.scheduler == "round-robin" ||
-                   req.scheduler == "lockstep" || req.scheduler == "counter",
+  QELECT_CHECK(campaign::policy_from_name(req.scheduler).has_value(),
                "unknown scheduler '" + req.scheduler + "'");
   return build_instance(req.instance, limits);
 }
 
-campaign::TaskSpec task_for(const InstanceRef& inst, const char* workload) {
-  campaign::TaskSpec task;
-  task.workload = workload;
-  task.graph.family = inst.family;
-  task.graph.params.assign(inst.params.begin(), inst.params.end());
-  task.home_bases.assign(inst.home_bases.begin(), inst.home_bases.end());
-  task.key = std::string("serve/") + workload + "/" + task.graph.label();
-  return task;
+/// One replica's verdict as RUN_ELECT encodes it: a single-seed response's
+/// body after the status, and each entry of a burst's replica list.
+void put_verdict(WireWriter& w, const sim::RunResult& run,
+                 std::uint64_t final_gcd) {
+  w.u8(run.completed ? 1 : 0);
+  w.u8(run.clean_election() ? 1 : 0);
+  w.u8(run.clean_failure() ? 1 : 0);
+  w.u8(campaign::matches_oracle(run, final_gcd) ? 1 : 0);
+  w.u64(final_gcd);
+  w.u64(run.total_moves);
+  w.u64(run.steps);
+}
+
+/// A multi-replica RUN_ELECT burst: replicas (seed, 0..replicas-1) of one
+/// instance under the counter scheduler, run as one slab.
+std::vector<std::uint8_t> run_elect_burst(const RunElectRequest& req,
+                                          const BuiltInstance& built,
+                                          const ServiceLimits& limits) {
+  QELECT_CHECK(req.scheduler == "counter",
+               "multi-replica RUN_ELECT requires the 'counter' scheduler");
+  if (req.replicas > limits.max_replicas) {
+    return encode_error_response(
+        kStatusTooLarge,
+        "RUN_ELECT burst of " + std::to_string(req.replicas) +
+            " replicas exceeds max_replicas = " +
+            std::to_string(limits.max_replicas));
+  }
+  const auto plan = core::ElectBatchPlanCache::global().plan(built.g, built.p);
+  std::vector<sim::BatchReplicaConfig> replicas;
+  replicas.reserve(req.replicas);
+  for (std::uint32_t i = 0; i < req.replicas; ++i) {
+    replicas.push_back({req.seed, i});
+  }
+  sim::BatchConfig config;
+  config.policy = sim::SchedulerPolicy::Counter;
+  const std::vector<sim::RunResult> runs =
+      campaign::run_elect_replicas(plan, replicas, config);
+
+  WireWriter w;
+  w.u32(kStatusOk);
+  put_verdict(w, runs[0], plan->final_gcd);
+  w.u32(req.replicas);
+  for (const sim::RunResult& run : runs) put_verdict(w, run, plan->final_gcd);
+  return w.take();
 }
 
 std::uint32_t response_status(const std::vector<std::uint8_t>& response) {
@@ -151,9 +185,7 @@ std::vector<std::uint8_t> Service::handle(
     std::uint16_t opcode, const std::vector<std::uint8_t>& payload,
     ResponseCache* cache,
     const std::vector<std::pair<std::string, std::uint64_t>>* extra) {
-  if (opcode < kOpcodeSlots) {
-    requests_[opcode].fetch_add(1, std::memory_order_relaxed);
-  }
+  note_request(opcode);
   if (!known_opcode(opcode)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return encode_error_response(
@@ -237,23 +269,21 @@ std::vector<std::uint8_t> Service::run_electable(const InstanceRef& inst) {
   const BuiltInstance built = build_instance(inst, limits_);
   // The cheap Theorem 3.1 side runs at any served size; the impossibility
   // machinery (Cayley recognition, exhaustive labelings) is the campaign
-  // "analyze" workload and is only attempted at classification scale.
-  const std::uint64_t gcd = core::final_gcd(built.g, built.p);
-  double classification = campaign::kClassElect;
-  if (gcd != 1) {
-    if (built.g.node_count() <= limits_.max_deep_nodes) {
-      const Metrics metrics =
-          campaign::run_task(task_for(inst, "analyze"), CancelToken());
-      classification = metric(metrics, "class");
-    } else {
-      classification = campaign::kClassOpen;  // proofs skipped at this size
-    }
+  // analyze classification and is only attempted at classification scale.
+  campaign::Classification c;
+  if (built.g.node_count() <= limits_.max_deep_nodes) {
+    c = campaign::classify(built.g, built.p, campaign::kDefaultLabelingBudget,
+                           CancelToken());
+  } else {
+    c.final_gcd = core::final_gcd(built.g, built.p);
+    // Proofs are skipped at this size.
+    if (c.final_gcd != 1) c.code = campaign::kClassOpen;
   }
   WireWriter w;
   w.u32(kStatusOk);
-  w.u8(gcd == 1 ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(classification));
-  w.u64(gcd);
+  w.u8(c.final_gcd == 1 ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(c.code));
+  w.u64(c.final_gcd);
   w.u64(built.g.node_count());
   return w.take();
 }
@@ -309,11 +339,18 @@ std::vector<std::uint8_t> Service::run_run_elect(const RunElectRequest& req) {
   // worker's WorldPool, so a repeated instance re-uses the pooled arena
   // instead of this copy.
   const BuiltInstance built = validate_run_elect(req, limits_);
-  if (req.replicas > 1) return run_run_elect_batch(req, built.g, built.p);
-  campaign::TaskSpec task = task_for(req.instance, "elect");
+  if (req.replicas > 1) return run_elect_burst(req, built, limits_);
+  campaign::TaskSpec task;
+  task.workload = "elect";
+  task.graph.family = req.instance.family;
+  task.graph.params.assign(req.instance.params.begin(),
+                           req.instance.params.end());
+  task.home_bases.assign(req.instance.home_bases.begin(),
+                         req.instance.home_bases.end());
   task.color_seed = req.seed;
   task.scheduler = req.scheduler;
-  task.key += "/s=" + std::to_string(req.seed) + "/" + req.scheduler;
+  task.key = "serve/elect/" + task.graph.label() + "/s=" +
+             std::to_string(req.seed) + "/" + req.scheduler;
   const Metrics metrics = campaign::run_task(task, CancelToken());
   WireWriter w;
   w.u32(kStatusOk);
@@ -327,94 +364,9 @@ std::vector<std::uint8_t> Service::run_run_elect(const RunElectRequest& req) {
   return w.take();
 }
 
-/// A multi-replica RUN_ELECT burst: one batch-plan compile, all replicas
-/// advanced in lockstep by the batch backend.  A replica the batch model
-/// refuses (it never should -- the golden gate pins parity) is re-run on
-/// the scalar engine with the identical (seed, replica) counter stream, so
-/// the response never degrades, only the stats note the fallback.
-std::vector<std::uint8_t> Service::run_run_elect_batch(
-    const RunElectRequest& req, const graph::Graph& g,
-    const graph::Placement& p) {
-  QELECT_CHECK(req.scheduler == "counter",
-               "multi-replica RUN_ELECT requires the 'counter' scheduler");
-  if (req.replicas > limits_.max_replicas) {
-    return encode_error_response(
-        kStatusTooLarge,
-        "RUN_ELECT burst of " + std::to_string(req.replicas) +
-            " replicas exceeds max_replicas = " +
-            std::to_string(limits_.max_replicas));
-  }
-  const auto plan = core::ElectBatchPlanCache::global().plan(g, p);
-  std::vector<sim::BatchReplicaConfig> replicas;
-  replicas.reserve(req.replicas);
-  for (std::uint32_t i = 0; i < req.replicas; ++i) {
-    replicas.push_back({req.seed, i});
-  }
-  sim::BatchConfig config;
-  config.policy = sim::SchedulerPolicy::Counter;
-  const core::ElectBatchOutcome outcome =
-      core::run_elect_batch(plan, replicas, config);
-
-  auto& stats = campaign::batch_stats();
-  stats.slabs_run.fetch_add(1, std::memory_order_relaxed);
-  stats.replicas_run.fetch_add(req.replicas, std::memory_order_relaxed);
-  stats.slab_size_hist[campaign::BatchStats::bucket_of(req.replicas)]
-      .fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<ReplicaVerdict> verdicts(req.replicas);
-  for (std::uint32_t i = 0; i < req.replicas; ++i) {
-    sim::RunResult run;
-    if (outcome.failed[i]) {
-      stats.scalar_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      sim::World world(g, p, /*color_seed=*/req.seed);
-      sim::RunConfig cfg;
-      cfg.policy = sim::SchedulerPolicy::Counter;
-      cfg.seed = req.seed;
-      cfg.replica = i;
-      run = world.run(core::make_elect_protocol(), cfg);
-    } else {
-      run = outcome.runs[i];
-    }
-    ReplicaVerdict& v = verdicts[i];
-    v.completed = run.completed ? 1 : 0;
-    v.clean_election = run.clean_election() ? 1 : 0;
-    v.clean_failure = run.clean_failure() ? 1 : 0;
-    v.matches_oracle =
-        (run.completed && run.clean_election() == (plan->final_gcd == 1) &&
-         run.clean_failure() == (plan->final_gcd != 1))
-            ? 1
-            : 0;
-    v.final_gcd = plan->final_gcd;
-    v.moves = run.total_moves;
-    v.steps = run.steps;
-  }
-
-  WireWriter w;
-  w.u32(kStatusOk);
-  w.u8(verdicts[0].completed);
-  w.u8(verdicts[0].clean_election);
-  w.u8(verdicts[0].clean_failure);
-  w.u8(verdicts[0].matches_oracle);
-  w.u64(verdicts[0].final_gcd);
-  w.u64(verdicts[0].moves);
-  w.u64(verdicts[0].steps);
-  w.u32(req.replicas);
-  for (const ReplicaVerdict& v : verdicts) {
-    w.u8(v.completed);
-    w.u8(v.clean_election);
-    w.u8(v.clean_failure);
-    w.u8(v.matches_oracle);
-    w.u64(v.final_gcd);
-    w.u64(v.moves);
-    w.u64(v.steps);
-  }
-  return w.take();
-}
-
 bool Service::coalescible(const RunElectRequest& req) {
   return req.replicas == 1 &&
-         (req.scheduler == "random" || req.scheduler == "round-robin" ||
-          req.scheduler == "lockstep" || req.scheduler == "counter");
+         campaign::policy_from_name(req.scheduler).has_value();
 }
 
 void Service::note_request(std::uint16_t opcode) {
@@ -444,53 +396,21 @@ std::vector<std::vector<std::uint8_t>> Service::run_elect_coalesced(
       replicas.push_back({r.seed, 0});
     }
     sim::BatchConfig config;
-    config.policy = campaign::policy_from_name(req.scheduler);
-    const core::ElectBatchOutcome outcome =
-        core::run_elect_batch(plan, replicas, config);
-
-    auto& stats = campaign::batch_stats();
-    stats.slabs_run.fetch_add(1, std::memory_order_relaxed);
-    stats.replicas_run.fetch_add(reqs.size(), std::memory_order_relaxed);
-    stats.slab_size_hist[campaign::BatchStats::bucket_of(reqs.size())]
-        .fetch_add(1, std::memory_order_relaxed);
-
+    config.policy = *campaign::policy_from_name(req.scheduler);
+    const std::vector<sim::RunResult> runs =
+        campaign::run_elect_replicas(plan, replicas, config);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      sim::RunResult run;
-      if (outcome.failed[i]) {
-        stats.scalar_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        sim::World world(built.g, built.p, /*color_seed=*/reqs[i].seed);
-        sim::RunConfig cfg;
-        cfg.policy = config.policy;
-        cfg.seed = reqs[i].seed;
-        run = world.run(core::make_elect_protocol(), cfg);
-      } else {
-        run = outcome.runs[i];
-      }
-      const bool matches =
-          run.completed && run.clean_election() == (plan->final_gcd == 1) &&
-          run.clean_failure() == (plan->final_gcd != 1);
       WireWriter w;
       w.u32(kStatusOk);
-      w.u8(run.completed ? 1 : 0);
-      w.u8(run.clean_election() ? 1 : 0);
-      w.u8(run.clean_failure() ? 1 : 0);
-      w.u8(matches ? 1 : 0);
-      w.u64(plan->final_gcd);
-      w.u64(run.total_moves);
-      w.u64(run.steps);
+      put_verdict(w, runs[i], plan->final_gcd);
       out[i] = w.take();
     }
   } catch (const CheckError& e) {
-    const auto err = encode_error_response(kStatusBadRequest, e.what());
-    for (auto& o : out) o = err;
+    out.assign(reqs.size(), encode_error_response(kStatusBadRequest, e.what()));
+    errors_.fetch_add(reqs.size(), std::memory_order_relaxed);
   } catch (const std::exception& e) {
-    const auto err = encode_error_response(kStatusError, e.what());
-    for (auto& o : out) o = err;
-  }
-  for (const auto& o : out) {
-    if (response_status(o) != kStatusOk) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-    }
+    out.assign(reqs.size(), encode_error_response(kStatusError, e.what()));
+    errors_.fetch_add(reqs.size(), std::memory_order_relaxed);
   }
   return out;
 }

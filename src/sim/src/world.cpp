@@ -58,6 +58,14 @@ trace::RunMetadata make_run_metadata(const RunConfig& config,
   meta.seed = config.seed;
   meta.max_steps = config.max_steps;
   meta.quantitative = quantitative;
+  meta.message_passing = config.message_passing;
+  if (config.faults != nullptr && config.faults->enabled()) {
+    meta.fault_seed = config.faults->fault_seed;
+    for (const fault::RateField& r : fault::kRateFields) {
+      const double rate = config.faults->*r.rate;
+      if (rate > 0) meta.fault_rates.emplace_back(r.key, rate);
+    }
+  }
   return meta;
 }
 

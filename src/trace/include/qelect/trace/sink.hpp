@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "qelect/graph/graph.hpp"
@@ -19,8 +20,9 @@
 namespace qelect::trace {
 
 /// Identifies a run well enough to reproduce it: the instance shape, the
-/// adversary, and the seeds.  `label` is free text supplied by the caller
-/// (e.g. a graph-family name); everything else is filled by the runtime.
+/// reading, the adversary, the fault plan and the seeds.  `label` is free
+/// text supplied by the caller (e.g. a graph-family name); everything else
+/// is filled by the runtime.
 struct RunMetadata {
   std::string label;
   std::size_t node_count = 0;
@@ -31,6 +33,12 @@ struct RunMetadata {
   std::uint64_t seed = 0;
   std::size_t max_steps = 0;
   bool quantitative = false;
+  bool message_passing = false;  // Figure 1's reading (RunConfig)
+  /// The live fault plan, if the run had one: its seed and its nonzero
+  /// rates, keyed as in a campaign spec's fault point ("crash", ...).
+  /// Empty `fault_rates` means the run was fault-free.
+  std::uint64_t fault_seed = 0;
+  std::vector<std::pair<std::string, double>> fault_rates;
 
   /// Stable 64-bit digest of every field above; two runs with equal hashes
   /// were configured identically (label included).

@@ -1,6 +1,8 @@
 #include "qelect/trace/jsonl_sink.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 
 #include "qelect/util/assert.hpp"
 
@@ -59,7 +61,18 @@ void JsonlSink::begin_run(const RunMetadata& meta) {
   o << "],\"policy\":\"" << json_escape(meta.policy)
     << "\",\"seed\":" << meta.seed << ",\"max_steps\":" << meta.max_steps
     << ",\"quantitative\":" << (meta.quantitative ? "true" : "false")
-    << ",\"config_hash\":\"";
+    << ",\"message_passing\":" << (meta.message_passing ? "true" : "false");
+  if (!meta.fault_rates.empty()) {
+    o << ",\"faults\":{\"seed\":" << meta.fault_seed;
+    for (const auto& [name, rate] : meta.fault_rates) {
+      // Shortest round-trip form: a replay needs the exact rate.
+      char buf[32];
+      const auto end = std::to_chars(buf, buf + sizeof(buf), rate).ptr;
+      o << ",\"" << json_escape(name) << "\":" << std::string_view(buf, end);
+    }
+    o << '}';
+  }
+  o << ",\"config_hash\":\"";
   char hash[32];
   std::snprintf(hash, sizeof(hash), "%016llx",
                 static_cast<unsigned long long>(meta.config_hash()));

@@ -1,5 +1,7 @@
 #include "qelect/trace/sink.hpp"
 
+#include <bit>
+
 #include "qelect/util/rng.hpp"
 
 namespace qelect::trace {
@@ -36,21 +38,28 @@ const char* kind_name(TraceEvent::Kind kind) {
 
 std::uint64_t RunMetadata::config_hash() const {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const char c : label) {
-    h = hash_combine(h, static_cast<std::uint64_t>(c));
-  }
+  const auto mix_text = [&h](const std::string& text) {
+    for (const char c : text) {
+      h = hash_combine(h, static_cast<std::uint64_t>(c));
+    }
+  };
+  mix_text(label);
   h = hash_combine(h, node_count);
   h = hash_combine(h, edge_count);
   h = hash_combine(h, agent_count);
   for (const graph::NodeId base : home_bases) {
     h = hash_combine(h, base);
   }
-  for (const char c : policy) {
-    h = hash_combine(h, static_cast<std::uint64_t>(c));
-  }
+  mix_text(policy);
   h = hash_combine(h, seed);
   h = hash_combine(h, max_steps);
   h = hash_combine(h, quantitative ? 1u : 0u);
+  h = hash_combine(h, message_passing ? 1u : 0u);
+  h = hash_combine(h, fault_seed);
+  for (const auto& [name, rate] : fault_rates) {
+    mix_text(name);
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(rate));
+  }
   return h;
 }
 

@@ -5,13 +5,17 @@
 // rely on when they substitute batch execution for scalar runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "qelect/campaign/batch.hpp"
 #include "qelect/core/analysis.hpp"
 #include "qelect/core/elect.hpp"
 #include "qelect/core/elect_batch.hpp"
 #include "qelect/graph/families.hpp"
 #include "qelect/sim/batch.hpp"
+#include "qelect/sim/replay.hpp"
 #include "qelect/sim/scheduler.hpp"
 #include "qelect/sim/world.hpp"
 #include "qelect/util/rng.hpp"
@@ -230,6 +234,45 @@ TEST(Batch, RejectsReplayPolicy) {
   BatchConfig cfg;
   cfg.policy = SchedulerPolicy::Replay;
   EXPECT_THROW(run_elect_batch(plan, {{1, 0}}, cfg), qelect::CheckError);
+}
+
+// A replica the batch model refuses is re-run on the scalar World.  With
+// agent 0's first tape move sent through port 1000, which no ring node
+// has, BatchWorld fails every replica; campaign::run_elect_replicas must
+// still return each (seed, replica)'s scalar run and count one fallback
+// per replica.
+TEST(Batch, FailedReplicasAreReRunOnTheScalarWorld) {
+  const Instance inst = {"ring6-gcd1", graph::ring(6), Placement(6, {0, 2})};
+  auto patched = std::make_shared<ElectBatchPlan>(
+      *compile_elect_batch_plan(inst.g, inst.p));
+  auto& tape = patched->agents[0].tape_actions;
+  const auto move = std::find_if(tape.begin(), tape.end(), [](const auto& a) {
+    return a.kind == sim::BatchPending::Kind::Move;
+  });
+  ASSERT_NE(move, tape.end());
+  move->port = 1000;
+  const std::shared_ptr<const ElectBatchPlan> plan = patched;
+
+  const std::vector<BatchReplicaConfig> replicas = {{7, 0}, {7, 1}, {7, 2}};
+  BatchConfig cfg;
+  cfg.policy = SchedulerPolicy::Counter;
+  const ElectBatchOutcome outcome = run_elect_batch(plan, replicas, cfg);
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    ASSERT_TRUE(outcome.failed[i]) << "replica " << i;
+  }
+
+  campaign::BatchStats& stats = campaign::batch_stats();
+  const std::uint64_t fallbacks0 = stats.scalar_fallbacks.load();
+  const std::vector<RunResult> runs =
+      campaign::run_elect_replicas(plan, replicas, cfg);
+  EXPECT_EQ(stats.scalar_fallbacks.load(), fallbacks0 + replicas.size());
+  ASSERT_EQ(runs.size(), replicas.size());
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    EXPECT_EQ(sim::compare_run_results(
+                  runs[i], scalar_run(inst, SchedulerPolicy::Counter, 7, i)),
+              "")
+        << "replica " << i;
+  }
 }
 
 }  // namespace

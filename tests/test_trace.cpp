@@ -148,6 +148,29 @@ TEST(JsonlSink, WritesMetaEventsSummary) {
     if (c == '\n') ++lines;
   }
   EXPECT_EQ(lines, r.steps + 2);
+  EXPECT_NE(text.find("\"message_passing\":false"), std::string::npos);
+  EXPECT_EQ(text.find("\"faults\""), std::string::npos);
+
+  // The same instance, seed and label in the message-passing reading, with
+  // a live fault plan: the meta line names both, so it differs.
+  std::ostringstream mp_out;
+  trace::JsonlSink mp_sink(mp_out);
+  fault::FaultPlan plan;
+  plan.fault_seed = 9;
+  plan.msg_delay_rate = 0.25;
+  cfg.sink = &mp_sink;
+  cfg.message_passing = true;
+  cfg.faults = &plan;
+  w.run(walker, cfg);
+  const std::string mp_text = mp_out.str();
+  const std::string meta = text.substr(0, text.find('\n'));
+  const std::string mp_meta = mp_text.substr(0, mp_text.find('\n'));
+  EXPECT_NE(meta, mp_meta);
+  EXPECT_NE(mp_meta.find("\"message_passing\":true"), std::string::npos)
+      << mp_meta;
+  EXPECT_NE(mp_meta.find("\"faults\":{\"seed\":9,\"msg_delay\":0.25}"),
+            std::string::npos)
+      << mp_meta;
 }
 
 TEST(JsonlSink, ConfigHashIdentifiesConfiguration) {
@@ -158,6 +181,19 @@ TEST(JsonlSink, ConfigHashIdentifiesConfiguration) {
   EXPECT_EQ(a.config_hash(), b.config_hash());
   b.seed = 2;
   EXPECT_NE(a.config_hash(), b.config_hash());
+  // The reading and the fault plan are part of the configuration.
+  b = a;
+  b.message_passing = true;
+  EXPECT_NE(a.config_hash(), b.config_hash());
+  b = a;
+  b.fault_rates = {{"crash", 0.01}};
+  EXPECT_NE(a.config_hash(), b.config_hash());
+  trace::RunMetadata c = b;
+  c.fault_rates = {{"crash", 0.02}};
+  EXPECT_NE(b.config_hash(), c.config_hash());
+  c = b;
+  c.fault_seed = 3;
+  EXPECT_NE(b.config_hash(), c.config_hash());
 }
 
 TEST(Schedule, LoadFromJsonlMatchesRecorder) {

@@ -28,7 +28,6 @@ inline int serve_usage() {
       "  --port P              TCP port; 0 = ephemeral (default 7677)\n"
       "  --workers N           worker shards (<= 256); 0 = hardware concurrency\n"
       "  --response-cache N    per-worker response cache entries (default 4096)\n"
-      "  --plan-cache N        shared batch-plan cache entries (0 = default)\n"
       "  --coalesce-window US  RUN_ELECT coalescing window in microseconds\n"
       "                        (default 200; 0 disables micro-batching)\n"
       "  --coalesce-max N      largest coalesced slab (default 128)\n"
@@ -82,8 +81,6 @@ inline int serve_main(int argc, char** argv, int from) {
       parse_number(flag, value(i), options.workers, serve::kMaxWorkers);
     } else if (flag == "--response-cache") {
       parse_number(flag, value(i), options.response_cache_capacity);
-    } else if (flag == "--plan-cache") {
-      parse_number(flag, value(i), options.plan_cache_capacity);
     } else if (flag == "--coalesce-window") {
       parse_number(flag, value(i), options.coalesce_window_us);
     } else if (flag == "--coalesce-max") {
