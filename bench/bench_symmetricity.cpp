@@ -67,8 +67,8 @@ int main() {
       "(Theorem 2.1 premise); every such instance must show gcd > 1.\n");
 
   // --- Machine-readable timings (BENCH_symmetricity.json) ---
-  // The symmetricity computation is view-machinery-bound, so this case
-  // tracks the ViewArena rewrite from the protocol side.
+  // The symmetricity computation is ~view classes by color refinement,
+  // so this case tracks the refinement kernel from the protocol side.
   {
     benchjson::Reporter rep("symmetricity");
     const graph::Graph g = graph::ring(5);

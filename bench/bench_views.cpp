@@ -1,8 +1,9 @@
 // PERF: view-machinery benchmarks with before/after measurement.
 //
 // The seed built truncated views as literal trees of walks (deg^depth
-// nodes) and re-encoded shared subtrees once per occurrence; the rewrite
-// interns the (node, depth) DAG in a ViewArena and memoizes encodings.
+// nodes) and re-encoded shared subtrees once per occurrence; build_view
+// now shares each (node, depth) subtree and encode_view encodes each
+// shared subtree once.
 // Every headline case times the optimized path against the seed kept
 // under views::reference and reports `speedup_vs_seed`;
 // tests/test_golden.cpp proves the encodings byte-identical.  Results
@@ -28,7 +29,8 @@ void view_pair(benchjson::Reporter& rep, const std::string& name,
   const graph::Placement p(g.node_count(), {0});
   const auto l = graph::EdgeLabeling::from_ports(g);
   const double after = rep.bench(name, [&] {
-    benchjson::keep(views::view_encoding(g, p, l, 0, depth).size());
+    benchjson::keep(
+        views::encode_view(views::build_view(g, p, l, 0, depth)).size());
   });
   const double before = rep.bench(name + "_seed", [&] {
     benchjson::keep(views::reference::encode_view(
@@ -36,10 +38,6 @@ void view_pair(benchjson::Reporter& rep, const std::string& name,
                    .size());
   });
   rep.counter(name, "speedup_vs_seed", before / after);
-  views::ViewArena arena(g, p, l);
-  arena.view(0, depth);
-  rep.counter(name, "arena_subtrees",
-              static_cast<double>(arena.subtree_count()));
   std::printf("%-30s %12.3g s   seed %12.3g s   speedup %5.2fx\n",
               name.c_str(), after, before, before / after);
 }
@@ -51,24 +49,25 @@ int main() {
   std::printf("bench_views: optimized vs seed (views::reference)%s\n\n",
               rep.smoke() ? " [smoke]" : "");
 
-  // Single-root encodings.  The seed tree has deg^depth nodes; the arena
-  // has at most n * (depth + 1) subtrees, so the gap widens with depth.
+  // Single-root encodings.  The seed tree has deg^depth nodes; the shared
+  // tree holds at most n * (depth + 1), so the gap widens with depth.
   view_pair(rep, "views_ring_64_depth14", graph::ring(64), 14);
   view_pair(rep, "views_petersen_depth9", graph::petersen(), 9);
   view_pair(rep, "views_hypercube3_depth8", graph::hypercube(3), 8);
   view_pair(rep, "views_torus4x4_depth7", graph::torus({4, 4}), 7);
 
-  // All-roots workload: one arena shared across every root (the
-  // symmetricity/Theorem 2.1 access pattern) vs one seed tree per root.
+  // All-roots workload: every root's view (the symmetricity/Theorem 2.1
+  // access pattern), one shared tree per root vs one seed tree per root.
   {
     const graph::Graph g = graph::ring(32);
     const graph::Placement p(g.node_count(), {0});
     const auto l = graph::EdgeLabeling::from_ports(g);
     const std::size_t depth = 12;
     const double after = rep.bench("views_all_roots_ring32", [&] {
-      views::ViewArena arena(g, p, l);
       for (graph::NodeId root = 0; root < g.node_count(); ++root) {
-        benchjson::keep(arena.encoding(arena.view(root, depth)).size());
+        benchjson::keep(
+            views::encode_view(views::build_view(g, p, l, root, depth))
+                .size());
       }
     });
     const double before = rep.bench("views_all_roots_ring32_seed", [&] {

@@ -38,7 +38,8 @@
 // generation ahead; reopen completes the compaction.
 //
 // A store is read only as a WAL: load_store refuses any other file, so
-// StoreWriter, which loads first, leaves such a file as it was.
+// StoreWriter, which opens only a store load_store has read, leaves such
+// a file as it was.
 // store_to_jsonl (`qelect export`) turns a store into JSONL text in task
 // order, which is how the kill/resume identity suite compares stores whose
 // frames landed in different orders.
@@ -136,8 +137,15 @@ struct StoreOptions {
 /// Thread-safe: appends stage, commit() group-syncs.
 class StoreWriter {
  public:
+  /// Loads the store at `path`, then opens it as the constructor below.
   StoreWriter(const std::string& path, const StoreHeader& header,
               StoreOptions options = {});
+  /// Opens the store at `path` from `prior`, which must be what
+  /// load_store(path) returned, with no write to the store since.  A
+  /// caller that loads the store anyway (run_campaign, `qelect compact`)
+  /// passes its load instead of having the store decoded twice.
+  StoreWriter(const std::string& path, const StoreHeader& header,
+              const LoadedStore& prior, StoreOptions options = {});
   ~StoreWriter();
 
   StoreWriter(const StoreWriter&) = delete;

@@ -1,5 +1,6 @@
 #include "qelect/campaign/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -17,7 +18,6 @@
 #include "qelect/campaign/workloads.hpp"
 #include "qelect/trace/sink.hpp"
 #include "qelect/util/assert.hpp"
-#include "qelect/util/parallel.hpp"
 
 namespace qelect::campaign {
 
@@ -27,6 +27,15 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Resolves a requested shard count: 0 picks hardware_concurrency(), and
+/// the result is clamped to `units` (never more shards than claim units).
+unsigned resolve_shards(unsigned requested, std::size_t units) {
+  if (requested == 0) {
+    requested = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<unsigned>(std::min<std::size_t>(requested, units));
 }
 
 /// How often the commit thread makes staged records durable: a kill loses
@@ -142,7 +151,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   StoreOptions store_options;
   store_options.compact_every = options.compact_every;
-  StoreWriter writer(store_path, header, store_options);
+  StoreWriter writer(store_path, header, prior, store_options);
 
   const double timeout_seconds = options.timeout_seconds >= 0
                                      ? options.timeout_seconds
@@ -169,7 +178,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   const std::size_t units = bounds.size() - 1;
 
   const unsigned shards =
-      resolve_parallel_threads(options.shards, units == 0 ? 1 : units);
+      resolve_shards(options.shards, units == 0 ? 1 : units);
 
   if (options.progress != nullptr) {
     trace::RunMetadata meta;

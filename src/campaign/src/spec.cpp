@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "qelect/campaign/json.hpp"
 #include "qelect/util/assert.hpp"
@@ -72,18 +73,12 @@ T integer_or(const JsonValue& obj, const char* field, T fallback) {
 }
 
 void check_known_keys(const JsonValue& obj,
-                      std::initializer_list<const char*> known,
+                      const std::vector<std::string_view>& known,
                       const std::string& where) {
   for (const auto& [key, value] : obj.members()) {
     (void)value;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    QELECT_CHECK(ok, "campaign spec: unknown key '" + key + "' in " + where);
+    QELECT_CHECK(std::find(known.begin(), known.end(), key) != known.end(),
+                 "campaign spec: unknown key '" + key + "' in " + where);
   }
 }
 
@@ -204,12 +199,11 @@ CampaignSpec CampaignSpec::from_json_text(const std::string& text) {
     spec.inject.fail_attempts = integer_or<int>(*inject, "fail_attempts", 0);
   }
   if (const JsonValue* faults = root.find("faults")) {
+    // A fault point's keys, as to_json writes them.
+    std::vector<std::string_view> known = {"label", "seed"};
+    for (const fault::RateField& r : fault::kRateFields) known.push_back(r.key);
     for (const JsonValue& f : faults->as_array()) {
-      check_known_keys(f,
-                       {"label", "seed", "crash", "sign_loss", "sign_dup",
-                        "msg_loss", "msg_dup", "msg_delay", "edge_cut",
-                        "edge_wormhole"},
-                       "fault point");
+      check_known_keys(f, known, "fault point");
       FaultPoint point;
       point.label = f.require("label").as_string();
       QELECT_CHECK(!point.label.empty(),

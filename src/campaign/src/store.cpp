@@ -770,8 +770,11 @@ void write_snapshot_file(const std::string& snap_path,
 
 StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
                          StoreOptions options)
+    : StoreWriter(path, header, load_store(path), options) {}
+
+StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
+                         const LoadedStore& prior, StoreOptions options)
     : path_(path), header_(header), options_(options) {
-  const LoadedStore prior = load_store(path);
   std::lock_guard<std::mutex> sync(sync_mu_);
   if (prior.exists && prior.has_header) {
     QELECT_CHECK(prior.header.spec_hash == header.spec_hash,

@@ -130,19 +130,6 @@ FeasibilityReport analyze(const graph::Graph& g, const graph::Placement& p,
                           bool check_cayley = true,
                           std::size_t exhaustive_alphabet = 0);
 
-/// One election instance for batch analysis.
-struct InstanceSpec {
-  graph::Graph g;
-  graph::Placement p;
-};
-
-/// Analyzes many instances, distributing them over `threads` hardware
-/// threads (0 = all).  Results are in input order and identical to calling
-/// analyze() sequentially (the analytics are pure).
-std::vector<FeasibilityReport> analyze_batch(
-    const std::vector<InstanceSpec>& instances, bool check_cayley = true,
-    unsigned threads = 0);
-
 /// Theorem 2.1 exhaustive check for tiny instances: returns true if some
 /// locally-distinct labeling over `alphabet` symbols has every ~lab class
 /// of size > 1 (a proof of impossibility).

@@ -8,7 +8,6 @@
 #include "qelect/core/surrounding.hpp"
 #include "qelect/iso/refinement.hpp"
 #include "qelect/util/assert.hpp"
-#include "qelect/util/parallel.hpp"
 #include "qelect/util/math.hpp"
 #include "qelect/views/symmetricity.hpp"
 #include "structure_cache.hpp"
@@ -173,27 +172,6 @@ FeasibilityReport analyze(const graph::Graph& g, const graph::Placement& p,
     report.verdict = Verdict::Impossible;
   }
   return report;
-}
-
-std::vector<FeasibilityReport> analyze_batch(
-    const std::vector<InstanceSpec>& instances, bool check_cayley,
-    unsigned threads) {
-  // Dynamic scheduling: per-instance cost is dominated by the Cayley
-  // machinery and varies by orders of magnitude across a sweep, so static
-  // block decomposition leaves whole shards idle behind one hot block.
-  std::vector<std::optional<FeasibilityReport>> slots(instances.size());
-  parallel_for_dynamic(
-      instances.size(),
-      [&](std::size_t i) {
-        slots[i].emplace(analyze(instances[i].g, instances[i].p, check_cayley));
-      },
-      threads);
-  std::vector<FeasibilityReport> out;
-  out.reserve(slots.size());
-  for (std::optional<FeasibilityReport>& s : slots) {
-    out.push_back(std::move(*s));
-  }
-  return out;
 }
 
 bool impossibility_by_exhaustive_labelings(const graph::Graph& g,

@@ -46,13 +46,6 @@ struct CanonicalForm {
 struct CanonicalOptions {
   bool automorphism_pruning = true;
   std::size_t max_stored_automorphisms = 4096;
-  /// Threads exploring the first individualization level concurrently.
-  /// 1 (default) runs the fully sequential search; 0 asks for
-  /// hardware_concurrency().  Every setting produces the identical
-  /// certificate and a valid labeling; `leaves_evaluated` and the sampled
-  /// `discovered_automorphisms` may differ because automorphisms found in
-  /// one root branch cannot prune siblings already running.
-  unsigned root_parallelism = 1;
 };
 
 /// Runs the canonical-labeling search.

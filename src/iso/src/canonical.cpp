@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "qelect/util/assert.hpp"
-#include "qelect/util/parallel.hpp"
 #include "refine_in_place.hpp"
 
 namespace qelect::iso {
@@ -62,55 +61,32 @@ class Searcher {
       : g_(g), options_(options), s_(thread_search_scratch()) {}
 
   CanonicalForm run() {
-    if (g_.node_count() == 0) {
+    const std::size_t n = g_.node_count();
+    if (n == 0) {
       return CanonicalForm{{0}, {}, {}, 1};
     }
-    Coloring& root = start();
-    root = g_.colors();
-    refine_to_fixed_point(root);
-    descend(0);
-    return package();
-  }
-
-  /// One root branch of the parallel search: individualizes `y` (giving it
-  /// color `fresh`) in the refined root coloring `root`, refines, and
-  /// explores the whole subtree below.
-  CanonicalForm run_branch(const Coloring& root, NodeId y,
-                           std::uint32_t fresh) {
-    Coloring& c = start();
-    c = root;
-    c[y] = fresh;
-    refine_to_fixed_point(c);
-    s_.prefix.push_back(y);
-    descend(0);
-    return package();
-  }
-
- private:
-  // Sizes the per-depth buffers (a search is at most n deep: each level
-  // adds a class) and returns the depth-0 coloring.
-  Coloring& start() {
-    const std::size_t n = g_.node_count();
+    // A search is at most n deep: each level adds a class.
     if (s_.depth.size() < n + 1) {
       s_.depth.resize(n + 1);
       s_.cell.resize(n + 1);
       s_.tried.resize(n + 1);
     }
     s_.prefix.clear();
-    return s_.depth[0];
-  }
-
-  void refine_to_fixed_point(Coloring& c) const {
-    detail::refine_in_place(g_, c, g_.node_count() + 1);
-  }
-
-  CanonicalForm package() {
+    Coloring& root = s_.depth[0];
+    root = g_.colors();
+    refine_to_fixed_point(root);
+    descend(0);
     CanonicalForm out;
     out.certificate = std::move(best_cert_);
     out.labeling = std::move(best_sigma_);
     out.discovered_automorphisms = std::move(autos_);
     out.leaves_evaluated = leaves_;
     return out;
+  }
+
+ private:
+  void refine_to_fixed_point(Coloring& c) const {
+    detail::refine_in_place(g_, c, g_.node_count() + 1);
   }
 
   void descend(std::size_t d) {
@@ -262,86 +238,9 @@ CanonicalForm canonical_form(const ColoredDigraph& g) {
   return canonical_form(g, CanonicalOptions{});
 }
 
-namespace {
-
-// Root-parallel search: one Searcher per candidate of the root target
-// cell, branches merged by certificate minimum.  The union of the branch
-// subtrees is exactly the sequential search tree (same target cell, same
-// candidates), so min-over-branches is the same minimum and the
-// certificate is identical to the sequential one.  Branch-local
-// automorphisms are genuine automorphisms of g (verified when recorded);
-// a non-best branch whose certificate ties the winner additionally yields
-// the cross-branch automorphism best_sigma^{-1} o branch_sigma.
-CanonicalForm canonical_form_root_parallel(const ColoredDigraph& g,
-                                           const CanonicalOptions& options,
-                                           const Coloring& root,
-                                           const std::vector<NodeId>& cands,
-                                           std::uint32_t fresh,
-                                           unsigned threads) {
-  std::vector<CanonicalForm> branches = parallel_map<CanonicalForm>(
-      cands.size(),
-      [&](std::size_t i) {
-        return Searcher(g, options).run_branch(root, cands[i], fresh);
-      },
-      threads);
-  std::size_t best = 0;
-  std::size_t leaves = 0;
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    leaves += branches[i].leaves_evaluated;
-    if (i > 0 && branches[i].certificate < branches[best].certificate) {
-      best = i;
-    }
-  }
-  CanonicalForm out;
-  out.certificate = branches[best].certificate;
-  out.labeling = branches[best].labeling;
-  out.leaves_evaluated = leaves;
-  if (options.automorphism_pruning) {
-    std::vector<NodeId> best_inverse(out.labeling.size());
-    for (NodeId x = 0; x < out.labeling.size(); ++x) {
-      best_inverse[out.labeling[x]] = x;
-    }
-    auto add = [&](std::vector<NodeId> gamma) {
-      if (out.discovered_automorphisms.size() <
-          options.max_stored_automorphisms) {
-        out.discovered_automorphisms.push_back(std::move(gamma));
-      }
-    };
-    for (std::size_t i = 0; i < branches.size(); ++i) {
-      for (std::vector<NodeId>& gamma :
-           branches[i].discovered_automorphisms) {
-        add(std::move(gamma));
-      }
-      if (i != best && branches[i].certificate == out.certificate) {
-        std::vector<NodeId> gamma(out.labeling.size());
-        for (NodeId x = 0; x < gamma.size(); ++x) {
-          gamma[x] = best_inverse[branches[i].labeling[x]];
-        }
-        QELECT_ASSERT(is_automorphism(g, gamma));
-        add(std::move(gamma));
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 CanonicalForm canonical_form(const ColoredDigraph& g,
                              const CanonicalOptions& options) {
-  if (options.root_parallelism == 1 || g.node_count() == 0) {
-    return Searcher(g, options).run();
-  }
-  const Coloring root = refine(g);
-  if (is_discrete(root)) return Searcher(g, options).run();
-  std::vector<std::uint32_t> class_size;
-  std::vector<NodeId> cands;
-  const std::uint32_t fresh = target_cell(root, class_size, cands);
-  const unsigned threads =
-      resolve_parallel_threads(options.root_parallelism, cands.size());
-  if (threads <= 1) return Searcher(g, options).run();
-  return canonical_form_root_parallel(g, options, root, cands, fresh,
-                                      threads);
+  return Searcher(g, options).run();
 }
 
 Certificate canonical_certificate(const ColoredDigraph& g) {

@@ -92,11 +92,12 @@ struct BatchReplicaConfig {
 struct BatchConfig {
   SchedulerPolicy policy = SchedulerPolicy::Random;
   std::size_t max_steps = 20'000'000;
-  /// Steps granted to one replica before the engine rotates to the next;
-  /// replica results do not depend on this (replicas are independent), it
-  /// only shapes cache locality.
-  std::size_t stride = 256;
 };
+
+/// Steps granted to one replica before the engine rotates to the next;
+/// replica results do not depend on this (replicas are independent), it
+/// only shapes cache locality.
+inline constexpr std::size_t kBatchStride = 256;
 
 /// The engine.  `run(model)` drives a protocol model over every replica;
 /// the Model contract is:
@@ -324,7 +325,7 @@ class BatchWorld {
         if (r.finished) continue;
         any = true;
         try {
-          advance_replica<Model, P>(model, r, config_.stride);
+          advance_replica<Model, P>(model, r, kBatchStride);
         } catch (const std::exception& e) {
           r.finished = true;
           r.failed = true;

@@ -29,7 +29,6 @@ void BatchWorld::reset(const std::vector<BatchReplicaConfig>& configs,
   QELECT_CHECK(config.policy != SchedulerPolicy::Replay,
                "BatchWorld: Replay runs use the scalar engine");
   config_ = config;
-  if (config_.stride == 0) config_.stride = 1;
   const std::size_t r = placement_.agent_count();
   const std::size_t n = graph_.node_count();
   replicas_.resize(configs.size());

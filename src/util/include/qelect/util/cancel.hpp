@@ -1,7 +1,7 @@
 // Cooperative cancellation with optional deadlines.
 //
 // The campaign engine runs untrusted-duration tasks on shared worker
-// shards; std::thread offers no safe preemption, so timeouts are
+// shards; a running thread cannot be preempted safely, so timeouts are
 // cooperative: each task attempt receives a CancelToken carrying the
 // attempt's deadline, long-running workloads poll it between heavy stages,
 // and the engine classifies an attempt that trips the token as `timeout`.

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "qelect/graph/graph.hpp"
@@ -41,70 +40,17 @@ struct ViewTree {
 };
 
 /// Builds the depth-`depth` view of `g` from `root` under labeling `l` and
-/// bi-coloring `p`.
+/// bi-coloring `p`.  The subtree below a tree node depends only on (graph
+/// node, remaining depth), so the returned tree shares its subtrees: it
+/// unrolls to ~deg^depth nodes but holds at most n * (depth + 1).
 ViewTree build_view(const graph::Graph& g, const graph::Placement& p,
                     const graph::EdgeLabeling& l, NodeId root,
                     std::size_t depth);
 
 /// Canonical encoding of a truncated view: two views are label-isomorphic
 /// iff their encodings are equal (children are sorted recursively, so the
-/// encoding is order-independent).
+/// encoding is order-independent).  Each shared subtree is encoded once.
 std::vector<std::uint64_t> encode_view(const ViewTree& view);
-
-/// Arena (DAG) representation of truncated views.  The view tree of walks
-/// has ~deg^depth nodes, but the subtree hanging below a tree node depends
-/// only on (graph node, remaining depth): the unrolled DAG has at most
-/// n * (depth + 1) distinct subtrees.  A ViewArena materializes each
-/// distinct subtree once, in flat vectors (no per-node shared_ptr churn),
-/// and memoizes each subtree's canonical encoding, so encoding every
-/// node's view of a symmetric graph shares all the common work.  The
-/// encodings are byte-identical to encode_view(build_view(...)).
-class ViewArena {
- public:
-  ViewArena(const graph::Graph& g, const graph::Placement& p,
-            const graph::EdgeLabeling& l);
-
-  /// Id of the depth-`depth` view subtree rooted at `root`; builds only
-  /// the (node, depth) entries not already interned.
-  std::uint32_t view(NodeId root, std::size_t depth);
-
-  /// The canonical encoding of an interned subtree (memoized; computed on
-  /// first request).
-  const std::vector<std::uint64_t>& encoding(std::uint32_t subtree);
-
-  /// Number of distinct subtrees materialized so far (bench counter; the
-  /// tree the arena replaces has exponentially many).
-  std::size_t subtree_count() const { return nodes_.size(); }
-
- private:
-  struct ChildRef {
-    std::uint32_t near_label = 0;
-    std::uint32_t far_label = 0;
-    std::uint32_t subtree = 0;
-  };
-  struct Node {
-    std::uint32_t root_color = 0;
-    std::uint32_t first_child = 0;
-    std::uint32_t child_count = 0;
-  };
-
-  std::uint32_t intern(NodeId x, std::size_t depth);
-
-  const graph::Graph& g_;
-  const graph::Placement& p_;
-  const graph::EdgeLabeling& l_;
-  std::vector<Node> nodes_;
-  std::vector<ChildRef> children_;
-  std::vector<std::vector<std::uint64_t>> enc_;  // [] = not yet encoded
-  std::unordered_map<std::uint64_t, std::uint32_t> memo_;  // (x, depth) -> id
-};
-
-/// One-call fast path for encode_view(build_view(g, p, l, root, depth))
-/// that never materializes the tree (single-use ViewArena).
-std::vector<std::uint64_t> view_encoding(const graph::Graph& g,
-                                         const graph::Placement& p,
-                                         const graph::EdgeLabeling& l,
-                                         NodeId root, std::size_t depth);
 
 /// The qualitative-world encoding: the canonical form of the view *up to a
 /// bijective renaming of edge symbols* (symbols are only testable for

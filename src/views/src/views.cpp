@@ -96,83 +96,6 @@ std::vector<std::uint64_t> encode_view(const ViewTree& view) {
   return encode_rec(view, memo);
 }
 
-ViewArena::ViewArena(const graph::Graph& g, const graph::Placement& p,
-                     const graph::EdgeLabeling& l)
-    : g_(g), p_(p), l_(l) {
-  QELECT_CHECK(l.locally_distinct(g), "ViewArena: labeling must fit graph");
-  QELECT_CHECK(p.node_count() == g.node_count(),
-               "ViewArena: placement size mismatch");
-}
-
-std::uint32_t ViewArena::view(NodeId root, std::size_t depth) {
-  QELECT_CHECK(root < g_.node_count(), "ViewArena::view: root out of range");
-  const std::uint32_t id = intern(root, depth);
-  enc_.resize(nodes_.size());
-  return id;
-}
-
-std::uint32_t ViewArena::intern(NodeId x, std::size_t depth) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(x) << 32) | depth;
-  if (auto it = memo_.find(key); it != memo_.end()) return it->second;
-  // Children are interned first so this node's ChildRef run is contiguous.
-  std::vector<ChildRef> kids;
-  if (depth > 0) {
-    kids.reserve(g_.degree(x));
-    for (PortId port = 0; port < g_.degree(x); ++port) {
-      const graph::HalfEdge& h = g_.peer(x, port);
-      kids.push_back(ChildRef{l_.at(x, port), l_.at(h.to, h.to_port),
-                              intern(h.to, depth - 1)});
-    }
-  }
-  Node node;
-  node.root_color = p_.is_home_base(x) ? 1 : 0;
-  node.first_child = static_cast<std::uint32_t>(children_.size());
-  node.child_count = static_cast<std::uint32_t>(kids.size());
-  children_.insert(children_.end(), kids.begin(), kids.end());
-  const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-  nodes_.push_back(node);
-  memo_.emplace(key, id);
-  return id;
-}
-
-const std::vector<std::uint64_t>& ViewArena::encoding(std::uint32_t subtree) {
-  QELECT_CHECK(subtree < nodes_.size(), "ViewArena::encoding: bad id");
-  std::vector<std::uint64_t>& slot = enc_[subtree];
-  if (!slot.empty()) return slot;  // every encoding has >= 3 words
-  const Node& node = nodes_[subtree];
-  std::vector<std::uint64_t> out;
-  out.push_back(0xFEED0000ULL + node.root_color);
-  std::vector<std::vector<std::uint64_t>> child_words;
-  child_words.reserve(node.child_count);
-  for (std::uint32_t k = 0; k < node.child_count; ++k) {
-    const ChildRef& ch = children_[node.first_child + k];
-    std::vector<std::uint64_t> w;
-    const std::vector<std::uint64_t>& sub = encoding(ch.subtree);
-    w.reserve(1 + sub.size());
-    w.push_back((static_cast<std::uint64_t>(ch.near_label) << 32) |
-                ch.far_label);
-    w.insert(w.end(), sub.begin(), sub.end());
-    child_words.push_back(std::move(w));
-  }
-  std::sort(child_words.begin(), child_words.end());
-  out.push_back(0xFEED1000ULL + child_words.size());
-  for (const auto& w : child_words) {
-    out.push_back(0xFEED2000ULL);
-    out.insert(out.end(), w.begin(), w.end());
-  }
-  out.push_back(0xFEED3000ULL);
-  slot = std::move(out);
-  return slot;
-}
-
-std::vector<std::uint64_t> view_encoding(const graph::Graph& g,
-                                         const graph::Placement& p,
-                                         const graph::EdgeLabeling& l,
-                                         NodeId root, std::size_t depth) {
-  ViewArena arena(g, p, l);
-  return arena.encoding(arena.view(root, depth));
-}
-
 namespace {
 
 // Symbol collection and renaming are memoized by subtree identity for the

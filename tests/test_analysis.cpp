@@ -323,24 +323,6 @@ TEST(Analyze, SkippingCayleyLeavesUnknown) {
   EXPECT_EQ(r.verdict, Verdict::Unknown);
 }
 
-TEST(Analyze, BatchMatchesSequential) {
-  std::vector<InstanceSpec> batch;
-  batch.push_back({graph::ring(6), Placement(6, {0, 2})});
-  batch.push_back({graph::ring(6), Placement(6, {0, 3})});
-  batch.push_back({graph::petersen(), Placement(10, {0, 5})});
-  batch.push_back({graph::hypercube(3), Placement(8, {0, 7})});
-  const auto reports = analyze_batch(batch, true, 2);
-  ASSERT_EQ(reports.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto solo = analyze(batch[i].g, batch[i].p);
-    EXPECT_EQ(reports[i].verdict, solo.verdict) << i;
-    EXPECT_EQ(reports[i].plan.sizes, solo.plan.sizes) << i;
-    EXPECT_EQ(reports[i].translation_obstruction,
-              solo.translation_obstruction)
-        << i;
-  }
-}
-
 TEST(Analyze, ExhaustiveAlphabetUpgradesVerdict) {
   // P4 {0,3} has gcd 2 and is not Cayley (path), so the Cayley route says
   // Unknown -- the exhaustive labeling search proves impossibility.

@@ -164,7 +164,16 @@ TEST(CampaignSpec, FaultsAxisRoundTripsAndEmptyPreservesHash) {
   crashy.plan.fault_seed = 7;
   crashy.plan.crash_rate = 0.01;
   crashy.plan.edge_wormhole_rate = 0.5;
-  spec.faults = {control, crashy};
+  FaultPoint every;
+  every.label = "every-rate";
+  every.plan.fault_seed = 11;
+  // A distinct nonzero value per rate, so a key read into the wrong rate
+  // fails the round trip too.
+  for (std::size_t i = 0; i < std::size(fault::kRateFields); ++i) {
+    every.plan.*fault::kRateFields[i].rate =
+        0.0625 * static_cast<double>(i + 1);
+  }
+  spec.faults = {control, crashy, every};
   const std::string json = spec.to_json();
   const CampaignSpec back = CampaignSpec::from_json_text(json);
   EXPECT_EQ(back, spec);

@@ -2,7 +2,6 @@
 // the Euclid dynamics of the reduction subroutines, and table rendering.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <numeric>
 #include <set>
@@ -10,8 +9,8 @@
 #include <thread>
 
 #include "qelect/util/assert.hpp"
+#include "qelect/util/cancel.hpp"
 #include "qelect/util/math.hpp"
-#include "qelect/util/parallel.hpp"
 #include "qelect/util/rng.hpp"
 #include "qelect/util/table.hpp"
 
@@ -269,53 +268,6 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, FormatDouble) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_double(2.0, 1), "2.0");
-}
-
-TEST(Parallel, CoversEveryIndexExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h = 0;
-    parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; }, threads);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(Parallel, EmptyAndSingleton) {
-  parallel_for(0, [](std::size_t) { FAIL(); }, 4);
-  int calls = 0;
-  parallel_for(1, [&](std::size_t i) { calls += static_cast<int>(i) + 1; },
-               8);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(Parallel, MapPreservesOrder) {
-  const auto out = parallel_map<std::size_t>(
-      100, [](std::size_t i) { return i * i; }, 3);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-}
-
-TEST(Parallel, DynamicCoversEveryIndexExactlyOnce) {
-  for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h = 0;
-    parallel_for_dynamic(hits.size(), [&](std::size_t i) { ++hits[i]; },
-                         threads);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(Parallel, DynamicStopsClaimingAfterCancel) {
-  CancelSource source;
-  std::atomic<int> calls{0};
-  parallel_for_dynamic(
-      1000,
-      [&](std::size_t) {
-        if (calls.fetch_add(1) == 10) source.cancel();
-      },
-      4, source.token());
-  // Once cancelled, no new index is claimed: far fewer than 1000 calls.
-  EXPECT_GE(calls.load(), 11);
-  EXPECT_LT(calls.load(), 1000);
 }
 
 TEST(Cancel, DefaultTokenNeverCancels) {

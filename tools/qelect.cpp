@@ -177,7 +177,7 @@ int cmd_compact(int argc, char** argv) {
   const auto store = campaign::load_store(store_path);
   QELECT_CHECK(store.exists && store.has_header,
                "no store at " + store_path);
-  campaign::StoreWriter writer(store_path, store.header);
+  campaign::StoreWriter writer(store_path, store.header, store);
   writer.compact();
   std::printf("compacted %s: %zu records -> generation %llu snapshot\n",
               store_path.c_str(), writer.record_count(),
