@@ -135,7 +135,7 @@ void burst_case(benchjson::Reporter& rep, const std::string& instance,
   plan = core::compile_elect_batch_plan(g, p);
   const std::chrono::duration<double> compile_dt =
       std::chrono::steady_clock::now() - t0;
-  core::ElectBatchRunner runner(plan);
+  core::ElectBatchRunner runner;
 
   std::vector<sim::BatchReplicaConfig> replicas;
   replicas.reserve(kReplicas);
@@ -149,7 +149,7 @@ void burst_case(benchjson::Reporter& rep, const std::string& instance,
   bool identical = true;
   const std::string batch_name = "batch_" + instance;
   const double batch_t = rep.bench(batch_name, [&] {
-    const core::ElectBatchOutcome out = runner.run(replicas, config);
+    const core::ElectBatchOutcome out = runner.run(*plan, replicas, config);
     batch_total = 0;
     for (std::size_t i = 0; i < kReplicas; ++i) {
       if (out.failed[i] || out.runs[i].total_moves != scalar_moves[i]) {

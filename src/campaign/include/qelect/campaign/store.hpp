@@ -111,6 +111,12 @@ struct LoadedStore {
 /// throws CheckError.
 LoadedStore load_store(const std::string& path);
 
+/// The generation header alone, read from the WAL's first frame without
+/// reading a record: null for a missing store or one whose header never
+/// reached the disk.  Throws as load_store does for a file that is not a
+/// WAL store or a corrupt header.
+std::optional<StoreHeader> load_store_header(const std::string& path);
+
 /// Serializes the store as JSONL text: header line, then one record line
 /// per task in task_index order, so stores holding the same records export
 /// the same bytes whatever order their frames were committed in.

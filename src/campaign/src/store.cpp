@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -360,9 +361,11 @@ class ReplacementFile {
   std::string buf_;
 };
 
-/// Reads a whole file into one allocation of its size; a file that cannot
-/// be opened reads as missing.
-std::string read_file_or_empty(const std::string& path, bool* exists) {
+/// Reads a whole file, or its first `limit` bytes, into one allocation of
+/// that size; a file that cannot be opened reads as missing.
+std::string read_file_or_empty(
+    const std::string& path, bool* exists,
+    std::size_t limit = std::numeric_limits<std::size_t>::max()) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   *exists = fd >= 0;
   if (fd < 0) return {};
@@ -376,7 +379,8 @@ std::string read_file_or_empty(const std::string& path, bool* exists) {
   };
   struct stat st {};
   if (::fstat(fd, &st) != 0) fail("stat failed");
-  std::string data(static_cast<std::size_t>(st.st_size), '\0');
+  std::string data(std::min(static_cast<std::size_t>(st.st_size), limit),
+                   '\0');
   std::size_t got = 0;
   while (got < data.size()) {
     const ssize_t r = ::read(fd, data.data() + got, data.size() - got);
@@ -451,35 +455,51 @@ bool load_snapshot(const std::string& snap_path, Snapshot* snap) {
 // ---------------------------------------------------------------------------
 // WAL parsing.
 
+/// True when `content` opens with the WAL magic, false when it is a bare
+/// prefix of the magic (an empty file included: a crash inside the very
+/// first write, nothing committed).  Any other file is not a store.
+bool has_wal_magic(const std::string& path, const std::string& content) {
+  if (content.size() >= 4 && std::memcmp(content.data(), kWalMagic, 4) == 0) {
+    return true;
+  }
+  if (content.size() < 4 &&
+      std::memcmp(content.data(), kWalMagic, content.size()) == 0) {
+    return false;
+  }
+  throw CheckError("result store " + path + ": not a WAL store");
+}
+
+/// Reads the generation header, the frame after the magic.  False when
+/// that frame is torn (it runs past `content` or fails its checksum): the
+/// store is empty and the writer re-creates it.  A complete-but-corrupt
+/// header is an error.
+bool parse_header_frame(const std::string& path, const std::string& content,
+                        WalHeader* wal, std::size_t* next) {
+  std::string_view payload;
+  if (!parse_frame(content, 4, &payload, next)) return false;
+  QELECT_CHECK(!payload.empty() &&
+                   static_cast<std::uint8_t>(payload[0]) == kHeaderFrame,
+               "result store " + path + ": first frame is not a header");
+  Cursor c{payload.data() + 1, payload.size() - 1};
+  QELECT_CHECK(decode_header_body(c, wal),
+               "result store " + path + ": corrupt generation header");
+  QELECT_CHECK(wal->version == kFormatVersion,
+               "result store " + path + ": unsupported format version " +
+                   std::to_string(wal->version));
+  return true;
+}
+
 void load_wal(const std::string& path, const std::string& content,
               LoadedStore* store) {
   std::size_t off = 4;  // past the magic
   store->valid_bytes = off;
 
-  // Generation header first.  A torn header (frame runs past EOF) leaves
-  // an empty store the writer re-creates; a complete-but-corrupt one is
-  // an error.
   WalHeader wal;
-  {
-    std::string_view payload;
-    std::size_t next = 0;
-    if (!parse_frame(content, off, &payload, &next)) {
-      store->torn_tail = content.size() > off;
-      store->valid_bytes = 4;
-      return;
-    }
-    QELECT_CHECK(!payload.empty() &&
-                     static_cast<std::uint8_t>(payload[0]) == kHeaderFrame,
-                 "result store " + path + ": first frame is not a header");
-    Cursor c{payload.data() + 1, payload.size() - 1};
-    QELECT_CHECK(decode_header_body(c, &wal),
-                 "result store " + path + ": corrupt generation header");
-    QELECT_CHECK(wal.version == kFormatVersion,
-                 "result store " + path + ": unsupported format version " +
-                     std::to_string(wal.version));
-    off = next;
-    store->valid_bytes = off;
+  if (!parse_header_frame(path, content, &wal, &off)) {
+    store->torn_tail = content.size() > 4;
+    return;
   }
+  store->valid_bytes = off;
   store->has_header = true;
   store->header = wal.header;
   store->generation = wal.generation;
@@ -616,18 +636,30 @@ LoadedStore load_store(const std::string& path) {
   if (!exists) return store;
   store.exists = true;
 
-  if (content.size() >= 4 && std::memcmp(content.data(), kWalMagic, 4) == 0) {
+  if (has_wal_magic(path, content)) {
     load_wal(path, content, &store);
-  } else if (content.size() < 4 &&
-             std::memcmp(content.data(), kWalMagic, content.size()) == 0) {
-    // A crash inside the very first write can leave a bare magic prefix
-    // (including an empty file); nothing was committed.
-    store.torn_tail = !content.empty();
   } else {
-    throw CheckError("result store " + path + ": not a WAL store");
+    store.torn_tail = !content.empty();
   }
   store.low_water = compute_low_water(store.records);
   return store;
+}
+
+std::optional<StoreHeader> load_store_header(const std::string& path) {
+  // The magic and the header frame's length and checksum, then the frame.
+  constexpr std::size_t kFrameStart = 4 + 8;
+  bool exists = false;
+  std::string head = read_file_or_empty(path, &exists, kFrameStart);
+  if (!exists || !has_wal_magic(path, head) || head.size() < kFrameStart) {
+    return std::nullopt;
+  }
+  std::uint32_t len = 0;
+  std::memcpy(&len, head.data() + 4, 4);
+  head = read_file_or_empty(path, &exists, kFrameStart + len);
+  WalHeader wal;
+  std::size_t next = 0;
+  if (!parse_header_frame(path, head, &wal, &next)) return std::nullopt;
+  return wal.header;
 }
 
 std::string store_to_jsonl(const LoadedStore& store) {

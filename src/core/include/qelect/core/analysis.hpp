@@ -82,8 +82,8 @@ std::shared_ptr<const cayley::RecognitionResult> recognize_cayley_shared(
 /// each entry costs its key plus one word per permutation entry of its
 /// regular subgroups, least-recently-used entries are evicted until a new
 /// one fits, and a result larger than the whole budget is returned without
-/// being stored.  Recognition runs outside the lock and an insert race
-/// keeps the incumbent.
+/// being stored.  Recognition runs outside the lock, once per graph: a
+/// caller that wants a graph being recognized waits for that run.
 class RecognitionMemo
     : public util::LruCache<std::vector<std::uint64_t>,
                             cayley::RecognitionResult, util::WordsHash> {

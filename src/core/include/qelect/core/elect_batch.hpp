@@ -143,12 +143,14 @@ std::shared_ptr<const ElectBatchPlan> compile_elect_batch_plan(
 /// The stackless ELECT interpreter driven by sim::BatchWorld.
 class ElectBatchModel {
  public:
-  explicit ElectBatchModel(std::shared_ptr<const ElectBatchPlan> plan);
+  ElectBatchModel();
   ~ElectBatchModel();
   ElectBatchModel(ElectBatchModel&&) noexcept;
   ElectBatchModel& operator=(ElectBatchModel&&) noexcept;
 
-  void reset(std::size_t replica_count);
+  /// Arms `plan`'s programs for `replica_count` replicas, reusing the
+  /// frames of whatever plan ran before.  `plan` must outlive the run.
+  void reset(const ElectBatchPlan& plan, std::size_t replica_count);
 
   /// Tape replay is ~90% of all steps on small instances, so it is served
   /// inline: one cursor compare, a struct copy, a pointer bump.  Everything
@@ -180,7 +182,7 @@ class ElectBatchModel {
   bool advance_slow(std::size_t rep, std::size_t agent,
                     sim::BatchPending& out);
 
-  std::shared_ptr<const ElectBatchPlan> plan_;
+  const ElectBatchPlan* plan_ = nullptr;
   std::size_t agent_count_ = 0;
   std::vector<Frame> frames_;  // [rep * agent_count_ + agent]
   // Tape replay cursors, flat per (rep, agent) like frames_ -- kept outside
@@ -200,31 +202,32 @@ struct ElectBatchOutcome {
   std::vector<std::string> errors;
 };
 
-/// Reusable driver: owns the BatchWorld and interpreter for one compiled
-/// plan, so back-to-back invocations (campaign slabs of the same spec,
-/// repeated serve bursts, bench iterations) recycle every per-replica
-/// buffer -- positions, boards, frames, waiter lists -- instead of
-/// reallocating them.  Results are identical to run_elect_batch; reuse is
-/// purely a capacity optimization.  Not thread-safe: one runner per thread.
+/// The reusable runner: owns a BatchWorld and an interpreter and
+/// re-targets both at each call's plan.  Back-to-back calls (campaign slabs, serve
+/// bursts, bench iterations) recycle every per-replica buffer --
+/// positions, boards, frames, waiter lists -- instead of reallocating
+/// them, whether or not the instance changed; a runner holds only the
+/// last call's replicas and nodes.  Results are identical to a fresh
+/// runner's; reuse is purely a capacity optimization.  Not thread-safe:
+/// one runner per thread.
 class ElectBatchRunner {
  public:
-  explicit ElectBatchRunner(std::shared_ptr<const ElectBatchPlan> plan);
-
-  /// Advances every replica to completion under `config` and returns
-  /// per-replica results.
-  ElectBatchOutcome run(const std::vector<sim::BatchReplicaConfig>& replicas,
+  /// Advances every replica of `plan` to completion under `config` and
+  /// returns per-replica results.
+  ElectBatchOutcome run(const ElectBatchPlan& plan,
+                        const std::vector<sim::BatchReplicaConfig>& replicas,
                         const sim::BatchConfig& config);
 
  private:
-  std::shared_ptr<const ElectBatchPlan> plan_;
   sim::BatchWorld world_;
   ElectBatchModel model_;
 };
 
 /// One-call driver: advances every replica of the compiled instance to
 /// completion under `config` and returns per-replica results.  Each thread
-/// reuses one ElectBatchRunner while the plan stays the same.  Callers
-/// outside core use campaign::run_elect_replicas (scalar fallback).
+/// keeps one ElectBatchRunner for its whole life and hands it every plan
+/// it runs.  Callers outside core use campaign::run_elect_replicas (scalar
+/// fallback).
 ElectBatchOutcome run_elect_batch(
     const std::shared_ptr<const ElectBatchPlan>& plan,
     const std::vector<sim::BatchReplicaConfig>& replicas,

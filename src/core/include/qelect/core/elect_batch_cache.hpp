@@ -17,9 +17,12 @@
 // (graph, placement).  The golden batch-vs-scalar parity gate therefore
 // holds verbatim through the cache.
 //
-// It is a util::LruCache: compilation runs outside the lock, two threads
-// racing on one cold key may both compile (the first insert wins), and
-// LRU eviction bounds it at kDefaultCapacity plans.
+// It is a util::LruCache: compilation runs outside the lock, a thread
+// that wants a plan another thread is compiling waits for that compile
+// instead of starting its own, and LRU eviction bounds the words the plans
+// hold (words()) at kBudgetWords.  A count of plans would bound nothing:
+// one hypercube(10) plan holds megabytes of routing trees, a ring(6) plan
+// a few kilobytes.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +41,18 @@ class ElectBatchPlanCache
     : public util::LruCache<std::vector<std::uint64_t>, ElectBatchPlan,
                             util::WordsHash> {
  public:
-  static constexpr std::size_t kDefaultCapacity = 64;
+  /// The global cache's budget in 8-byte words (32 MiB).
+  static constexpr std::size_t kBudgetWords = std::size_t{1} << 22;
 
-  explicit ElectBatchPlanCache(std::size_t capacity = kDefaultCapacity)
-      : LruCache(capacity) {}
+  /// A cache bounded by `budget_words` of words(); tests size their own.
+  explicit ElectBatchPlanCache(std::size_t budget_words = kBudgetWords);
+
+  /// What caching `plan` costs, in 8-byte words: its key (the port
+  /// structure and home bases), its graph and, per agent, the tape, the
+  /// map, the route table and tours when materialized, and the n x n
+  /// routing trees behind its RouteFinder.  A vector counts three words
+  /// plus its payload.
+  static std::size_t words(const ElectBatchPlan& plan);
 
   /// The compiled plan for (g, p): a shared hit when the structure was
   /// seen before, otherwise compiled via compile_elect_batch_plan and

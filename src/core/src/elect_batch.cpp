@@ -414,15 +414,16 @@ constexpr std::uint32_t kPcDone = 1;
 constexpr std::uint32_t kPcTape = 2;
 }  // namespace
 
-ElectBatchModel::ElectBatchModel(std::shared_ptr<const ElectBatchPlan> plan)
-    : plan_(std::move(plan)), agent_count_(plan_->agent_count) {}
-
+ElectBatchModel::ElectBatchModel() = default;
 ElectBatchModel::~ElectBatchModel() = default;
 ElectBatchModel::ElectBatchModel(ElectBatchModel&&) noexcept = default;
 ElectBatchModel& ElectBatchModel::operator=(ElectBatchModel&&) noexcept =
     default;
 
-void ElectBatchModel::reset(std::size_t replica_count) {
+void ElectBatchModel::reset(const ElectBatchPlan& plan,
+                            std::size_t replica_count) {
+  plan_ = &plan;
+  agent_count_ = plan.agent_count;
   frames_.assign(replica_count * agent_count_, Frame{});
   tape_cur_.assign(replica_count * agent_count_, nullptr);
   tape_end_.assign(replica_count * agent_count_, nullptr);
@@ -902,16 +903,12 @@ bool ElectBatchModel::eval_wait(std::size_t rep, const sim::BatchPending& p,
 // Driver
 // ---------------------------------------------------------------------------
 
-ElectBatchRunner::ElectBatchRunner(std::shared_ptr<const ElectBatchPlan> plan)
-    : plan_(std::move(plan)),
-      world_(plan_->graph, plan_->placement),
-      model_(plan_) {}
-
 ElectBatchOutcome ElectBatchRunner::run(
+    const ElectBatchPlan& plan,
     const std::vector<sim::BatchReplicaConfig>& replicas,
     const sim::BatchConfig& config) {
-  world_.reset(replicas, config);
-  model_.reset(replicas.size());
+  world_.reset(plan.graph, plan.placement, replicas, config);
+  model_.reset(plan, replicas.size());
   world_.run(model_);
 
   ElectBatchOutcome outcome;
@@ -933,21 +930,14 @@ ElectBatchOutcome run_elect_batch(
     const std::shared_ptr<const ElectBatchPlan>& plan,
     const std::vector<sim::BatchReplicaConfig>& replicas,
     const sim::BatchConfig& config) {
-  // Runner reuse is the batch analog of campaign::WorldPool: constructing
-  // an ElectBatchRunner allocates every replica-side buffer, which for the
-  // steady state of campaign slabs and serve coalescing (many slabs of the
-  // same instance per worker thread) is ~25% of slab wall time.  Each
-  // thread keeps its last runner and recycles it while the plan is
-  // unchanged; run() fully resets replica state, so results are identical
-  // to a fresh runner (the batch-vs-scalar parity tests pin this through
-  // this very path).
-  thread_local std::shared_ptr<const ElectBatchPlan> cached_plan;
-  thread_local std::unique_ptr<ElectBatchRunner> cached_runner;
-  if (cached_plan != plan || cached_runner == nullptr) {
-    cached_runner = std::make_unique<ElectBatchRunner>(plan);
-    cached_plan = plan;
-  }
-  return cached_runner->run(replicas, config);
+  // Runner reuse is the batch analog of campaign::WorldPool: a fresh
+  // runner allocates every replica-side buffer.  Each thread keeps one
+  // runner for its whole life and re-targets it at every plan; run()
+  // fully resets replica state, so results are identical to a fresh
+  // runner's (the batch-vs-scalar parity tests pin this through this very
+  // path).
+  thread_local ElectBatchRunner runner;
+  return runner.run(*plan, replicas, config);
 }
 
 }  // namespace qelect::core

@@ -114,19 +114,21 @@ inline constexpr std::size_t kBatchStride = 256;
 ///       and the pending's operand words.
 ///   AgentStatus status(rep, agent) const;
 ///   std::uint32_t leader_writer(rep, agent) const;  // kNoBatchAgent: none
-///   void reset(replica_count) -- re-arm all programs at their start.
+///   reset(..., replica_count) -- re-arm all programs at their start;
+///       the model's owner calls it before run().
 class BatchWorld {
  public:
-  BatchWorld(graph::Graph g, graph::Placement p);
-
-  const graph::Graph& graph() const { return graph_; }
-  const graph::Placement& placement() const { return placement_; }
-  std::size_t agent_count() const { return placement_.agent_count(); }
+  std::size_t agent_count() const { return agent_count_; }
   std::size_t replica_count() const { return replicas_.size(); }
 
-  /// Re-arms the engine for `configs.size()` replicas.  Colors are minted
-  /// per replica from its seed, exactly as World(g, p, seed) would.
-  void reset(const std::vector<BatchReplicaConfig>& configs,
+  /// Targets the engine at (g, p) and re-arms it for `configs.size()`
+  /// replicas.  Colors are minted per replica from its seed, exactly as
+  /// World(g, p, seed) would.  The world keeps no copy of g or p, only
+  /// its adjacency, and every buffer keeps its capacity whatever instance
+  /// it held before; it holds the replicas and nodes of the last reset
+  /// alone.
+  void reset(const graph::Graph& g, const graph::Placement& p,
+             const std::vector<BatchReplicaConfig>& configs,
              const BatchConfig& config);
 
   /// Runs every replica to completion (or failure).  The model must have
@@ -204,7 +206,6 @@ class BatchWorld {
     std::vector<BatchBoard> boards;
 
     std::vector<Color> colors;
-    std::uint64_t color_seed = 0;  // seed colors were last minted from
     std::size_t live = 0;
     std::size_t steps = 0;
     bool finished = false;
@@ -386,9 +387,8 @@ class BatchWorld {
   void finish(Model& model, std::size_t rep, Replica& r) {
     if (!r.result.completed && !r.result.deadlock) r.result.step_limit = true;
     r.result.steps = r.steps;
-    const std::size_t agents = placement_.agent_count();
-    r.result.agents.reserve(agents);
-    for (std::size_t i = 0; i < agents; ++i) {
+    r.result.agents.reserve(agent_count_);
+    for (std::size_t i = 0; i < agent_count_; ++i) {
       AgentReport report;
       report.color = r.colors[i];
       report.status = model.status(rep, i);
@@ -404,14 +404,13 @@ class BatchWorld {
     r.finished = true;
   }
 
-  graph::Graph graph_;
-  graph::Placement placement_;
+  std::size_t agent_count_ = 0;
   BatchConfig config_;
   std::vector<Replica> replicas_;
 
   // Flat CSR copy of the adjacency (destination node per (node, port)),
-  // built once in the constructor: the Move fast path resolves a port with
-  // two array loads instead of two out-of-line Graph calls.
+  // rebuilt by reset: the Move fast path resolves a port with two array
+  // loads instead of two out-of-line Graph calls.
   std::vector<std::uint32_t> adj_off_;  // [node_count + 1]
   std::vector<graph::NodeId> adj_to_;   // [adj_off_[n] .. adj_off_[n+1])
 };

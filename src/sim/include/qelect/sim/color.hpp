@@ -46,12 +46,17 @@ class ColorUniverse {
   /// A fresh color, distinct from every color previously minted here.
   Color mint();
 
-  /// Mints `count` distinct colors.
-  std::vector<Color> mint_many(std::size_t count);
+  /// Overwrites `out` with the first `count` colors ColorUniverse(seed)
+  /// mints, reusing its capacity.
+  static void mint_many(std::uint64_t seed, std::size_t count,
+                        std::vector<Color>& out);
 
  private:
+  /// The color after `state` that `taken` does not hold; advances `state`.
+  static Color next(std::uint64_t& state, const std::vector<Color>& taken);
+
   std::uint64_t state_;
-  std::vector<std::uint64_t> minted_;  // for distinctness enforcement
+  std::vector<Color> minted_;  // for distinctness enforcement
 };
 
 /// The one sanctioned way to index colors: a growable first-seen registry.

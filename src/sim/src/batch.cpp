@@ -4,33 +4,29 @@
 
 namespace qelect::sim {
 
-BatchWorld::BatchWorld(graph::Graph g, graph::Placement p)
-    : graph_(std::move(g)), placement_(std::move(p)) {
-  QELECT_CHECK(placement_.node_count() == graph_.node_count(),
-               "BatchWorld: placement does not fit graph");
-  QELECT_CHECK(graph_.is_connected(), "BatchWorld: graph must be connected");
-  const std::size_t n = graph_.node_count();
-  adj_off_.resize(n + 1);
-  adj_off_[0] = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    adj_off_[v + 1] =
-        adj_off_[v] + static_cast<std::uint32_t>(graph_.degree(v));
-  }
-  adj_to_.resize(adj_off_[n]);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    for (graph::PortId p = 0; p < graph_.degree(v); ++p) {
-      adj_to_[adj_off_[v] + p] = graph_.peer(v, p).to;
-    }
-  }
-}
-
-void BatchWorld::reset(const std::vector<BatchReplicaConfig>& configs,
+void BatchWorld::reset(const graph::Graph& g, const graph::Placement& p,
+                       const std::vector<BatchReplicaConfig>& configs,
                        const BatchConfig& config) {
+  QELECT_CHECK(p.node_count() == g.node_count(),
+               "BatchWorld: placement does not fit graph");
+  QELECT_CHECK(g.is_connected(), "BatchWorld: graph must be connected");
   QELECT_CHECK(config.policy != SchedulerPolicy::Replay,
                "BatchWorld: Replay runs use the scalar engine");
   config_ = config;
-  const std::size_t r = placement_.agent_count();
-  const std::size_t n = graph_.node_count();
+  const std::size_t r = p.agent_count();
+  const std::size_t n = g.node_count();
+  agent_count_ = r;
+  adj_off_.resize(n + 1);
+  adj_off_[0] = 0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    adj_off_[v + 1] = adj_off_[v] + static_cast<std::uint32_t>(g.degree(v));
+  }
+  adj_to_.resize(adj_off_[n]);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (graph::PortId port = 0; port < g.degree(v); ++port) {
+      adj_to_[adj_off_[v] + port] = g.peer(v, port).to;
+    }
+  }
   replicas_.resize(configs.size());
   for (std::size_t rep = 0; rep < configs.size(); ++rep) {
     Replica& R = replicas_[rep];
@@ -44,8 +40,7 @@ void BatchWorld::reset(const std::vector<BatchReplicaConfig>& configs,
     R.round.clear();
     R.round_pos = 0;
     R.in_round = false;
-    R.pos.assign(placement_.home_bases().begin(),
-                 placement_.home_bases().end());
+    R.pos.assign(p.home_bases().begin(), p.home_bases().end());
     R.moves.assign(r, 0);
     R.board_accesses.assign(r, 0);
     R.pending.assign(r, BatchPending{});
@@ -59,13 +54,7 @@ void BatchWorld::reset(const std::vector<BatchReplicaConfig>& configs,
     for (BatchBoard& b : R.boards) b.clear();
     // Same color minting as World(g, p, seed): batch replica seed plays
     // the scalar color_seed role, so reports are comparable byte-for-byte.
-    // Colors are a pure function of (seed, r), so a reused slot that keeps
-    // its seed (the steady state of campaign slabs and serve bursts) skips
-    // the re-mint and its allocation.
-    if (R.colors.size() != r || R.color_seed != R.seed) {
-      R.colors = ColorUniverse(R.seed).mint_many(r);
-      R.color_seed = R.seed;
-    }
+    ColorUniverse::mint_many(R.seed, r, R.colors);
     R.live = r;
     R.steps = 0;
     R.finished = false;
@@ -105,11 +94,10 @@ void BatchWorld::unpark(Replica& r, std::size_t i) {
 }
 
 std::size_t BatchWorld::pick_round_robin(Replica& r) {
-  const std::size_t agent_count = placement_.agent_count();
-  for (std::size_t hop = 0; hop < agent_count; ++hop) {
-    const std::size_t candidate = (r.rr_cursor + hop) % agent_count;
+  for (std::size_t hop = 0; hop < agent_count_; ++hop) {
+    const std::size_t candidate = (r.rr_cursor + hop) % agent_count_;
     if (std::binary_search(r.enabled.begin(), r.enabled.end(), candidate)) {
-      r.rr_cursor = (candidate + 1) % agent_count;
+      r.rr_cursor = (candidate + 1) % agent_count_;
       return candidate;
     }
   }

@@ -9,23 +9,27 @@ namespace qelect::sim {
 
 ColorUniverse::ColorUniverse(std::uint64_t seed) : state_(seed) {}
 
-Color ColorUniverse::mint() {
-  SplitMix64 rng(state_);
-  std::uint64_t token;
+Color ColorUniverse::next(std::uint64_t& state,
+                          const std::vector<Color>& taken) {
+  SplitMix64 rng(state);
+  Color color;
   do {
-    token = rng.next();
-    state_ = token;
-  } while (token == 0 ||
-           std::find(minted_.begin(), minted_.end(), token) != minted_.end());
-  minted_.push_back(token);
-  return Color(token);
+    color = Color(rng.next());
+    state = color.token_;
+  } while (color.token_ == 0 ||
+           std::find(taken.begin(), taken.end(), color) != taken.end());
+  return color;
 }
 
-std::vector<Color> ColorUniverse::mint_many(std::size_t count) {
-  std::vector<Color> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(mint());
-  return out;
+Color ColorUniverse::mint() {
+  minted_.push_back(next(state_, minted_));
+  return minted_.back();
+}
+
+void ColorUniverse::mint_many(std::uint64_t seed, std::size_t count,
+                              std::vector<Color>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < count; ++i) out.push_back(next(seed, out));
 }
 
 std::size_t ColorIndex::index_of(const Color& c) {

@@ -186,8 +186,7 @@ World::World(graph::Graph g, graph::Placement p, std::uint64_t color_seed,
 }
 
 void World::mint_labels() {
-  ColorUniverse universe(color_seed_);
-  colors_ = universe.mint_many(placement_.agent_count());
+  ColorUniverse::mint_many(color_seed_, placement_.agent_count(), colors_);
   if (quantitative_) {
     // Distinct comparable labels; randomized so protocols cannot rely on
     // them being 0..r-1.

@@ -177,6 +177,58 @@ TEST(Batch, PlanIsReusableAcrossRuns) {
   expect_same_result(first.runs[0], second.runs[0], "plan reuse");
 }
 
+// One thread's runner is re-targeted at whatever plan each slab brings:
+// node, agent and replica counts grow and shrink from slab to slab, and
+// seeds repeat within and across slabs.  Every replica must equal a fresh
+// runner's run of the same slab.
+TEST(Batch, RetargetedRunnerMatchesFreshRunners) {
+  const std::vector<Instance> instances = {
+      {"ring6-pair", graph::ring(6), Placement(6, {0, 2})},
+      {"torus44-triple", graph::torus({4, 4}), Placement(16, {0, 1, 5})},
+      {"cube-triple", graph::hypercube(3), Placement(8, {0, 3, 5})},
+      {"ring5-pair", graph::ring(5), Placement(5, {0, 1})},
+  };
+  std::vector<std::shared_ptr<const ElectBatchPlan>> plans;
+  for (const Instance& inst : instances) {
+    plans.push_back(compile_elect_batch_plan(inst.g, inst.p));
+  }
+  // Up through the instances, then back down: each slab's instance
+  // differs from the last one's.
+  const std::vector<std::size_t> order = {0, 1, 2, 3, 2, 1, 0, 3, 0};
+  const std::vector<std::vector<std::uint64_t>> seed_sets = {
+      {1, 2, 3}, {4, 4, 5, 6, 7}, {1, 2}, {8, 8, 8, 9}};
+  std::size_t slab = 0;
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::Random, SchedulerPolicy::RoundRobin,
+        SchedulerPolicy::Lockstep, SchedulerPolicy::Counter}) {
+    BatchConfig cfg;
+    cfg.policy = policy;
+    for (const std::size_t which : order) {
+      std::vector<BatchReplicaConfig> replicas;
+      for (const std::uint64_t seed : seed_sets[slab % seed_sets.size()]) {
+        replicas.push_back({seed, replicas.size()});
+      }
+      ++slab;
+      const ElectBatchOutcome reused =
+          run_elect_batch(plans[which], replicas, cfg);
+      const ElectBatchOutcome fresh =
+          ElectBatchRunner().run(*plans[which], replicas, cfg);
+      ASSERT_EQ(reused.runs.size(), replicas.size());
+      for (std::size_t i = 0; i < replicas.size(); ++i) {
+        const std::string label = instances[which].name + "/" +
+                                  sim::policy_name(policy) + "/slab" +
+                                  std::to_string(slab) + "/replica" +
+                                  std::to_string(i);
+        ASSERT_FALSE(reused.failed[i]) << label << " " << reused.errors[i];
+        ASSERT_FALSE(fresh.failed[i]) << label << " " << fresh.errors[i];
+        EXPECT_EQ(sim::compare_run_results(reused.runs[i], fresh.runs[i]),
+                  "")
+            << label;
+      }
+    }
+  }
+}
+
 TEST(Batch, CompiledPlanAgreesWithOracle) {
   for (const Instance& inst : parity_instances()) {
     const auto plan = compile_elect_batch_plan(inst.g, inst.p);

@@ -1,10 +1,11 @@
 // util::LruCache: exact LRU order, capacity and cost accounting, the
-// incumbent rule, throwing computes, and an 8-thread hammer (the test CI
-// runs under TSan).
+// incumbent rule, throwing computes, single-flight cold keys and an
+// 8-thread hammer (the threaded tests run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -163,6 +164,86 @@ TEST(LruCache, ThrowingComputeLeavesNothingCached) {
   EXPECT_EQ(counts(cache), (Counts{0, 1, 0, 0, 0, 4}));
   EXPECT_EQ(*get(cache, 1), "v1");
   EXPECT_EQ(counts(cache), (Counts{0, 2, 1, 0, 1, 4}));
+}
+
+/// Runs body(t) on kGetters threads at once.  `entered` counts the
+/// threads about to call get(); a compute that waits until it reaches
+/// kGetters, plus a short grace for the last arrivals to reach get()'s
+/// wait, runs while every other thread wants the same key.
+constexpr int kGetters = 8;
+
+template <typename Body>
+void run_getters(Body body) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kGetters; ++t) threads.emplace_back(body, t);
+  for (std::thread& th : threads) th.join();
+}
+
+void hold_until_all_entered(const std::atomic<int>& entered) {
+  while (entered.load() < kGetters) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(LruCache, ConcurrentColdMissesComputeOnce) {
+  Cache cache(4);
+  std::atomic<int> entered{0};
+  std::atomic<int> computes{0};
+  std::vector<Cache::Value> got(kGetters);
+  run_getters([&](int t) {
+    entered.fetch_add(1);
+    got[t] = cache.get(1, [&] {
+      computes.fetch_add(1);
+      hold_until_all_entered(entered);
+      return value_of(1);
+    });
+  });
+  EXPECT_EQ(computes.load(), 1);
+  for (int t = 0; t < kGetters; ++t) {
+    EXPECT_EQ(got[t].get(), got[0].get()) << t;  // one shared value
+  }
+  EXPECT_EQ(*got[0], "v1");
+  // The waiters count as hits.
+  EXPECT_EQ(counts(cache), (Counts{7, 1, 1, 0, 1, 4}));
+}
+
+TEST(LruCache, ThrowingComputeCachesNothingAndWakesWaiters) {
+  // The first compute holds until every thread wants the key, then
+  // throws.  Its caller alone sees the exception; the waiters wake, one
+  // of them computes again, and the rest share that value.
+  Cache cache(4);
+  std::atomic<int> entered{0};
+  std::atomic<int> computes{0};
+  std::atomic<int> threw{0};
+  std::vector<Cache::Value> got(kGetters);
+  run_getters([&](int t) {
+    entered.fetch_add(1);
+    try {
+      got[t] = cache.get(1, [&]() -> std::string {
+        if (computes.fetch_add(1) == 0) {
+          hold_until_all_entered(entered);
+          throw std::runtime_error("compute failed");
+        }
+        return value_of(1);
+      });
+    } catch (const std::runtime_error&) {
+      threw.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(threw.load(), 1);
+  EXPECT_EQ(computes.load(), 2);
+  Cache::Value shared;
+  int served = 0;
+  for (const Cache::Value& v : got) {
+    if (v == nullptr) continue;
+    ++served;
+    if (shared == nullptr) shared = v;
+    EXPECT_EQ(v.get(), shared.get());
+  }
+  EXPECT_EQ(served, kGetters - 1);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(*shared, "v1");
+  // Two misses (the thrower and the retry that computed), one compile.
+  EXPECT_EQ(counts(cache), (Counts{6, 2, 1, 0, 1, 4}));
 }
 
 TEST(LruCache, MultithreadedHammer) {

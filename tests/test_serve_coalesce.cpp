@@ -45,9 +45,20 @@ Built build(const std::string& family, std::vector<std::uint64_t> params,
 
 // ---- plan cache ----------------------------------------------------------
 
+/// Words that hold exactly the plans of `instances`.
+std::size_t words_of(const std::vector<const Built*>& instances) {
+  std::size_t words = 0;
+  for (const Built* b : instances) {
+    words += core::ElectBatchPlanCache::words(
+        *core::compile_elect_batch_plan(b->g, b->p));
+  }
+  return words;
+}
+
 TEST(PlanCache, RepeatedStructureHits) {
-  core::ElectBatchPlanCache cache(8);
   const Built a = build("ring", {6}, {0, 2});
+  const Built b = build("ring", {6}, {0, 3});
+  core::ElectBatchPlanCache cache(words_of({&a, &b}));
   const auto first = cache.plan(a.g, a.p);
   const auto second = cache.plan(a.g, a.p);
   EXPECT_EQ(first.get(), second.get());  // shared, not recompiled
@@ -58,7 +69,6 @@ TEST(PlanCache, RepeatedStructureHits) {
   EXPECT_EQ(s.entries, 1u);
 
   // Same graph, different placement: a distinct plan.
-  const Built b = build("ring", {6}, {0, 3});
   const auto other = cache.plan(b.g, b.p);
   EXPECT_NE(other.get(), first.get());
   EXPECT_EQ(cache.stats().entries, 2u);
@@ -73,9 +83,9 @@ TEST(PlanCache, RepeatedStructureHits) {
 // rotated by one node is an isomorphic instance but not an equal one, so it
 // gets its own entry, and the two plans agree on what isomorphism keeps.
 TEST(PlanCache, IsomorphicButDistinctInstancesGetDistinctEntries) {
-  core::ElectBatchPlanCache cache(8);
   const Built a = build("ring", {6}, {0, 2});
   const Built b = build("ring", {6}, {1, 3});
+  core::ElectBatchPlanCache cache(words_of({&a, &b}));
   const auto pa = cache.plan(a.g, a.p);
   const auto pb = cache.plan(b.g, b.p);
   EXPECT_NE(pa.get(), pb.get());
@@ -88,10 +98,13 @@ TEST(PlanCache, IsomorphicButDistinctInstancesGetDistinctEntries) {
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsed) {
-  core::ElectBatchPlanCache cache(2);
+  // Room for a with c, and so for a with the smaller b, but not for all
+  // three.
   const Built a = build("ring", {4}, {0, 1});
   const Built b = build("ring", {5}, {0, 1});
   const Built c = build("ring", {6}, {0, 1});
+  ASSERT_LT(words_of({&b}), words_of({&c}));
+  core::ElectBatchPlanCache cache(words_of({&a, &c}));
   cache.plan(a.g, a.p);
   cache.plan(b.g, b.p);
   cache.plan(a.g, a.p);         // refresh a
@@ -100,10 +113,10 @@ TEST(PlanCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().entries, 2u);
   cache.plan(a.g, a.p);
   EXPECT_EQ(cache.stats().hits, 2u);  // a still resident
-  cache.plan(b.g, b.p);               // recompiles
+  cache.plan(b.g, b.p);               // recompiles, evicting c
   EXPECT_EQ(cache.stats().compiles, 4u);
 
-  cache.set_capacity(1);
+  cache.set_capacity(words_of({&b}));  // room for the most recent alone
   EXPECT_EQ(cache.stats().entries, 1u);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -111,10 +124,12 @@ TEST(PlanCache, EvictsLeastRecentlyUsed) {
 }
 
 // Many threads sharing one cache over a handful of structures: exercised
-// under TSan in CI.  Every returned plan for one structure must be the
-// same object once the cold races settle, and final_gcd must be right.
+// under TSan in CI.  Each structure compiles once, however the threads
+// race on it, and final_gcd must be right.
 TEST(PlanCache, ConcurrentLookupsAreSafe) {
-  core::ElectBatchPlanCache cache(8);
+  const Built sym0 = build("ring", {6}, {0, 3});
+  const Built asym0 = build("path", {5}, {0, 1});
+  core::ElectBatchPlanCache cache(words_of({&sym0, &asym0}));
   constexpr int kThreads = 8;
   constexpr int kIters = 50;
   std::vector<std::thread> threads;
@@ -136,6 +151,7 @@ TEST(PlanCache, ConcurrentLookupsAreSafe) {
   const auto s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, kThreads * kIters);
   EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.compiles, 2u);
 }
 
 // ---- coalesced execution vs handle() ------------------------------------

@@ -39,13 +39,22 @@ TEST(Color, DistinctAndEqualityOnly) {
 }
 
 TEST(Color, MintManyAllDistinct) {
-  ColorUniverse u(7);
-  const auto colors = u.mint_many(50);
+  std::vector<Color> colors;
+  ColorUniverse::mint_many(7, 50, colors);
+  ASSERT_EQ(colors.size(), 50u);
   for (std::size_t i = 0; i < colors.size(); ++i) {
     for (std::size_t j = i + 1; j < colors.size(); ++j) {
       EXPECT_NE(colors[i], colors[j]);
     }
   }
+  // The universe's own mints, in order; a refill of the same buffer
+  // starts over from the seed.
+  ColorUniverse u(7);
+  for (const Color& c : colors) EXPECT_EQ(c, u.mint());
+  ColorUniverse::mint_many(7, 3, colors);
+  ASSERT_EQ(colors.size(), 3u);
+  ColorUniverse again(7);
+  for (const Color& c : colors) EXPECT_EQ(c, again.mint());
 }
 
 TEST(Color, IndexIsFirstSeen) {

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -225,6 +226,38 @@ TEST(WalStore, TruncationSweepRecoversExactLogicalPrefix) {
     }
     EXPECT_EQ(store_to_jsonl(load_store(path)), full_export)
         << "cut=" << cut;
+  }
+}
+
+// `qelect resume` reads only the generation header.  At every cut of the
+// file it must agree with what load_store says about the header, and it
+// refuses a file that is not a store as load_store does.
+TEST(WalStore, HeaderReadsAloneAndAgreesWithLoadStoreAtEveryCut) {
+  ScratchDir scratch("header");
+  const std::string path = scratch.path("s.qws");
+  EXPECT_FALSE(load_store_header(path).has_value());  // no file yet
+  write_store(path, 6);
+  const std::string full = slurp(path);
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    spit(path, full.substr(0, cut));
+    const LoadedStore store = load_store(path);
+    const std::optional<StoreHeader> header = load_store_header(path);
+    ASSERT_EQ(header.has_value(), store.has_header) << "cut=" << cut;
+    if (!header) continue;
+    EXPECT_EQ(header->name, store.header.name) << "cut=" << cut;
+    EXPECT_EQ(header->spec_hash, store.header.spec_hash) << "cut=" << cut;
+    EXPECT_EQ(header->spec_json, store.header.spec_json) << "cut=" << cut;
+  }
+
+  const std::string text_path = scratch.path("s.jsonl");
+  spit(text_path, expected_export(3));
+  try {
+    load_store_header(text_path);
+    ADD_FAILURE() << "load_store_header read export text as a store";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(text_path + ": not a WAL store"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "qelect/campaign/engine.hpp"
 #include "qelect/campaign/report.hpp"
 #include "qelect/campaign/spec.hpp"
+#include "qelect/campaign/store.hpp"
 #include "qelect/campaign/task.hpp"
 #include "qelect/trace/jsonl_sink.hpp"
 #include "qelect/util/assert.hpp"
@@ -131,11 +133,10 @@ int cmd_run(int argc, char** argv) {
 int cmd_resume(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string store_path = argv[2];
-  const auto store = campaign::load_store(store_path);
-  QELECT_CHECK(store.exists && store.has_header,
-               "no resumable store at " + store_path);
-  const CampaignSpec spec =
-      CampaignSpec::from_json_text(store.header.spec_json);
+  const std::optional<campaign::StoreHeader> header =
+      campaign::load_store_header(store_path);
+  QELECT_CHECK(header.has_value(), "no resumable store at " + store_path);
+  const CampaignSpec spec = CampaignSpec::from_json_text(header->spec_json);
   EngineFlags flags = parse_engine_flags(argc, argv, 3);
   flags.store = store_path;
   return run_with(spec, std::move(flags));
