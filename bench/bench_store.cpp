@@ -20,10 +20,9 @@
 //                                 engine's per-slab commits)
 //       wal_commit_durable_each   StoreWriter syncing per record -- the
 //                                 floor group commit amortizes away
-//   * recovery -- wal_load_tail rescans a full 10^6-record log;
-//     wal_load_snapshot loads the same store after compaction (snapshot +
-//     empty tail), which is what resume/report do on a long-running
-//     campaign.
+//   * recovery -- wal_load_tail loads a full 10^6-record log, which is
+//     what resume/report do on a long-running campaign (a compacted log
+//     whose keys are unique is the same frames).
 //
 // The ISSUE acceptance bar is the wal_vs_jsonl counter: >= 10x commit
 // throughput at 10^6 records, comparing the two stores at matched
@@ -106,7 +105,6 @@ void jsonl_commit_all(const std::string& path, const StoreHeader& header,
 void remove_store(const std::string& path) {
   std::error_code ec;
   fs::remove(path, ec);
-  fs::remove(path + ".snap", ec);
 }
 
 }  // namespace
@@ -218,7 +216,7 @@ int main() {
   // --- Recovery ------------------------------------------------------------
 
   // Rebuild the store once (the timed loops above end with a partial
-  // durable-each run) so every load case sees all kRecords.
+  // durable-each run) so the load case sees all kRecords.
   remove_store(wal_path);
   {
     StoreWriter writer(wal_path, header);
@@ -238,26 +236,6 @@ int main() {
                    static_cast<double>(kRecords) / tail_seconds);
   reporter.counter("wal_load_tail", "log_bytes", wal_log_bytes);
 
-  {
-    StoreWriter writer(wal_path, header);
-    writer.compact();
-  }
-  const double snap_seconds = reporter.bench(
-      "wal_load_snapshot",
-      [&] {
-        const LoadedStore store = load_store(wal_path);
-        qelect::benchjson::keep(store.records.size());
-      },
-      kSamples);
-  reporter.counter("wal_load_snapshot", "records_per_second",
-                   static_cast<double>(kRecords) / snap_seconds);
-  reporter.counter("wal_load_snapshot", "snapshot_bytes",
-                   static_cast<double>(fs::file_size(wal_path + ".snap")));
-  reporter.counter("wal_load_snapshot", "tail_bytes",
-                   static_cast<double>(fs::file_size(wal_path)));
-  reporter.counter("wal_load_snapshot", "snapshot_vs_rescan",
-                   tail_seconds / snap_seconds);
-
   std::printf(
       "store: %zu records\n"
       "  commit  jsonl(flush only, NOT durable) %.0f rec/s   "
@@ -266,14 +244,11 @@ int main() {
       "wal(durable each) %.0f rec/s\n"
       "          wal_vs_jsonl %.0fx (matched durability)   "
       "%.1fx vs the non-durable legacy writer\n"
-      "  load    wal tail %.0f rec/s   "
-      "wal snapshot %.0f rec/s (%.1fx vs rescan)\n",
+      "  load    wal tail %.0f rec/s\n",
       kRecords, jsonl_flush_rps, jsonl_durable_rps, wal_rps,
       static_cast<double>(kDurableRecords) / durable_seconds, wal_vs_jsonl,
       wal_vs_jsonl_nondurable,
-      static_cast<double>(kRecords) / tail_seconds,
-      static_cast<double>(kRecords) / snap_seconds,
-      tail_seconds / snap_seconds);
+      static_cast<double>(kRecords) / tail_seconds);
 
   fs::remove_all(scratch);
   reporter.write();

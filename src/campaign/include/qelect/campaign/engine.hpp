@@ -80,8 +80,10 @@ struct EngineOptions {
   /// Print one status line per `echo_every` durable records and per
   /// failure to stdout (0 = silent).
   std::size_t echo_every = 0;
-  /// Store auto-compaction threshold (see StoreOptions::compact_every);
-  /// 0 disables compaction during the run.
+  /// Ignored: a run never compacts its store (`qelect compact` does, as
+  /// an offline command).  The field stays only because the benchmark
+  /// probe (perfbench/src/campaigns.cpp) still assigns it; it goes once
+  /// that assignment does.
   std::size_t compact_every = 0;
 };
 

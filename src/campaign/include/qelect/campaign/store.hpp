@@ -9,7 +9,7 @@
 //   frame    := u32 payload_len | u32 crc32(payload) | payload
 //   payload  := u8 type | body
 //   type 1   := generation header: u32 format version, u64 generation,
-//               u64 base_records (records owed to the snapshot; 0 = none),
+//               u64 base_records (always 0; nonzero is refused),
 //               u64 spec_hash, str name, str spec_json
 //   type 2   := one committed task (TaskRecord + its task_index)
 //
@@ -27,19 +27,18 @@
 // staged tail, and commit swaps that tail out under the append lock and
 // writes it outside it, so appends never wait on write(2) or fdatasync.
 //
-// Periodic compaction bounds recovery time.  It is built from the files,
-// not from memory: the live snapshot's entries and the log's task frames
-// are copied as encoded bodies (checked by their CRCs, never decoded),
-// one per key -- the later one, as load_store resolves keys -- into
-// `<path>.snap` (single-checksum snapshot, generation G+1); then the WAL
-// is atomically rewritten as an empty tail at G+1.  Loading a compacted
-// store reads the snapshot and replays only the tail -- no full-log
-// rescan.  A crash between the two steps leaves the snapshot one
-// generation ahead; reopen completes the compaction.
+// The log is the whole store.  Compaction (`qelect compact`; a run never
+// compacts) rewrites it with one frame per key -- the later one, as
+// load_store resolves keys -- copied whole from the log (checked by its
+// CRC, never decoded), under a header at generation G+1, through a temp
+// file renamed over the log.  It reclaims only records a re-run
+// superseded; a crash leaves the old log, plus at most a stale
+// `<path>.tmp` that nothing reads.
 //
-// A store is read only as a WAL: load_store refuses any other file, so
-// StoreWriter, which opens only a store load_store has read, leaves such
-// a file as it was.
+// A store is read only as a WAL: load_store refuses any other file, and a
+// log whose header owes records to a `<path>.snap` snapshot (written by
+// older versions' compaction), so StoreWriter, which opens only a store
+// load_store has read, leaves such files as they were.
 // store_to_jsonl (`qelect export`) turns a store into JSONL text in task
 // order, which is how the kill/resume identity suite compares stores whose
 // frames landed in different orders.
@@ -49,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -86,19 +86,18 @@ struct StoreHeader {
   std::string spec_json;  // canonical CampaignSpec serialization
 };
 
-/// A parsed store (snapshot + WAL tail merged).
+/// A parsed store.
 struct LoadedStore {
   bool exists = false;
   bool has_header = false;
   bool torn_tail = false;       // trailing frame was incomplete/corrupt
   std::size_t valid_bytes = 0;  // WAL prefix ending after the last intact
                                 // frame; reopen truncates here
-  std::uint64_t generation = 0;       // WAL generation (0 without a header)
-  std::size_t snapshot_records = 0;   // records loaded from <path>.snap
-  bool pending_compaction = false;    // snapshot is one generation ahead
-                                      // (crash mid-compaction; reopen heals)
+  std::uint64_t generation = 0;  // WAL generation (0 without a header)
   StoreHeader header;
-  std::vector<TaskRecord> records;  // in commit order (snapshot first)
+  /// One per key, in commit order: a later record of a key replaces the
+  /// earlier one in its place.
+  std::vector<TaskRecord> records;
   std::size_t low_water = 0;  // every task_index < low_water is present
 
   /// Last record per key (commit order; later records win).
@@ -107,8 +106,8 @@ struct LoadedStore {
 
 /// Reads a store; a missing file yields exists == false.  Corrupt frames
 /// end the valid prefix (torn tail); a file that is not a WAL store, a
-/// corrupt generation header, or an unreadable-but-required snapshot
-/// throws CheckError.
+/// corrupt generation header, or a header that owes records to a
+/// snapshot (base_records > 0) throws CheckError.
 LoadedStore load_store(const std::string& path);
 
 /// The generation header alone, read from the WAL's first frame without
@@ -122,36 +121,21 @@ std::optional<StoreHeader> load_store_header(const std::string& path);
 /// the same bytes whatever order their frames were committed in.
 std::string store_to_jsonl(const LoadedStore& store);
 
-/// Writes a snapshot file holding `records` (exposed so tests can stage
-/// mid-compaction crash states).  Atomic: tmp file + rename + dir fsync.
-void write_snapshot_file(const std::string& snap_path,
-                         const StoreHeader& header, std::uint64_t generation,
-                         const std::vector<TaskRecord>& records);
-
-struct StoreOptions {
-  /// Auto-compact once this many records have been appended since the
-  /// last compaction AND the tail has outgrown the snapshot (so total
-  /// snapshot work stays linear).  0 disables automatic compaction.
-  std::size_t compact_every = 0;
-};
-
 /// Append-side of the store.  Opening verifies the spec hash against
 /// `header` (CheckError on mismatch -- wrong store for this campaign, or a
-/// file that is not a WAL store, which is left untouched), truncates a
-/// torn tail, completes an interrupted compaction, and creates parent
-/// directories as needed.
+/// file load_store refuses, which is left untouched), truncates a torn
+/// tail, and creates parent directories as needed.
 /// Thread-safe: appends stage, commit() group-syncs.
 class StoreWriter {
  public:
   /// Loads the store at `path`, then opens it as the constructor below.
-  StoreWriter(const std::string& path, const StoreHeader& header,
-              StoreOptions options = {});
+  StoreWriter(const std::string& path, const StoreHeader& header);
   /// Opens the store at `path` from `prior`, which must be what
   /// load_store(path) returned, with no write to the store since.  A
   /// caller that loads the store anyway (run_campaign, `qelect compact`)
   /// passes its load instead of having the store decoded twice.
   StoreWriter(const std::string& path, const StoreHeader& header,
-              const LoadedStore& prior, StoreOptions options = {});
+              const LoadedStore& prior);
   ~StoreWriter();
 
   StoreWriter(const StoreWriter&) = delete;
@@ -166,26 +150,27 @@ class StoreWriter {
   /// flushes and syncs for everyone staged so far.
   void commit();
 
-  /// Snapshots every known record to `<path>.snap` -- one per key, the
-  /// later one winning -- and resets the WAL to an empty tail at the next
-  /// generation.  Loading afterwards replays only records appended after
-  /// this point.
+  /// Rewrites the log at the next generation with one frame per key (the
+  /// later one winning), dropping the records re-runs superseded.  Safe
+  /// against concurrent appends, which reach the new log at the next
+  /// commit.
   void compact();
 
   const std::string& path() const { return path_; }
   std::uint64_t generation() const { return generation_; }
-  /// Records known to the writer (loaded at open + appended since; after a
-  /// compaction, the snapshot's records + appended since).
+  /// Records known to the writer: loaded at open (or kept by the last
+  /// compaction) + appended since.
   std::size_t record_count() const;
 
  private:
-  void open_fresh_locked(std::uint64_t generation, std::uint64_t base);
+  /// Replaces the log with the magic, a header at `generation` and
+  /// `frames`, and reopens it for appending.
+  void rewrite_locked(std::uint64_t generation,
+                      const std::vector<std::string_view>& frames);
   std::uint64_t write_staged_locked();
-  void compact_locked();
 
   std::string path_;
   StoreHeader header_;
-  StoreOptions options_;
 
   mutable std::mutex write_mu_;  // guards staged_, appended_, records_
   /// Task frames appended since the last write(2), laid end to end: the
@@ -198,10 +183,8 @@ class StoreWriter {
                         // guards every member below
   int fd_ = -1;
   std::string writing_;  // the tail being written; swapped with staged_
-  std::uint64_t synced_ = 0;  // appends made durable (fdatasync/snapshot)
-  std::uint64_t compacted_at_ = 0;  // appends the live snapshot covers
+  std::uint64_t synced_ = 0;  // appends made durable (fdatasync/rewrite)
   std::uint64_t generation_ = 1;
-  std::uint64_t snapshot_base_ = 0;  // records in the live snapshot
 };
 
 std::string header_to_json(const StoreHeader& header);

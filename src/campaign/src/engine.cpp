@@ -149,9 +149,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   }
   result.skipped = total - pending.size();
 
-  StoreOptions store_options;
-  store_options.compact_every = options.compact_every;
-  StoreWriter writer(store_path, header, prior, store_options);
+  StoreWriter writer(store_path, header, prior);
 
   const double timeout_seconds = options.timeout_seconds >= 0
                                      ? options.timeout_seconds

@@ -436,15 +436,9 @@ void print_status(const std::string& store_path) {
   std::printf("store      %s%s\n", store_path.c_str(),
               store.torn_tail ? " (torn tail; will be truncated on resume)"
                               : "");
-  std::printf("format     WAL generation %llu, %zu records from snapshot, "
-              "%zu replayed from log%s\n",
+  std::printf("format     WAL generation %llu, %zu records\n",
               static_cast<unsigned long long>(store.generation),
-              store.snapshot_records,
-              store.records.size() - std::min(store.snapshot_records,
-                                              store.records.size()),
-              store.pending_compaction
-                  ? " (compaction interrupted; reopen completes it)"
-                  : "");
+              store.records.size());
   std::printf("spec hash  %016llx\n",
               static_cast<unsigned long long>(store.header.spec_hash));
   std::printf("low water  %zu (every task below this index is done)\n",

@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "qelect/campaign/json.hpp"
@@ -27,7 +28,6 @@ namespace fs = std::filesystem;
 // Format constants.  See the store.hpp header comment for the layout.
 
 constexpr char kWalMagic[4] = {'Q', 'W', 'A', 'L'};
-constexpr char kSnapMagic[4] = {'Q', 'S', 'N', 'P'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint8_t kHeaderFrame = 1;
 constexpr std::uint8_t kTaskFrame = 2;
@@ -37,7 +37,8 @@ constexpr std::uint32_t kMaxFrameBytes = 1u << 28;
 // The fewest bytes a task body (empty strings, no metrics) and a metric
 // (empty name) can take.  A checksum only proves the bytes are the ones
 // written, not that a count inside them is honest, so a count that the
-// remaining bytes cannot hold is rejected before it sizes an allocation.
+// remaining bytes cannot hold is rejected before it sizes an allocation,
+// and a frame too short for a task body never counts toward one.
 constexpr std::size_t kMinTaskBodyBytes = 8 + 4 + 4 + 4 + 8 + 4 + 4;
 constexpr std::size_t kMinMetricBytes = 4 + 8;
 
@@ -178,7 +179,7 @@ struct Cursor {
 };
 
 // ---------------------------------------------------------------------------
-// Record body encoding (shared by WAL task frames and snapshot entries).
+// Record body encoding.
 
 void encode_task_body(std::string& out, const TaskRecord& r) {
   put_u64(out, r.task_index);
@@ -314,8 +315,9 @@ void fsync_dir_of(const std::string& path) {
 
 /// A new version of `path`: written to `path.tmp`, then commit() syncs
 /// it, renames it over `path` and fsyncs the parent directory.  A crash at
-/// any point leaves either the old file or the new one, never a mix; an
-/// uncommitted temp file is removed.  Writes are buffered.
+/// any point leaves either the old file or the new one, never a mix, plus
+/// at most a stale `path.tmp` that nothing reads and the next replacement
+/// truncates; one that throws removes its temp file.  Writes are buffered.
 class ReplacementFile {
  public:
   explicit ReplacementFile(const std::string& path)
@@ -395,64 +397,6 @@ std::string read_file_or_empty(
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot file: "QSNP" | body | u32 crc32(body), where body is
-// version/generation/spec identity/record count + length-prefixed task
-// bodies.  One whole-file checksum: a snapshot is written once and read
-// sequentially, so per-record CRCs would buy nothing.
-
-struct Snapshot {
-  std::uint64_t generation = 0;
-  StoreHeader header;
-  std::vector<TaskRecord> records;
-};
-
-/// Splits a snapshot's bytes into its identity (into `snap`; records are
-/// left alone) and a view of each record body.  False when the magic,
-/// checksum, version or framing fails; the bodies are not decoded.
-bool parse_snapshot(const std::string& data, Snapshot* snap,
-                    std::vector<std::string_view>* bodies) {
-  if (data.size() < 8 || std::memcmp(data.data(), kSnapMagic, 4) != 0) {
-    return false;
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data.data() + data.size() - 4, 4);
-  if (crc32(data.data() + 4, data.size() - 8) != stored_crc) return false;
-  Cursor c{data.data() + 4, data.size() - 8};
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  if (!c.u32(&version) || version != kFormatVersion ||
-      !c.u64(&snap->generation) || !c.u64(&snap->header.spec_hash) ||
-      !c.str(&snap->header.name) || !c.str(&snap->header.spec_json) ||
-      !c.u64(&count) || count > (c.n - c.off) / (4 + kMinTaskBodyBytes)) {
-    return false;
-  }
-  bodies->clear();
-  bodies->reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string_view body;
-    if (!c.bytes(&body)) return false;
-    bodies->push_back(body);
-  }
-  return c.done();
-}
-
-bool load_snapshot(const std::string& snap_path, Snapshot* snap) {
-  bool exists = false;
-  const std::string data = read_file_or_empty(snap_path, &exists);
-  std::vector<std::string_view> bodies;
-  if (!exists || !parse_snapshot(data, snap, &bodies)) return false;
-  snap->records.clear();
-  snap->records.reserve(bodies.size());
-  for (const std::string_view body : bodies) {
-    Cursor c{body.data(), body.size()};
-    TaskRecord r;
-    if (!decode_task_body(c, &r) || !c.done()) return false;
-    snap->records.push_back(std::move(r));
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // WAL parsing.
 
 /// True when `content` opens with the WAL magic, false when it is a bare
@@ -472,13 +416,14 @@ bool has_wal_magic(const std::string& path, const std::string& content) {
 /// Reads the generation header, the frame after the magic.  False when
 /// that frame is torn (it runs past `content` or fails its checksum): the
 /// store is empty and the writer re-creates it.  A complete-but-corrupt
-/// header is an error.
+/// header is an error, and so is a header that owes records to a
+/// `<path>.snap` snapshot: older versions compacted into one, and the log
+/// without it would silently drop those records.
 bool parse_header_frame(const std::string& path, const std::string& content,
                         WalHeader* wal, std::size_t* next) {
   std::string_view payload;
   if (!parse_frame(content, 4, &payload, next)) return false;
-  QELECT_CHECK(!payload.empty() &&
-                   static_cast<std::uint8_t>(payload[0]) == kHeaderFrame,
+  QELECT_CHECK(static_cast<std::uint8_t>(payload[0]) == kHeaderFrame,
                "result store " + path + ": first frame is not a header");
   Cursor c{payload.data() + 1, payload.size() - 1};
   QELECT_CHECK(decode_header_body(c, wal),
@@ -486,11 +431,38 @@ bool parse_header_frame(const std::string& path, const std::string& content,
   QELECT_CHECK(wal->version == kFormatVersion,
                "result store " + path + ": unsupported format version " +
                    std::to_string(wal->version));
+  QELECT_CHECK(wal->base_records == 0,
+               "result store " + path + ": " +
+                   std::to_string(wal->base_records) + " of its records " +
+                   "are in the snapshot " + path + ".snap, which this " +
+                   "version does not read; re-run the campaign into a new " +
+                   "store");
   return true;
 }
 
-void load_wal(const std::string& path, const std::string& content,
-              LoadedStore* store) {
+/// The task frames from `off` on, judged by their length fields alone:
+/// the reservation for decoding them.  A frame too short to hold a task
+/// body does not count, so a hostile length field cannot make the
+/// reservation larger than decoding the same bytes would allocate.
+std::size_t count_task_frames(const std::string& content, std::size_t off) {
+  std::size_t count = 0;
+  while (content.size() - off > 8) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, content.data() + off, 4);
+    if (len == 0 || len > content.size() - off - 8) break;
+    if (len > kMinTaskBodyBytes &&
+        static_cast<std::uint8_t>(content[off + 8]) == kTaskFrame) {
+      ++count;
+    }
+    off += 8 + std::size_t{len};
+  }
+  return count;
+}
+
+/// Decodes the header and then every intact task frame, in commit order,
+/// into `store->records`; keys are resolved afterwards.
+void decode_wal(const std::string& path, const std::string& content,
+                LoadedStore* store) {
   std::size_t off = 4;  // past the magic
   store->valid_bytes = off;
 
@@ -504,43 +476,10 @@ void load_wal(const std::string& path, const std::string& content,
   store->header = wal.header;
   store->generation = wal.generation;
 
-  // Snapshot (required when the WAL was compacted against one).
-  const std::string snap_path = path + ".snap";
-  Snapshot snap;
-  bool snap_ok = load_snapshot(snap_path, &snap);
-  if (snap_ok) {
-    if (snap.header.spec_hash != wal.header.spec_hash ||
-        snap.generation < wal.generation) {
-      snap_ok = false;  // stale or foreign snapshot
-    } else {
-      QELECT_CHECK(snap.generation <= wal.generation + 1,
-                   "result store " + path + ": snapshot generation " +
-                       std::to_string(snap.generation) +
-                       " is ahead of log generation " +
-                       std::to_string(wal.generation) + " + 1");
-    }
-  }
-  QELECT_CHECK(snap_ok || wal.base_records == 0,
-               "result store " + path + ": the log was compacted but its "
-               "snapshot " + snap_path + " is missing or corrupt");
-  std::unordered_map<std::string, std::size_t> index_of;
-  if (snap_ok) {
-    store->pending_compaction = snap.generation == wal.generation + 1;
-    store->snapshot_records = snap.records.size();
-    QELECT_CHECK(store->pending_compaction ||
-                     snap.records.size() >= wal.base_records,
-                 "result store " + path + ": snapshot holds fewer records "
-                 "than the log was compacted against");
-    store->records = std::move(snap.records);
-    index_of.reserve(store->records.size());
-    for (std::size_t i = 0; i < store->records.size(); ++i) {
-      index_of.emplace(store->records[i].key, i);
-    }
-  }
-
   // Task frames: the valid prefix ends at the first frame whose length or
   // checksum fails (kill points fall between commits, so that tail was
   // never acknowledged).
+  store->records.reserve(count_task_frames(content, off));
   while (off < content.size()) {
     std::string_view payload;
     std::size_t next = 0;
@@ -548,28 +487,45 @@ void load_wal(const std::string& path, const std::string& content,
       store->torn_tail = true;
       break;
     }
-    if (!payload.empty() &&
-        static_cast<std::uint8_t>(payload[0]) == kTaskFrame) {
+    if (static_cast<std::uint8_t>(payload[0]) == kTaskFrame) {
       Cursor c{payload.data() + 1, payload.size() - 1};
-      TaskRecord r;
+      TaskRecord& r = store->records.emplace_back();
       if (!decode_task_body(c, &r) || !c.done()) {
+        store->records.pop_back();
         store->torn_tail = true;
         break;
-      }
-      // Later records win (replay over a superset snapshot after a crash
-      // mid-compaction dedups here).
-      const auto it = index_of.find(r.key);
-      if (it != index_of.end()) {
-        store->records[it->second] = std::move(r);
-      } else {
-        index_of.emplace(r.key, store->records.size());
-        store->records.push_back(std::move(r));
       }
     }
     // Unknown frame types are preserved bytes but ignored content.
     off = next;
     store->valid_bytes = off;
   }
+}
+
+/// Keeps one record per key: a later record replaces the earlier one in
+/// its place, and the records after it close up.  The index holds
+/// positions and hashes through their keys, so no key is copied.
+void resolve_keys(std::vector<TaskRecord>* records) {
+  std::vector<TaskRecord>& r = *records;
+  const auto key_hash = [&r](std::size_t i) {
+    return std::hash<std::string_view>{}(r[i].key);
+  };
+  const auto same_key = [&r](std::size_t a, std::size_t b) {
+    return r[a].key == r[b].key;
+  };
+  std::unordered_set<std::size_t, decltype(key_hash), decltype(same_key)>
+      first(r.size(), key_hash, same_key);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (kept != i) r[kept] = std::move(r[i]);
+    const auto [it, fresh] = first.insert(kept);
+    if (fresh) {
+      ++kept;
+    } else {
+      r[*it] = std::move(r[kept]);
+    }
+  }
+  r.resize(kept);
 }
 
 std::size_t compute_low_water(const std::vector<TaskRecord>& records) {
@@ -632,15 +588,17 @@ std::unordered_map<std::string, const TaskRecord*> LoadedStore::by_key()
 LoadedStore load_store(const std::string& path) {
   LoadedStore store;
   bool exists = false;
-  const std::string content = read_file_or_empty(path, &exists);
+  std::string content = read_file_or_empty(path, &exists);
   if (!exists) return store;
   store.exists = true;
 
   if (has_wal_magic(path, content)) {
-    load_wal(path, content, &store);
+    decode_wal(path, content, &store);
   } else {
     store.torn_tail = !content.empty();
   }
+  std::string().swap(content);  // free the file's bytes before the index
+  resolve_keys(&store.records);
   store.low_water = compute_low_water(store.records);
   return store;
 }
@@ -683,130 +641,54 @@ std::string store_to_jsonl(const LoadedStore& store) {
 
 namespace {
 
-/// Streams a snapshot: the identity, then each body behind its length,
-/// under one running checksum.
-void write_snapshot(const std::string& snap_path, const StoreHeader& header,
-                    std::uint64_t generation,
-                    const std::vector<std::string_view>& bodies) {
-  ReplacementFile out(snap_path);
-  out.write(std::string_view(kSnapMagic, 4));
-  std::uint32_t crc = 0;
-  auto put = [&](std::string_view bytes) {
-    crc = crc32(bytes.data(), bytes.size(), crc);
-    out.write(bytes);
-  };
-  std::string head;
-  put_u32(head, kFormatVersion);
-  put_u64(head, generation);
-  put_u64(head, header.spec_hash);
-  put_str(head, header.name);
-  put_str(head, header.spec_json);
-  put_u64(head, bodies.size());
-  put(head);
-  for (const std::string_view body : bodies) {
-    const auto len = static_cast<std::uint32_t>(body.size());
-    char len_bytes[4];
-    std::memcpy(len_bytes, &len, 4);
-    put(std::string_view(len_bytes, 4));
-    put(body);
-  }
-  char crc_bytes[4];
-  std::memcpy(crc_bytes, &crc, 4);
-  out.write(std::string_view(crc_bytes, 4));
-  out.commit();
-}
-
-/// The records a compaction keeps, read from the files: the live
-/// snapshot's entries, then the log's task frames, each checked by its
-/// CRC and copied as encoded, never decoded.  One body per key survives:
-/// the later one, at the earlier one's place -- how load_store resolves
-/// keys, so the new snapshot loads as the store did.  Holds both files'
-/// bytes, which `bodies()` views: memory is the store's size on disk plus
-/// an index entry per key.
-class LiveRecords {
- public:
-  explicit LiveRecords(const std::string& path) : path_(path) {}
-
-  void add_snapshot(std::uint64_t generation, std::uint64_t spec_hash) {
-    const std::string snap_path = path_ + ".snap";
-    bool exists = false;
-    snap_data_ = read_file_or_empty(snap_path, &exists);
-    Snapshot snap;
-    std::vector<std::string_view> bodies;
-    QELECT_CHECK(exists && parse_snapshot(snap_data_, &snap, &bodies) &&
-                     snap.generation == generation &&
-                     snap.header.spec_hash == spec_hash,
-                 "result store " + path_ + ": the live snapshot " +
-                     snap_path + " is missing or corrupt");
-    for (const std::string_view body : bodies) keep(body);
-  }
-
-  void add_log() {
-    bool exists = false;
-    log_data_ = read_file_or_empty(path_, &exists);
-    QELECT_CHECK(exists && log_data_.size() >= 4 &&
-                     std::memcmp(log_data_.data(), kWalMagic, 4) == 0,
-                 "result store " + path_ + ": the log is gone or not a WAL");
-    for (std::size_t off = 4; off < log_data_.size();) {
-      std::string_view payload;
-      std::size_t next = 0;
-      QELECT_CHECK(parse_frame(log_data_, off, &payload, &next),
-                   "result store " + path_ + ": the log frame at byte " +
-                       std::to_string(off) + " is torn or corrupt");
-      if (static_cast<std::uint8_t>(payload[0]) == kTaskFrame) {
-        keep(payload.substr(1));
+/// The task frames a compaction keeps, viewed in `log` (the store's bytes):
+/// each checked by its CRC and kept whole -- length, checksum and payload
+/// -- never decoded.  One frame per key survives: the later one, at the
+/// earlier one's place, as load_store resolves keys, so the rewritten log
+/// loads as the store did.  Memory is the log's size plus an index entry
+/// per key.
+std::vector<std::string_view> live_frames(const std::string& path,
+                                          const std::string& log) {
+  QELECT_CHECK(log.size() >= 4 && std::memcmp(log.data(), kWalMagic, 4) == 0,
+               "result store " + path + ": the log is gone or not a WAL");
+  std::vector<std::string_view> frames;
+  std::unordered_map<std::string_view, std::size_t> slot_of;
+  for (std::size_t off = 4; off < log.size();) {
+    std::string_view payload;
+    std::size_t next = 0;
+    QELECT_CHECK(parse_frame(log, off, &payload, &next),
+                 "result store " + path + ": the log frame at byte " +
+                     std::to_string(off) + " is torn or corrupt");
+    if (static_cast<std::uint8_t>(payload[0]) == kTaskFrame) {
+      Cursor c{payload.data() + 1, payload.size() - 1};
+      std::uint64_t task_index = 0;
+      std::string_view key;
+      QELECT_CHECK(c.u64(&task_index) && c.bytes(&key),
+                   "result store " + path + ": a record without a key");
+      const std::string_view frame(log.data() + off, next - off);
+      const auto [it, fresh] = slot_of.try_emplace(key, frames.size());
+      if (fresh) {
+        frames.push_back(frame);
+      } else {
+        frames[it->second] = frame;
       }
-      off = next;
     }
+    off = next;
   }
-
-  const std::vector<std::string_view>& bodies() const { return bodies_; }
-
- private:
-  void keep(std::string_view body) {
-    Cursor c{body.data(), body.size()};
-    std::uint64_t task_index = 0;
-    std::string_view key;
-    QELECT_CHECK(c.u64(&task_index) && c.bytes(&key),
-                 "result store " + path_ + ": a record without a key");
-    const auto [it, fresh] = slot_of_.try_emplace(key, bodies_.size());
-    if (fresh) {
-      bodies_.push_back(body);
-    } else {
-      bodies_[it->second] = body;
-    }
-  }
-
-  std::string path_;
-  std::string snap_data_;
-  std::string log_data_;
-  std::vector<std::string_view> bodies_;
-  std::unordered_map<std::string_view, std::size_t> slot_of_;
-};
+  return frames;
+}
 
 }  // namespace
-
-void write_snapshot_file(const std::string& snap_path,
-                         const StoreHeader& header, std::uint64_t generation,
-                         const std::vector<TaskRecord>& records) {
-  std::vector<std::string> encoded(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    encode_task_body(encoded[i], records[i]);
-  }
-  write_snapshot(snap_path, header, generation,
-                 std::vector<std::string_view>(encoded.begin(), encoded.end()));
-}
 
 // ---------------------------------------------------------------------------
 // StoreWriter
 
-StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
-                         StoreOptions options)
-    : StoreWriter(path, header, load_store(path), options) {}
+StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header)
+    : StoreWriter(path, header, load_store(path)) {}
 
 StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
-                         const LoadedStore& prior, StoreOptions options)
-    : path_(path), header_(header), options_(options) {
+                         const LoadedStore& prior)
+    : path_(path), header_(header) {
   std::lock_guard<std::mutex> sync(sync_mu_);
   if (prior.exists && prior.has_header) {
     QELECT_CHECK(prior.header.spec_hash == header.spec_hash,
@@ -816,14 +698,6 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
                      hash_hex(header.spec_hash) + ")");
     records_ = prior.records.size();
     generation_ = prior.generation;
-    snapshot_base_ = prior.snapshot_records;
-    if (prior.pending_compaction) {
-      // The snapshot landed but the crash beat the log rewrite: finish
-      // the compaction it started.
-      open_fresh_locked(prior.generation + 1, prior.records.size());
-      snapshot_base_ = prior.records.size();
-      return;
-    }
     fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND);
     if (fd_ < 0) sys_fail("cannot reopen", path_);
     if (prior.torn_tail) {
@@ -838,9 +712,7 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
                "result store " + path + " has records but no header");
   const fs::path parent = fs::path(path).parent_path();
   if (!parent.empty()) fs::create_directories(parent);
-  const std::string snap = path_ + ".snap";
-  if (fs::exists(snap)) fs::remove(snap);  // orphan from an older campaign
-  open_fresh_locked(1, 0);
+  rewrite_locked(1, {});
 }
 
 StoreWriter::~StoreWriter() {
@@ -852,19 +724,19 @@ StoreWriter::~StoreWriter() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void StoreWriter::open_fresh_locked(std::uint64_t generation,
-                                    std::uint64_t base) {
+void StoreWriter::rewrite_locked(std::uint64_t generation,
+                                 const std::vector<std::string_view>& frames) {
   ReplacementFile out(path_);
-  std::string frames(kWalMagic, 4);
+  std::string head(kWalMagic, 4);
   WalHeader wal;
   wal.generation = generation;
-  wal.base_records = base;
   wal.header = header_;
   std::string payload;
   payload.push_back(static_cast<char>(kHeaderFrame));
   encode_header_body(payload, wal);
-  append_frame(frames, payload);
-  out.write(frames);
+  append_frame(head, payload);
+  out.write(head);
+  for (const std::string_view frame : frames) out.write(frame);
   out.commit();
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
@@ -905,39 +777,20 @@ void StoreWriter::commit() {
     if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
     synced_ = written;
   }
-  if (options_.compact_every == 0) return;
-  std::uint64_t since = 0;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    since = appended_ - compacted_at_;
-  }
-  // Second clause keeps total snapshot work linear: compact only once the
-  // tail has outgrown the snapshot it would replace.
-  if (since >= options_.compact_every && since >= snapshot_base_) {
-    compact_locked();
-  }
 }
 
 void StoreWriter::compact() {
   std::lock_guard<std::mutex> sync(sync_mu_);
-  compact_locked();
-}
-
-void StoreWriter::compact_locked() {
-  // The staged tail goes to the log first, so the files hold every
-  // record; the snapshot is built from them alone.
+  // The staged tail goes to the log first, so the log holds every record;
+  // the rewrite is built from it alone.
   const std::uint64_t covered = write_staged_locked();
-  LiveRecords live(path_);
-  if (snapshot_base_ > 0) live.add_snapshot(generation_, header_.spec_hash);
-  live.add_log();
-  const std::size_t kept = live.bodies().size();
-  write_snapshot(path_ + ".snap", header_, generation_ + 1, live.bodies());
-  open_fresh_locked(generation_ + 1, kept);
+  bool exists = false;
+  const std::string log = read_file_or_empty(path_, &exists);
+  const std::vector<std::string_view> frames = live_frames(path_, log);
+  rewrite_locked(generation_ + 1, frames);
   synced_ = covered;
-  compacted_at_ = covered;
-  snapshot_base_ = kept;
   std::lock_guard<std::mutex> lock(write_mu_);
-  records_ = kept + (appended_ - covered);
+  records_ = frames.size() + (appended_ - covered);
 }
 
 std::size_t StoreWriter::record_count() const {

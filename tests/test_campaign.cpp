@@ -1097,21 +1097,19 @@ TEST(CampaignEngineFlags, NumericFlagsAreCheckedNotWrapped) {
 
   const tools::EngineFlags flags = parse_flags(
       {"--shards", "256", "--retries", "3", "--timeout-seconds", "0.5",
-       "--stop-after", "10", "--echo", "0", "--compact-every", "7",
-       "--deterministic", "--store", "s.qws"});
+       "--stop-after", "10", "--echo", "0", "--deterministic", "--store",
+       "s.qws"});
   EXPECT_EQ(flags.options.shards, kMaxShards);
   EXPECT_EQ(flags.options.retries, 3);
   EXPECT_EQ(flags.options.timeout_seconds, 0.5);
   EXPECT_EQ(flags.options.stop_after, 10u);
   EXPECT_EQ(flags.options.echo_every, 0u);
-  EXPECT_EQ(flags.options.compact_every, 7u);
   EXPECT_TRUE(flags.options.deterministic);
   EXPECT_EQ(flags.store, "s.qws");
   const tools::EngineFlags defaults = parse_flags({});
   EXPECT_EQ(defaults.options.shards, 0u);
   EXPECT_EQ(defaults.options.retries, -1);
   EXPECT_EQ(defaults.options.echo_every, 20u);
-  EXPECT_EQ(defaults.options.compact_every, 131072u);
 }
 
 TEST(CampaignEngine, RefusesMoreShardsThanTheBoundBeforeOpeningTheStore) {

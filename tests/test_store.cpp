@@ -100,6 +100,31 @@ void write_store(const std::string& path, std::size_t n) {
   writer.commit();
 }
 
+/// The logs the damage sweeps start from, each holding records 0..n-1 in
+/// order: one that never compacted, and one compacted to generation 2
+/// after record 1 was committed twice (first as a timeout), so damage
+/// inside a compacted log is checked like damage inside any log.
+std::vector<std::string> sweep_inputs(const std::string& path,
+                                      std::size_t n) {
+  write_store(path, n);
+  std::vector<std::string> logs{slurp(path)};
+  fs::remove(path);
+  {
+    StoreWriter writer(path, test_header());
+    TaskRecord superseded = test_record(1);
+    superseded.outcome = "timeout";
+    superseded.metrics.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      writer.append(i == 1 ? superseded : test_record(i));
+    }
+    writer.append(test_record(1));
+    writer.commit();
+    writer.compact();
+  }
+  logs.push_back(slurp(path));
+  return logs;
+}
+
 /// The export a store holding the first `k` synthetic records produces.
 std::string expected_export(std::size_t k) {
   std::string out = header_to_json(test_header());
@@ -112,7 +137,7 @@ std::string expected_export(std::size_t k) {
 }
 
 /// Little-endian field encoders and the frame checksum (CRC32, IEEE
-/// reflected), bit by bit: enough to forge frames and snapshots whose
+/// reflected), bit by bit: enough to forge frames and headers whose
 /// checksums hold but whose contents lie.
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
@@ -195,37 +220,37 @@ TEST(WalStore, TruncationSweepRecoversExactLogicalPrefix) {
   ScratchDir scratch("truncsweep");
   const std::string path = scratch.path("s.qws");
   constexpr std::size_t kRecords = 12;
-  write_store(path, kRecords);
-  const std::string full = slurp(path);
   const std::string full_export = expected_export(kRecords);
-
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    spit(path, full.substr(0, cut));
-    const LoadedStore store = load_store(path);
-    EXPECT_TRUE(store.exists);
-    EXPECT_EQ(store.torn_tail, cut != full.size() && store.valid_bytes != cut)
-        << "cut=" << cut;
-    EXPECT_LE(store.valid_bytes, cut) << "cut=" << cut;
-    const std::size_t k = store.records.size();
-    ASSERT_LE(k, kRecords) << "cut=" << cut;
-    for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(store.records[i].to_json(), test_record(i).to_json())
-          << "cut=" << cut << " record=" << i;
-    }
-    EXPECT_EQ(store.low_water, k) << "cut=" << cut;
-
-    // Resume over the wreck: the writer truncates the torn tail and the
-    // missing suffix is re-appended.
-    {
-      StoreWriter writer(path, test_header());
-      ASSERT_EQ(writer.record_count(), k) << "cut=" << cut;
-      for (std::size_t i = k; i < kRecords; ++i) {
-        writer.append(test_record(i));
+  for (const std::string& full : sweep_inputs(path, kRecords)) {
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+      spit(path, full.substr(0, cut));
+      const LoadedStore store = load_store(path);
+      EXPECT_TRUE(store.exists);
+      EXPECT_EQ(store.torn_tail,
+                cut != full.size() && store.valid_bytes != cut)
+          << "cut=" << cut;
+      EXPECT_LE(store.valid_bytes, cut) << "cut=" << cut;
+      const std::size_t k = store.records.size();
+      ASSERT_LE(k, kRecords) << "cut=" << cut;
+      for (std::size_t i = 0; i < k; ++i) {
+        ASSERT_EQ(store.records[i].to_json(), test_record(i).to_json())
+            << "cut=" << cut << " record=" << i;
       }
-      writer.commit();
+      EXPECT_EQ(store.low_water, k) << "cut=" << cut;
+
+      // Resume over the wreck: the writer truncates the torn tail and the
+      // missing suffix is re-appended.
+      {
+        StoreWriter writer(path, test_header());
+        ASSERT_EQ(writer.record_count(), k) << "cut=" << cut;
+        for (std::size_t i = k; i < kRecords; ++i) {
+          writer.append(test_record(i));
+        }
+        writer.commit();
+      }
+      EXPECT_EQ(store_to_jsonl(load_store(path)), full_export)
+          << "cut=" << cut;
     }
-    EXPECT_EQ(store_to_jsonl(load_store(path)), full_export)
-        << "cut=" << cut;
   }
 }
 
@@ -269,135 +294,169 @@ TEST(WalStore, ByteFlipSweepNeverYieldsAGarbledRecord) {
   ScratchDir scratch("flipsweep");
   const std::string path = scratch.path("s.qws");
   constexpr std::size_t kRecords = 10;
-  write_store(path, kRecords);
-  const std::string full = slurp(path);
-
-  for (std::size_t at = 0; at < full.size(); ++at) {
-    std::string damaged = full;
-    damaged[at] = static_cast<char>(damaged[at] ^ 0x41);
-    spit(path, damaged);
-    try {
-      const LoadedStore store = load_store(path);
-      ASSERT_LE(store.records.size(), kRecords) << "at=" << at;
-      for (std::size_t i = 0; i < store.records.size(); ++i) {
-        ASSERT_EQ(store.records[i].to_json(), test_record(i).to_json())
-            << "at=" << at << " record=" << i;
+  for (const std::string& full : sweep_inputs(path, kRecords)) {
+    for (std::size_t at = 0; at < full.size(); ++at) {
+      std::string damaged = full;
+      damaged[at] = static_cast<char>(damaged[at] ^ 0x41);
+      spit(path, damaged);
+      try {
+        const LoadedStore store = load_store(path);
+        ASSERT_LE(store.records.size(), kRecords) << "at=" << at;
+        for (std::size_t i = 0; i < store.records.size(); ++i) {
+          ASSERT_EQ(store.records[i].to_json(), test_record(i).to_json())
+              << "at=" << at << " record=" << i;
+        }
+      } catch (const CheckError&) {
+        // Damage to the magic or the generation header is fatal rather than
+        // recoverable; that is allowed, silence is not.
       }
-    } catch (const CheckError&) {
-      // Damage to the magic or the generation header is fatal rather than
-      // recoverable; that is allowed, silence is not.
     }
   }
 }
 
-TEST(WalStore, CompactionMovesRecordsToSnapshotAndTrimsTheLog) {
+/// The frames after the magic and the generation header.
+std::string frames_after_header(const std::string& log) {
+  std::uint32_t header_len = 0;
+  std::memcpy(&header_len, log.data() + 4, 4);
+  return log.substr(4 + 8 + header_len);
+}
+
+TEST(WalStore, CompactionRewritesTheLogWithOneFramePerKey) {
   ScratchDir scratch("compact");
   const std::string path = scratch.path("s.qws");
   {
     StoreWriter writer(path, test_header());
     for (std::size_t i = 0; i < 20; ++i) writer.append(test_record(i));
     writer.commit();
-    const std::size_t before = slurp(path).size();
+    const std::string before = slurp(path);
     writer.compact();
     EXPECT_EQ(writer.generation(), 2u);
-    // The rewritten log holds only the magic + generation header: loading
-    // now replays a 20-record snapshot plus an (empty) tail -- no rescan
-    // of the original frames.
-    EXPECT_LT(slurp(path).size(), before / 4);
+    // Unique keys: the rewrite copies every frame as it was; only the
+    // header changed.
+    const std::string after = slurp(path);
+    EXPECT_EQ(after.size(), before.size());
+    EXPECT_EQ(frames_after_header(after), frames_after_header(before));
     for (std::size_t i = 20; i < 30; ++i) writer.append(test_record(i));
     writer.commit();
   }
+  // The log is the one file.
+  std::vector<std::string> files;
+  for (const auto& entry : fs::directory_iterator(scratch.dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"s.qws"});
   const LoadedStore store = load_store(path);
   EXPECT_EQ(store.generation, 2u);
-  EXPECT_EQ(store.snapshot_records, 20u);
-  EXPECT_FALSE(store.pending_compaction);
   ASSERT_EQ(store.records.size(), 30u);
   EXPECT_EQ(store.low_water, 30u);
   EXPECT_EQ(store_to_jsonl(store), expected_export(30));
 }
 
-TEST(WalStore, InterruptedCompactionHealsOnReopen) {
-  ScratchDir scratch("healing");
-  const std::string path = scratch.path("s.qws");
-  write_store(path, 15);
-  // Stage the crash window: the snapshot (generation 2) landed, the log
-  // rewrite did not -- exactly what a kill between compact()'s two
-  // durable steps leaves behind.
-  write_snapshot_file(path + ".snap", test_header(), 2, test_records(15));
-
-  const LoadedStore before = load_store(path);
-  EXPECT_TRUE(before.pending_compaction);
-  EXPECT_EQ(before.generation, 1u);
-  ASSERT_EQ(before.records.size(), 15u);
-  EXPECT_EQ(store_to_jsonl(before), expected_export(15));
-
-  {
-    StoreWriter writer(path, test_header());  // reopen completes the job
-    EXPECT_EQ(writer.generation(), 2u);
-  }
-  const LoadedStore after = load_store(path);
-  EXPECT_FALSE(after.pending_compaction);
-  EXPECT_EQ(after.generation, 2u);
-  EXPECT_EQ(after.snapshot_records, 15u);
-  EXPECT_EQ(store_to_jsonl(after), expected_export(15));
+/// A log as older versions' compaction left it: a format-1 generation
+/// header owing `base_records` records to `<path>.snap`, then `tail`.
+std::string forged_compacted_log(std::uint64_t base_records,
+                                 const std::string& tail) {
+  const StoreHeader h = test_header();
+  std::string payload(1, '\x01');  // header frame
+  put_u32(payload, 1);             // format version
+  put_u64(payload, 2);             // generation
+  put_u64(payload, base_records);
+  put_u64(payload, h.spec_hash);
+  put_str(payload, h.name);
+  put_str(payload, h.spec_json);
+  std::string log = "QWAL";
+  put_u32(log, static_cast<std::uint32_t>(payload.size()));
+  put_u32(log, crc32_of(payload.data(), payload.size()));
+  return log + payload + tail;
 }
 
-TEST(WalStore, CompactedLogWithoutItsSnapshotIsFatal) {
-  ScratchDir scratch("nosnap");
+// A log that owes records to a snapshot cannot be read without it, and
+// its snapshot is a format this version does not read: the reader, the
+// header reader and the writer refuse it by naming the snapshot, and
+// neither file changes.
+TEST(WalStore, LogOwingRecordsToASnapshotIsRefusedAndLeftUntouched) {
+  ScratchDir scratch("owessnap");
   const std::string path = scratch.path("s.qws");
+  const std::string snap_path = path + ".snap";
+  // Records 0..4 were owed to the snapshot; 5 is the log's tail.
+  {
+    StoreWriter donor(path, test_header());
+    donor.append(test_record(5));
+  }
+  const std::string log =
+      forged_compacted_log(5, frames_after_header(slurp(path)));
+  const std::string snap = "arbitrary snapshot bytes";
+  for (const bool with_snap : {false, true}) {
+    SCOPED_TRACE(with_snap ? "with .snap" : "without .snap");
+    spit(path, log);
+    if (with_snap) spit(snap_path, snap);
+    const auto expect_refusal = [&](const auto& open) {
+      try {
+        open();
+        ADD_FAILURE() << "accepted a log that owes records to a snapshot";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(snap_path), std::string::npos)
+            << e.what();
+      }
+    };
+    expect_refusal([&] { load_store(path); });
+    expect_refusal([&] { load_store_header(path); });
+    expect_refusal([&] { StoreWriter writer(path, test_header()); });
+    EXPECT_EQ(slurp(path), log);
+    EXPECT_EQ(fs::exists(snap_path), with_snap);
+    if (with_snap) {
+      EXPECT_EQ(slurp(snap_path), snap);
+    }
+  }
+}
+
+// A compaction killed before its rename leaves the old log and a partial
+// `<path>.tmp`.  Nothing reads the temp file; the next compaction
+// truncates and replaces it.
+TEST(WalStore, KilledCompactionLeavesTheLogAsItWas) {
+  ScratchDir scratch("killedcompact");
+  const std::string path = scratch.path("s.qws");
+  const std::string tmp_path = path + ".tmp";
+  write_store(path, 8);
+  const std::string log = slurp(path);
+  spit(tmp_path, log.substr(0, log.size() / 2));
+
+  const LoadedStore store = load_store(path);
+  EXPECT_FALSE(store.torn_tail);
+  EXPECT_EQ(store.generation, 1u);
+  EXPECT_EQ(store_to_jsonl(store), expected_export(8));
   {
     StoreWriter writer(path, test_header());
-    for (std::size_t i = 0; i < 10; ++i) writer.append(test_record(i));
-    writer.commit();
     writer.compact();
+    EXPECT_EQ(writer.generation(), 2u);
   }
-  // Missing snapshot: the log alone cannot reconstruct the records.
-  fs::remove(path + ".snap");
-  EXPECT_THROW(load_store(path), CheckError);
-
-  // Corrupt snapshot: same verdict (never silently drop 10 records).
-  write_snapshot_file(path + ".snap", test_header(), 2, test_records(10));
-  std::string snap = slurp(path + ".snap");
-  snap[snap.size() / 2] = static_cast<char>(snap[snap.size() / 2] ^ 0x41);
-  spit(path + ".snap", snap);
-  EXPECT_THROW(load_store(path), CheckError);
+  EXPECT_FALSE(fs::exists(tmp_path));
+  EXPECT_EQ(frames_after_header(slurp(path)), frames_after_header(log));
+  EXPECT_EQ(store_to_jsonl(load_store(path)), expected_export(8));
 }
 
 TEST(WalStore, StaleSnapshotNextToAnUncompactedLogIsIgnored) {
   ScratchDir scratch("stalesnap");
   const std::string path = scratch.path("s.qws");
   write_store(path, 5);
-  // A snapshot from some older world (generation 0 < log generation 1):
-  // the log owes it nothing (base_records == 0), so it is ignored.
-  write_snapshot_file(path + ".snap", test_header(), 0, test_records(3));
+  // A snapshot file from some older world: the log owes it nothing
+  // (base_records == 0), so it is neither read nor removed.
+  const std::string snap = "stale snapshot bytes\x01";
+  spit(path + ".snap", snap);
   const LoadedStore store = load_store(path);
-  EXPECT_EQ(store.snapshot_records, 0u);
   ASSERT_EQ(store.records.size(), 5u);
   EXPECT_EQ(store_to_jsonl(store), expected_export(5));
-}
-
-TEST(WalStore, AutoCompactionTriggersDuringCommits) {
-  ScratchDir scratch("autocompact");
-  const std::string path = scratch.path("s.qws");
-  StoreOptions options;
-  options.compact_every = 16;
   {
-    StoreWriter writer(path, test_header(), options);
-    for (std::size_t i = 0; i < 100; ++i) {
-      writer.append(test_record(i));
-      writer.commit();
-    }
-    EXPECT_GT(writer.generation(), 1u);
+    StoreWriter writer(path, test_header());
+    writer.append(test_record(5));
   }
-  const LoadedStore store = load_store(path);
-  EXPECT_GT(store.snapshot_records, 0u);
-  ASSERT_EQ(store.records.size(), 100u);
-  EXPECT_EQ(store_to_jsonl(store), expected_export(100));
+  EXPECT_EQ(store_to_jsonl(load_store(path)), expected_export(6));
+  EXPECT_EQ(slurp(path + ".snap"), snap);
 }
 
 // A store is read only as a WAL.  An export's text at a store path is
 // refused by the reader and the writer alike, and nothing is written: not
-// the file, not a snapshot beside it.
+// the file, not a temp file beside it.
 TEST(WalStore, ExportTextIsRefusedAndLeftUntouched) {
   ScratchDir scratch("notwal");
   const std::string path = scratch.path("s.jsonl");
@@ -413,7 +472,7 @@ TEST(WalStore, ExportTextIsRefusedAndLeftUntouched) {
   }
   EXPECT_THROW(StoreWriter(path, test_header()), CheckError);
   EXPECT_EQ(slurp(path), text);
-  EXPECT_FALSE(fs::exists(path + ".snap"));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
 TEST(WalStore, ExportOrdersByTaskIndexNotCommitOrder) {
@@ -524,35 +583,6 @@ TEST(WalStore, FrameClaimingMoreMetricsThanItHoldsIsATornTail) {
   EXPECT_EQ(store_to_jsonl(resumed), expected_export(kRecords));
 }
 
-// Same for a snapshot: an intact checksum over a record count the file
-// cannot hold makes the snapshot corrupt, so a log that owes it records
-// is the usual "missing or corrupt" CheckError.
-TEST(WalStore, SnapshotClaimingMoreRecordsThanItHoldsIsCorrupt) {
-  ScratchDir scratch("liarsnap");
-  const std::string path = scratch.path("s.qws");
-  {
-    StoreWriter writer(path, test_header());
-    for (std::size_t i = 0; i < 5; ++i) writer.append(test_record(i));
-    writer.commit();
-    writer.compact();
-  }
-  const std::string snap = slurp(path + ".snap");
-  const StoreHeader h = test_header();
-  // Past the magic, version, generation, spec hash, name and spec.
-  const std::size_t count_at =
-      4 + 4 + 8 + 8 + 4 + h.name.size() + 4 + h.spec_json.size();
-  for (const std::uint64_t lie : {std::uint64_t{1} << 62,
-                                  std::uint64_t{4000000000}}) {
-    std::string forged = snap.substr(0, snap.size() - 4);
-    std::string count;
-    put_u64(count, lie);
-    forged.replace(count_at, 8, count);
-    put_u32(forged, crc32_of(forged.data() + 4, forged.size() - 4));
-    spit(path + ".snap", forged);
-    EXPECT_THROW(load_store(path), CheckError) << lie;
-  }
-}
-
 // The writer holds only the frames the log lacks, so its memory does not
 // grow with the log: 131,072 elect-shaped records (a ~30 MB log) appended
 // with a commit every 4,096.
@@ -589,7 +619,8 @@ TEST(WalStore, CompactionAfterReopenKeepsEveryRecord) {
     writer.compact();  // 15..17 are staged, not committed
     EXPECT_EQ(writer.record_count(), 18u);
     const LoadedStore compacted = load_store(path);
-    EXPECT_EQ(compacted.snapshot_records, 18u);
+    EXPECT_EQ(compacted.generation, 2u);
+    EXPECT_EQ(compacted.records.size(), 18u);
     EXPECT_EQ(store_to_jsonl(compacted), expected_export(18));
     for (std::size_t i = 18; i < 22; ++i) writer.append(test_record(i));
   }
@@ -601,12 +632,13 @@ TEST(WalStore, CompactionAfterReopenKeepsEveryRecord) {
     EXPECT_EQ(writer.record_count(), 22u);
   }
   const LoadedStore store = load_store(path);
-  EXPECT_EQ(store.snapshot_records, 22u);
+  EXPECT_EQ(store.generation, 3u);
+  EXPECT_EQ(store.records.size(), 22u);
   EXPECT_EQ(store_to_jsonl(store), expected_export(22));
 }
 
 // A re-run writes a key again; the log resolves it to the later record,
-// and so must the snapshot that replaces the log.
+// and so must the log that compaction rewrites.
 TEST(WalStore, CompactionKeepsTheLaterRecordOfAKey) {
   ScratchDir scratch("rerun");
   const std::string path = scratch.path("s.qws");
@@ -625,24 +657,23 @@ TEST(WalStore, CompactionKeepsTheLaterRecordOfAKey) {
     writer.compact();
     const LoadedStore after = load_store(path);
     EXPECT_EQ(store_to_jsonl(after), before);
-    EXPECT_EQ(after.snapshot_records, 6u);
+    EXPECT_EQ(after.records.size(), 6u);
     EXPECT_EQ(writer.record_count(), 6u);
   }
 }
 
-// The group-commit hammer with compaction firing in the commit path while
-// other threads append (the TSan target for compaction).
-TEST(WalStore, ConcurrentAppendCommitAndAutoCompactionLoseNothing) {
+// The group-commit hammer with a ninth thread compacting while eight
+// append and commit (the TSan target for compaction).
+TEST(WalStore, ConcurrentAppendCommitAndCompactionLoseNothing) {
   ScratchDir scratch("threadscompact");
   const std::string path = scratch.path("s.qws");
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 200;
-  StoreOptions options;
-  options.compact_every = 64;
+  constexpr std::size_t kCompactions = 8;
   {
-    StoreWriter writer(path, test_header(), options);
+    StoreWriter writer(path, test_header());
     std::vector<std::thread> pool;
-    pool.reserve(kThreads);
+    pool.reserve(kThreads + 1);
     for (std::size_t t = 0; t < kThreads; ++t) {
       pool.emplace_back([&, t] {
         for (std::size_t i = 0; i < kPerThread; ++i) {
@@ -652,17 +683,24 @@ TEST(WalStore, ConcurrentAppendCommitAndAutoCompactionLoseNothing) {
         writer.commit();
       });
     }
+    pool.emplace_back([&] {
+      for (std::size_t i = 0; i < kCompactions; ++i) {
+        writer.compact();
+        std::this_thread::yield();
+      }
+    });
     for (std::thread& th : pool) th.join();
-    EXPECT_GT(writer.generation(), 1u);
+    EXPECT_EQ(writer.generation(), 1 + kCompactions);
     EXPECT_EQ(writer.record_count(), kThreads * kPerThread);
   }
   const LoadedStore store = load_store(path);
-  EXPECT_GT(store.snapshot_records, 0u);
+  EXPECT_EQ(store.generation, 1 + kCompactions);
   EXPECT_EQ(store_to_jsonl(store), expected_export(kThreads * kPerThread));
 }
 
-// The WAL and snapshot bytes of a fixed single-thread sequence, pinned:
-// the writer's internals may change, the files it writes may not.
+// The log bytes of a fixed single-thread sequence, pinned: the writer's
+// internals may change, the files it writes may not.  The first pin, a
+// log that never compacted, is the one earlier versions wrote too.
 TEST(WalStore, FileBytesArePinned) {
   ScratchDir scratch("pinned");
   const std::string path = scratch.path("s.qws");
@@ -671,12 +709,12 @@ TEST(WalStore, FileBytesArePinned) {
   constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
   auto pin = [&] {
     hashes.push_back(util::fnv1a64(slurp(path), kBasis));
-    hashes.push_back(util::fnv1a64(slurp(path + ".snap"), kBasis));
   };
   {
     StoreWriter writer(path, test_header());
     for (std::size_t i = 0; i < 20; ++i) writer.append(test_record(i));
     writer.commit();
+    pin();
     writer.compact();
     pin();
     for (std::size_t i = 20; i < 30; ++i) writer.append(test_record(i));
@@ -689,9 +727,9 @@ TEST(WalStore, FileBytesArePinned) {
     writer.compact();
     pin();
   }
-  EXPECT_EQ(hashes, (std::vector<std::uint64_t>{
-                        0xa5889f2d010880c9ull, 0xd7fd6d192d1fe7c2ull,
-                        0x23e9a75072912e48ull, 0xd13e06211d9fd7cdull}));
+  EXPECT_EQ(hashes, (std::vector<std::uint64_t>{0xed9060da92e53245ull,
+                                                0xdaa3e02898ec29c6ull,
+                                                0xe3e50b365674e655ull}));
 }
 
 }  // namespace

@@ -12,10 +12,12 @@ per-file config hashes disagree, and when any file was produced in smoke
 mode (QELECT_BENCH_SMOKE=1), whose timings are single uncalibrated runs.
 
 Campaign result stores -- binary WAL stores (*.results.qws and
-campaign_*/results.qws, snapshot + frame log; format in docs/STORAGE.md)
+campaign_*/results.qws, one frame log each; format in docs/STORAGE.md)
 -- are folded into a `campaigns` section: per-store task/outcome/retry
 counts, with warnings for failed or timed-out tasks and torn tails.  A
-file there that is not a WAL store is skipped with a warning.
+file there that is not a WAL store, or whose header owes records to a
+<store>.snap snapshot that older versions' compaction wrote, is skipped
+with a warning.
 
 Exit status is 0 even on warnings by default: CI archives smoke-mode
 artifacts for schema checks, and gating on wall times of shared runners
@@ -83,43 +85,14 @@ def _wal_task(payload):
             "attempts": attempts, "error": error}
 
 
-def _wal_bytes(buf, off):
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if off + n > len(buf):
-        raise ValueError("truncated entry")
-    return buf[off:off + n], off + n
-
-
-def _load_snapshot_tasks(snap_path):
-    """Records from a <store>.snap file ("QSNP" | body | crc32(body))."""
-    with open(snap_path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != b"QSNP" or len(raw) < 8:
-        raise ValueError(f"{snap_path}: not a snapshot")
-    body, crc = raw[4:-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(body) != crc:
-        raise ValueError(f"{snap_path}: checksum mismatch")
-    off = 4 + 8 + 8  # u32 version, u64 generation, u64 spec_hash
-    _name, off = _wal_str(body, off)
-    _spec, off = _wal_str(body, off)
-    count, = struct.unpack_from("<Q", body, off)
-    off += 8
-    tasks = []
-    for _ in range(count):
-        entry, off = _wal_bytes(body, off)
-        tasks.append(_wal_task(b"\x02" + entry))
-    return tasks
-
-
 def load_campaign(path):
     """Parse one binary WAL store (docs/STORAGE.md) into a summary dict.
 
     Mirrors campaign::load_store: a file that does not start with the WAL
-    magic is an error, and a bare magic prefix is an empty store; the log's
+    magic is an error, and so is a header that owes records to <path>.snap
+    (base_records > 0); a bare magic prefix is an empty store; the log's
     valid prefix ends at the first frame with a bad length or checksum
-    (torn tail); a compacted store's records come from <path>.snap plus the
-    replayed tail; later records for a key win.
+    (torn tail); later records for a key win.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -128,7 +101,7 @@ def load_campaign(path):
     summary = _empty_campaign_summary(path)
     summary["torn_tail"] = 0 < len(raw) < 4
     by_key = {}
-    off, header_seen, base_records = 4, False, 0
+    off, header_seen = 4, False
     while off < len(raw):
         if off + 8 > len(raw):
             summary["torn_tail"] = True
@@ -143,16 +116,15 @@ def load_campaign(path):
             header_seen = True
             _ver, _gen, base_records, spec_hash = struct.unpack_from(
                 "<IQQQ", payload, 1)
+            if base_records > 0:
+                raise ValueError(
+                    f"{base_records} of its records are in {path}.snap, "
+                    f"which is no longer read")
             summary["campaign"], _ = _wal_str(payload, 29)
             summary["spec_hash"] = f"{spec_hash:016x}"
         elif payload[0] == 2:
             rec = _wal_task(payload)
             by_key[rec["key"]] = rec
-    if base_records > 0:
-        snap_tasks = _load_snapshot_tasks(path + ".snap")
-        merged = {rec["key"]: rec for rec in snap_tasks}
-        merged.update(by_key)
-        by_key = merged
     for rec in by_key.values():
         summary["tasks"] += 1
         outcome = rec["outcome"]

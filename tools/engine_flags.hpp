@@ -21,7 +21,6 @@ struct EngineFlags {
 inline EngineFlags parse_engine_flags(int argc, char** argv, int from) {
   EngineFlags flags;
   flags.options.echo_every = 20;
-  flags.options.compact_every = 131072;
   auto value = [&](int& i) -> std::string {
     QELECT_CHECK(i + 1 < argc, std::string(argv[i]) + " needs a value");
     return argv[++i];
@@ -45,8 +44,6 @@ inline EngineFlags parse_engine_flags(int argc, char** argv, int from) {
       flags.progress_jsonl = value(i);
     } else if (flag == "--echo") {
       parse_number(flag, value(i), flags.options.echo_every);
-    } else if (flag == "--compact-every") {
-      parse_number(flag, value(i), flags.options.compact_every);
     } else {
       throw CheckError("unknown flag '" + flag + "'");
     }

@@ -5,7 +5,7 @@
 //   qelect status <store>                             progress + failures
 //   qelect report <store> [--json F]                  paper-table report
 //   qelect export <store> [--out F]                   store -> JSONL text
-//   qelect compact <store>                            snapshot + trim log
+//   qelect compact <store>                            one frame per key
 //   qelect tasks  <spec.json | builtin>               print the expansion
 //   qelect list                                       built-in catalog
 //
@@ -59,7 +59,7 @@ int usage() {
       "                                    writes the degradation survival\n"
       "                                    matrix as JSON)\n"
       "  export <store> [--out FILE]       dump the store as JSONL text\n"
-      "  compact <store>                   snapshot + reset the WAL tail\n"
+      "  compact <store>                   rewrite the log, one frame per key\n"
       "  tasks <spec.json|builtin>         print the task expansion\n"
       "  list                              built-in campaign catalog\n"
       "  serve [flags]                     run the qelectd query server\n"
@@ -75,9 +75,7 @@ int usage() {
       "  --deterministic         zero durations (byte-reproducible stores)\n"
       "  --stop-after N          commit N tasks then stop (simulated kill)\n"
       "  --progress-jsonl PATH   stream progress events to a JSONL trace\n"
-      "  --echo N                status line every N commits (default 20)\n"
-      "  --compact-every N       auto-snapshot after N appended records\n"
-      "                          (default 131072; 0 disables)\n");
+      "  --echo N                status line every N commits (default 20)\n");
   return 2;
 }
 
@@ -180,7 +178,7 @@ int cmd_compact(int argc, char** argv) {
                "no store at " + store_path);
   campaign::StoreWriter writer(store_path, store.header, store);
   writer.compact();
-  std::printf("compacted %s: %zu records -> generation %llu snapshot\n",
+  std::printf("compacted %s: %zu records -> generation %llu\n",
               store_path.c_str(), writer.record_count(),
               static_cast<unsigned long long>(writer.generation()));
   return 0;
