@@ -99,6 +99,8 @@ int main() {
                 static_cast<double>(grand_open));
     rep.counter("classify_n5", "total_instances",
                 static_cast<double>(grand_instances));
+    rep.counter("classify_n5", "tasks_not_ok",
+                static_cast<double>(result.failed + result.timeout));
     rep.write();
   }
   return 0;

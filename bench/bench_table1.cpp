@@ -113,6 +113,8 @@ int main() {
                 static_cast<double>(matrix.live_total));
     rep.counter("live_elect_sweep", "quant_ok",
                 static_cast<double>(matrix.quant_ok));
+    rep.counter("live_elect_sweep", "tasks_not_ok",
+                static_cast<double>(result.failed + result.timeout));
     rep.write();
   }
   return 0;

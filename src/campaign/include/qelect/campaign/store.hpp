@@ -49,7 +49,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -99,9 +98,6 @@ struct LoadedStore {
   /// earlier one in its place.
   std::vector<TaskRecord> records;
   std::size_t low_water = 0;  // every task_index < low_water is present
-
-  /// Last record per key (commit order; later records win).
-  std::unordered_map<std::string, const TaskRecord*> by_key() const;
 };
 
 /// Reads a store; a missing file yields exists == false.  Corrupt frames

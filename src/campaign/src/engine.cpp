@@ -10,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,7 +113,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   header.spec_json = spec.to_json();
   header.spec_hash = spec.spec_hash();
 
-  // Load-before-write: terminal keys are skipped, everything else runs.
+  // Load-before-write: terminal records are skipped, everything else runs.
   const LoadedStore prior = load_store(store_path);
   // An intact header whose JSON serializes differently but describes this
   // very spec (a dropped field such as "backend") keeps its own hash.
@@ -123,29 +124,32 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   }
   const int retries = options.retries >= 0 ? options.retries : spec.retries;
 
-  // Task indices in task order; only a store that already holds records
-  // needs keys formatted before the run.  A failed or timed-out record
-  // used every attempt of the budget it ran under, so it runs again only
-  // under a larger `retries`, and its new record wins.
+  // Each stored record must be the task its task_index names: keys are a
+  // pure function of (spec, index), so a record no task owns is forged or
+  // corrupt, and the store is refused before the writer touches it.  (The
+  // writer refuses a store of another spec by its hash.)  A failed or
+  // timed-out record used every attempt of the budget it ran under, so it
+  // runs again only under a larger `retries`, and its new record wins.
   CampaignResult result;
   result.total = total;
-  std::vector<std::size_t> pending;
   std::vector<bool> terminal(total, false);
-  if (prior.records.empty()) {
-    pending.resize(total);
-    std::iota(pending.begin(), pending.end(), std::size_t{0});
-  } else {
-    const auto done = prior.by_key();
-    for (std::size_t i = 0; i < total; ++i) {
-      const auto it = done.find(space.key(i));
-      if (it == done.end() ||
-          (!it->second->ok() && it->second->attempts <= retries)) {
-        pending.push_back(i);
-      } else {
-        terminal[i] = true;
-        if (!it->second->ok()) ++result.skipped_not_ok;
+  if (prior.header.spec_hash == header.spec_hash) {
+    for (const TaskRecord& r : prior.records) {
+      QELECT_CHECK(r.task_index < total && space.key(r.task_index) == r.key,
+                   "result store " + store_path + ": record '" + r.key +
+                       "' at task index " + std::to_string(r.task_index) +
+                       " is not that task of campaign '" + spec.name + "'");
+      if (r.ok() || r.attempts > retries) {
+        terminal[r.task_index] = true;
+        if (!r.ok()) ++result.skipped_not_ok;
       }
     }
+  }
+  // Task indices in task order; a store without records needs no scan.
+  std::vector<std::size_t> pending(total);
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  if (!prior.records.empty()) {
+    std::erase_if(pending, [&](std::size_t i) { return terminal[i]; });
   }
   result.skipped = total - pending.size();
 

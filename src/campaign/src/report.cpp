@@ -430,7 +430,7 @@ void print_status(const std::string& store_path) {
   const CampaignSpec spec =
       CampaignSpec::from_json_text(store.header.spec_json);
   const std::size_t total = TaskSpace(spec).size();
-  const std::size_t done = store.by_key().size();
+  const std::size_t done = store.records.size();  // one record per key
   const Outcomes out = count_outcomes(store);
   std::printf("campaign   %s\n", store.header.name.c_str());
   std::printf("store      %s%s\n", store_path.c_str(),
@@ -477,6 +477,7 @@ void print_report(const std::string& store_path,
   }
   QELECT_CHECK(json_path.empty() || spec.workload == "degradation",
                "--json is only supported for degradation campaigns");
+  const Outcomes out = count_outcomes(store);
   if (spec.workload == "table1") {
     print_table1(table1_matrix(store));
   } else if (spec.workload == "analyze") {
@@ -489,19 +490,17 @@ void print_report(const std::string& store_path,
     const std::vector<DegradationRow> rows = degradation_rows(store);
     print_degradation(rows);
     if (!json_path.empty()) {
-      std::ofstream out(json_path, std::ios::trunc);
-      QELECT_CHECK(out.good(), "cannot open " + json_path + " for writing");
-      out << degradation_json(store.header.name, rows) << '\n';
-      out.close();
-      QELECT_CHECK(out.good(), "failed writing " + json_path);
+      std::ofstream file(json_path, std::ios::trunc);
+      QELECT_CHECK(file.good(), "cannot open " + json_path + " for writing");
+      file << degradation_json(store.header.name, rows) << '\n';
+      file.close();
+      QELECT_CHECK(file.good(), "failed writing " + json_path);
       std::printf("survival matrix JSON written to %s\n", json_path.c_str());
     }
   } else {
-    const Outcomes out = count_outcomes(store);
     std::printf("%zu records: %zu ok, %zu failed, %zu timeout\n",
                 store.records.size(), out.ok, out.failed, out.timeout);
   }
-  const Outcomes out = count_outcomes(store);
   if (out.failed + out.timeout > 0) {
     std::printf("\n%zu task(s) did not complete cleanly:\n",
                 out.failed + out.timeout);

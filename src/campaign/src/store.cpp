@@ -502,30 +502,33 @@ void decode_wal(const std::string& path, const std::string& content,
   }
 }
 
-/// Keeps one record per key: a later record replaces the earlier one in
-/// its place, and the records after it close up.  The index holds
-/// positions and hashes through their keys, so no key is copied.
-void resolve_keys(std::vector<TaskRecord>* records) {
-  std::vector<TaskRecord>& r = *records;
-  const auto key_hash = [&r](std::size_t i) {
-    return std::hash<std::string_view>{}(r[i].key);
+/// Keeps one element per key in place: a later element replaces the
+/// earlier one at its position, and the elements after it close up.  The
+/// loader applies it to decoded records and compaction to frame views, so
+/// a compacted log loads as the store did.  `key_of` views an element's
+/// key; the index holds positions, so no key is copied.
+template <typename T, typename KeyOf>
+void keep_later_per_key(std::vector<T>* elements, KeyOf key_of) {
+  std::vector<T>& e = *elements;
+  const auto key_hash = [&](std::size_t i) {
+    return std::hash<std::string_view>{}(key_of(e[i]));
   };
-  const auto same_key = [&r](std::size_t a, std::size_t b) {
-    return r[a].key == r[b].key;
+  const auto same_key = [&](std::size_t a, std::size_t b) {
+    return key_of(e[a]) == key_of(e[b]);
   };
   std::unordered_set<std::size_t, decltype(key_hash), decltype(same_key)>
-      first(r.size(), key_hash, same_key);
+      first(e.size(), key_hash, same_key);
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    if (kept != i) r[kept] = std::move(r[i]);
+  for (std::size_t i = 0; i < e.size(); ++i) {
+    if (kept != i) e[kept] = std::move(e[i]);
     const auto [it, fresh] = first.insert(kept);
     if (fresh) {
       ++kept;
     } else {
-      r[*it] = std::move(r[kept]);
+      e[*it] = std::move(e[kept]);
     }
   }
-  r.resize(kept);
+  e.resize(kept);
 }
 
 std::size_t compute_low_water(const std::vector<TaskRecord>& records) {
@@ -577,14 +580,6 @@ std::string header_to_json(const StoreHeader& header) {
   return out.str();
 }
 
-std::unordered_map<std::string, const TaskRecord*> LoadedStore::by_key()
-    const {
-  std::unordered_map<std::string, const TaskRecord*> out;
-  out.reserve(records.size());
-  for (const TaskRecord& r : records) out[r.key] = &r;
-  return out;
-}
-
 LoadedStore load_store(const std::string& path) {
   LoadedStore store;
   bool exists = false;
@@ -598,7 +593,10 @@ LoadedStore load_store(const std::string& path) {
     store.torn_tail = !content.empty();
   }
   std::string().swap(content);  // free the file's bytes before the index
-  resolve_keys(&store.records);
+  keep_later_per_key(&store.records,
+                     [](const TaskRecord& r) -> std::string_view {
+                       return r.key;
+                     });
   store.low_water = compute_low_water(store.records);
   return store;
 }
@@ -641,18 +639,26 @@ std::string store_to_jsonl(const LoadedStore& store) {
 
 namespace {
 
+/// The key of a whole task frame (length, checksum, payload), whose body
+/// opens with the u64 task_index and then the key; null when the body is
+/// too short to hold them.
+std::optional<std::string_view> frame_key(std::string_view frame) {
+  Cursor c{frame.data() + 9, frame.size() - 9};  // past len, crc and type
+  std::uint64_t task_index = 0;
+  std::string_view key;
+  if (!c.u64(&task_index) || !c.bytes(&key)) return std::nullopt;
+  return key;
+}
+
 /// The task frames a compaction keeps, viewed in `log` (the store's bytes):
 /// each checked by its CRC and kept whole -- length, checksum and payload
-/// -- never decoded.  One frame per key survives: the later one, at the
-/// earlier one's place, as load_store resolves keys, so the rewritten log
-/// loads as the store did.  Memory is the log's size plus an index entry
-/// per key.
+/// -- never decoded, one per key as load_store keeps them.  Memory is the
+/// log's size plus a view per frame and an index entry per key.
 std::vector<std::string_view> live_frames(const std::string& path,
                                           const std::string& log) {
   QELECT_CHECK(log.size() >= 4 && std::memcmp(log.data(), kWalMagic, 4) == 0,
                "result store " + path + ": the log is gone or not a WAL");
   std::vector<std::string_view> frames;
-  std::unordered_map<std::string_view, std::size_t> slot_of;
   for (std::size_t off = 4; off < log.size();) {
     std::string_view payload;
     std::size_t next = 0;
@@ -660,21 +666,15 @@ std::vector<std::string_view> live_frames(const std::string& path,
                  "result store " + path + ": the log frame at byte " +
                      std::to_string(off) + " is torn or corrupt");
     if (static_cast<std::uint8_t>(payload[0]) == kTaskFrame) {
-      Cursor c{payload.data() + 1, payload.size() - 1};
-      std::uint64_t task_index = 0;
-      std::string_view key;
-      QELECT_CHECK(c.u64(&task_index) && c.bytes(&key),
-                   "result store " + path + ": a record without a key");
       const std::string_view frame(log.data() + off, next - off);
-      const auto [it, fresh] = slot_of.try_emplace(key, frames.size());
-      if (fresh) {
-        frames.push_back(frame);
-      } else {
-        frames[it->second] = frame;
-      }
+      QELECT_CHECK(frame_key(frame).has_value(),
+                   "result store " + path + ": a record without a key");
+      frames.push_back(frame);
     }
     off = next;
   }
+  keep_later_per_key(&frames,
+                     [](std::string_view frame) { return *frame_key(frame); });
   return frames;
 }
 

@@ -55,14 +55,6 @@ void attach_faults(const fault::FaultPlan& plan, sim::RunConfig& config) {
   config.message_passing = plan.message_enabled();
 }
 
-std::size_t max_degree_of(const graph::Graph& g) {
-  std::size_t max_degree = 0;
-  for (graph::NodeId x = 0; x < g.node_count(); ++x) {
-    max_degree = std::max(max_degree, g.degree(x));
-  }
-  return max_degree;
-}
-
 Metrics run_elect(const TaskSpec& task, const CancelToken& cancel) {
   // Pooled: a shard sweeping seeds/schedulers over one instance reuses the
   // same arena (boards, colors, scheduler buffers) for every task.
@@ -262,7 +254,7 @@ Classification classify(const graph::Graph& g, const graph::Placement& p,
     return out;
   }
   cancel.throw_if_cancelled();
-  const std::size_t alphabet = max_degree_of(g);
+  const std::size_t alphabet = g.max_degree();
   out.code = labeling_count(g, alphabet) <= labeling_budget &&
                      core::impossibility_by_exhaustive_labelings(g, p,
                                                                  alphabet)

@@ -101,6 +101,9 @@ class Graph {
   /// True iff every node has the same degree.
   bool is_regular() const;
 
+  /// The largest degree of any node; 0 for the empty graph.
+  std::size_t max_degree() const;
+
   /// True iff the graph is connected (the empty graph counts as connected).
   bool is_connected() const;
 

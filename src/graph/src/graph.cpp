@@ -99,6 +99,12 @@ bool Graph::is_regular() const {
                      [d](const auto& a) { return a.size() == d; });
 }
 
+std::size_t Graph::max_degree() const {
+  std::size_t d = 0;
+  for (const auto& a : adjacency_) d = std::max(d, a.size());
+  return d;
+}
+
 bool Graph::is_connected() const {
   if (adjacency_.empty()) return true;
   const auto dist = bfs_distances(0);

@@ -45,10 +45,11 @@ inline constexpr std::size_t kHeaderSize = 28;
 /// Default bound on a frame's payload.  Requests are tiny (an instance
 /// spec); responses are bounded by VIEW_CLASSES on max_nodes nodes.
 inline constexpr std::size_t kMaxPayload = 1 << 20;
-/// Hard ceiling on one coalesced cross-request RUN_ELECT slab, whatever
-/// the server's --coalesce-max says: a window must never accumulate an
-/// unbounded batch (slab memory is O(replicas * nodes)).
-inline constexpr std::uint32_t kMaxCoalesceSlab = 1024;
+/// Hard ceiling on one RUN_ELECT slab (slab memory is O(replicas *
+/// nodes)): a multi-replica request above it is refused with
+/// kStatusTooLarge, and a coalescing window never grows past it, whatever
+/// the server's --coalesce-max says.
+inline constexpr std::uint32_t kMaxReplicas = 1024;
 
 enum class Opcode : std::uint16_t {
   kPing = 1,         // liveness probe; empty payload both ways

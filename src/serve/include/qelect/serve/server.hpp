@@ -71,8 +71,7 @@ struct ServerOptions {
   /// immediately, exactly the pre-coalescing path).
   std::uint64_t coalesce_window_us = 200;
   /// Largest coalesced slab; a full group flushes early instead of
-  /// waiting out the window.  Clamped to kMaxCoalesceSlab and to
-  /// limits.max_replicas.
+  /// waiting out the window.  Clamped to kMaxReplicas.
   std::uint32_t coalesce_max = 128;
   ServiceLimits limits;
 };

@@ -46,19 +46,9 @@ namespace qelect::serve {
 struct ServiceLimits {
   /// Largest instance (node count) any opcode will build.
   std::size_t max_nodes = 4096;
-  /// Largest single family parameter (pre-build guard: a hostile
-  /// hypercube(40) must be rejected before 2^40 nodes are allocated).
-  std::uint64_t max_param = 1 << 14;
   /// SIGMA refuses instances whose locally-distinct labeling count
   /// exceeds this (the enumeration is exponential).
   double sigma_budget = 1e6;
-  /// ELECTABLE runs the full impossibility classification (Cayley
-  /// recognition, labeling search) only up to this many nodes; beyond it a
-  /// non-elect verdict is reported as "open" rather than burning a core.
-  std::size_t max_deep_nodes = 64;
-  /// Largest RUN_ELECT burst (replicas per request) routed through the
-  /// batch backend; larger requests are refused with kStatusTooLarge.
-  std::uint32_t max_replicas = 1024;
 };
 
 /// Bounded LRU of encoded responses keyed by (opcode, request payload).

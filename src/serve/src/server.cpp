@@ -154,9 +154,8 @@ void Server::start() {
                "workers " + std::to_string(options_.workers) +
                    " is above the limit of " + std::to_string(kMaxWorkers));
 
-  options_.coalesce_max = std::max<std::uint32_t>(
-      1, std::min({options_.coalesce_max, kMaxCoalesceSlab,
-                   options_.limits.max_replicas}));
+  options_.coalesce_max =
+      std::clamp<std::uint32_t>(options_.coalesce_max, 1, kMaxReplicas);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   QELECT_CHECK(listen_fd_ >= 0, "socket() failed");

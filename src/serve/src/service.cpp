@@ -64,15 +64,19 @@ struct BuiltInstance {
   graph::Placement p;
 };
 
+/// Largest single family parameter (pre-build guard: a hostile
+/// hypercube(40) must be rejected before 2^40 nodes are allocated).
+constexpr std::uint64_t kMaxParam = 1 << 14;
+
 /// Decoded instance -> built (graph, placement), or CheckError with a
 /// client-facing message.  Enforces the deployment's compute bounds.
 BuiltInstance build_instance(const InstanceRef& inst,
                              const ServiceLimits& limits) {
   QELECT_CHECK(!inst.family.empty(), "empty graph family");
   for (std::uint64_t param : inst.params) {
-    QELECT_CHECK(param <= limits.max_param,
+    QELECT_CHECK(param <= kMaxParam,
                  "parameter " + std::to_string(param) + " exceeds limit " +
-                     std::to_string(limits.max_param));
+                     std::to_string(kMaxParam));
   }
   QELECT_CHECK(inst.family != "all-connected" ||
                    (!inst.params.empty() && inst.params[0] <= 6),
@@ -126,16 +130,14 @@ void put_verdict(WireWriter& w, const sim::RunResult& run,
 /// A multi-replica RUN_ELECT burst: replicas (seed, 0..replicas-1) of one
 /// instance under the counter scheduler, run as one slab.
 std::vector<std::uint8_t> run_elect_burst(const RunElectRequest& req,
-                                          const BuiltInstance& built,
-                                          const ServiceLimits& limits) {
+                                          const BuiltInstance& built) {
   QELECT_CHECK(req.scheduler == "counter",
                "multi-replica RUN_ELECT requires the 'counter' scheduler");
-  if (req.replicas > limits.max_replicas) {
+  if (req.replicas > kMaxReplicas) {
     return encode_error_response(
         kStatusTooLarge,
         "RUN_ELECT burst of " + std::to_string(req.replicas) +
-            " replicas exceeds max_replicas = " +
-            std::to_string(limits.max_replicas));
+            " replicas exceeds the limit of " + std::to_string(kMaxReplicas));
   }
   const auto plan = core::ElectBatchPlanCache::global().plan(built.g, built.p);
   std::vector<sim::BatchReplicaConfig> replicas;
@@ -269,9 +271,11 @@ std::vector<std::uint8_t> Service::run_electable(const InstanceRef& inst) {
   const BuiltInstance built = build_instance(inst, limits_);
   // The cheap Theorem 3.1 side runs at any served size; the impossibility
   // machinery (Cayley recognition, exhaustive labelings) is the campaign
-  // analyze classification and is only attempted at classification scale.
+  // analyze classification and is only attempted at classification scale:
+  // beyond it a non-elect verdict is "open" rather than a burnt core.
+  constexpr std::size_t kMaxDeepNodes = 64;
   campaign::Classification c;
-  if (built.g.node_count() <= limits_.max_deep_nodes) {
+  if (built.g.node_count() <= kMaxDeepNodes) {
     c = campaign::classify(built.g, built.p, campaign::kDefaultLabelingBudget,
                            CancelToken());
   } else {
@@ -290,10 +294,7 @@ std::vector<std::uint8_t> Service::run_electable(const InstanceRef& inst) {
 
 std::vector<std::uint8_t> Service::run_sigma(const SigmaRequest& req) {
   const BuiltInstance built = build_instance(req.instance, limits_);
-  std::size_t max_degree = 0;
-  for (graph::NodeId x = 0; x < built.g.node_count(); ++x) {
-    max_degree = std::max(max_degree, built.g.degree(x));
-  }
+  const std::size_t max_degree = built.g.max_degree();
   const std::uint32_t alphabet =
       req.alphabet == 0 ? static_cast<std::uint32_t>(max_degree)
                         : req.alphabet;
@@ -339,7 +340,7 @@ std::vector<std::uint8_t> Service::run_run_elect(const RunElectRequest& req) {
   // worker's WorldPool, so a repeated instance re-uses the pooled arena
   // instead of this copy.
   const BuiltInstance built = validate_run_elect(req, limits_);
-  if (req.replicas > 1) return run_elect_burst(req, built, limits_);
+  if (req.replicas > 1) return run_elect_burst(req, built);
   campaign::TaskSpec task;
   task.workload = "elect";
   task.graph.family = req.instance.family;

@@ -78,6 +78,14 @@ std::string export_of(const std::string& path) {
   return store_to_jsonl(load_store(path));
 }
 
+/// The store's records by key (load_store keeps one record per key).
+std::map<std::string, const TaskRecord*> records_by_key(
+    const LoadedStore& store) {
+  std::map<std::string, const TaskRecord*> out;
+  for (const TaskRecord& r : store.records) out.emplace(r.key, &r);
+  return out;
+}
+
 /// Byte offset just past the first `frames` WAL frames (the generation
 /// header counts as one), for staging kill points at frame boundaries.
 std::size_t wal_offset_after(const std::string& bytes, int frames) {
@@ -751,7 +759,7 @@ TEST(CampaignEngine, KilledThenResumedStoreIsLogicallyIdentical) {
   const LoadedStore killed_store = load_store(killed);
   EXPECT_EQ(killed_store.records.size(), 13u);
   const LoadedStore full_store = load_store(uninterrupted);
-  const auto full_by_key = full_store.by_key();
+  const auto full_by_key = records_by_key(full_store);
   for (const TaskRecord& r : killed_store.records) {
     const auto it = full_by_key.find(r.key);
     ASSERT_NE(it, full_by_key.end()) << r.key;
@@ -773,6 +781,78 @@ TEST(CampaignEngine, KilledThenResumedStoreIsLogicallyIdentical) {
   EXPECT_EQ(noop.executed, 0u);
   EXPECT_EQ(noop.skipped, noop.total);
   EXPECT_EQ(export_of(killed), full_export);
+}
+
+TEST(CampaignEngine, ResumeRefusesARecordThatIsNotItsTask) {
+  // Keys are a pure function of (spec, index), so a record whose key is
+  // not the key of its task_index can only be forged or corrupt.  Both
+  // run_campaign and the `qelect resume` path (the spec read back out of
+  // the header) refuse it, naming the key and the index, before the
+  // writer opens the store: not even its torn tail is truncated.
+  ScratchDir scratch("forged");
+  const CampaignSpec spec = small_spec();
+  const TaskSpace space(spec);
+  EngineOptions opts;
+  opts.deterministic = true;
+  EngineOptions stop = opts;
+  stop.stop_after = 5;
+  const std::string honest = scratch.path("honest.qws");
+  run_campaign(spec, honest, stop);
+  const LoadedStore stopped = load_store(honest);
+  ASSERT_EQ(stopped.records.size(), 5u);
+
+  // One store per forgery: the honest records, the forged one, and a
+  // one-byte torn tail.
+  auto forge = [&](const std::string& name, std::uint64_t index,
+                   const std::string& key) {
+    const std::string path = scratch.path(name + ".qws");
+    {
+      StoreWriter writer(path, header_of(spec));
+      for (const TaskRecord& r : stopped.records) writer.append(r);
+      TaskRecord forged = stopped.records[0];
+      forged.task_index = index;
+      forged.key = key;
+      writer.append(forged);
+      writer.commit();
+    }
+    std::ofstream(path, std::ios::binary | std::ios::app) << '\x05';
+    return path;
+  };
+  auto expect_refused = [&](const std::string& path, std::uint64_t index,
+                            const std::string& key) {
+    const std::string before = slurp(path);
+    ASSERT_TRUE(load_store(path).torn_tail);
+    const CampaignSpec stored =
+        CampaignSpec::from_json_text(load_store_header(path)->spec_json);
+    for (const CampaignSpec* s : {&spec, &stored}) {
+      try {
+        run_campaign(*s, path, opts);
+        ADD_FAILURE() << path << " was accepted";
+      } catch (const CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find("task index " + std::to_string(index)),
+                  std::string::npos)
+            << what;
+      }
+      EXPECT_EQ(slurp(path), before) << path;
+    }
+  };
+  const std::size_t total = space.size();
+  // A task's key at an index past the expansion.
+  expect_refused(forge("past-the-end", total + 7, space.key(9)), total + 7,
+                 space.key(9));
+  // Another task's key at an index of the expansion.
+  expect_refused(forge("other-key", 2, space.key(11)), 2, space.key(11));
+
+  // The honest stop-and-resume of the same spec still completes, as an
+  // uninterrupted run does.
+  const CampaignResult resumed = run_campaign(spec, honest, opts);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.skipped, 5u);
+  const std::string full = scratch.path("full.qws");
+  run_campaign(spec, full, opts);
+  EXPECT_EQ(export_of(honest), export_of(full));
 }
 
 TEST(CampaignEngine, TruncationAtFrameBoundaryResumesLogicallyIdentical) {
@@ -810,8 +890,7 @@ TEST(CampaignEngine, InjectedFailureIsRetriedThenSucceeds) {
   EXPECT_EQ(result.failed, 0u);
   EXPECT_EQ(result.retried, 1u);
   const auto store = load_store(scratch.path("store.jsonl"));
-  const auto by_key = store.by_key();
-  const auto* record = by_key.at("elect/ring(5)/p=0.2/s=1");
+  const auto* record = records_by_key(store).at("elect/ring(5)/p=0.2/s=1");
   EXPECT_EQ(record->outcome, "ok");
   EXPECT_EQ(record->attempts, 2);
 }
@@ -1255,7 +1334,7 @@ TEST(CampaignEngine, BatchBackendKilledThenResumedIsLogicallyIdentical) {
   const CampaignResult partial = run_campaign(spec, killed, stop);
   EXPECT_TRUE(partial.stopped_early);
   const LoadedStore full_store = load_store(uninterrupted);
-  const auto full_by_key = full_store.by_key();
+  const auto full_by_key = records_by_key(full_store);
   const LoadedStore killed_store = load_store(killed);
   EXPECT_EQ(killed_store.records.size(), 5u);
   for (const TaskRecord& r : killed_store.records) {

@@ -291,10 +291,7 @@ TEST(Labeling, ForEachVisitsEveryLabelingInEnumerationOrder) {
   // figure2c() is a multigraph with a loop, whose two ports count toward
   // its node's degree like any other pair of ports.
   for (const Graph& g : {ring(4), star(3), figure2c().graph}) {
-    std::size_t alphabet = 0;
-    for (NodeId x = 0; x < g.node_count(); ++x) {
-      alphabet = std::max(alphabet, g.degree(x));
-    }
+    const std::size_t alphabet = g.max_degree();
     std::vector<EdgeLabeling> visited;
     std::vector<Symbol> previous;
     EXPECT_FALSE(for_each_labeling(g, alphabet, [&](const EdgeLabeling& l) {

@@ -227,7 +227,7 @@ TEST(Service, RejectsOversizedInstancesBeforeBuilding) {
   auto resp = electable(service, {"hypercube", {40}, {0}});
   EXPECT_NE(resp.head.status, kStatusOk);
 
-  // A parameter beyond max_param is refused outright.
+  // A parameter beyond the 2^14 limit is refused outright.
   resp = electable(service, {"ring", {1 << 20}, {0}});
   EXPECT_NE(resp.head.status, kStatusOk);
 
@@ -410,13 +410,11 @@ TEST(Service, RunElectBurstRequiresCounterScheduler) {
 }
 
 TEST(Service, RunElectBurstRespectsMaxReplicas) {
-  ServiceLimits limits;
-  limits.max_replicas = 4;
-  Service service(limits);
+  Service service;
   RunElectRequest req;
   req.instance = {"ring", {6}, {0, 2}};
   req.scheduler = "counter";
-  req.replicas = 8;
+  req.replicas = kMaxReplicas + 1;
   const RunElectResponse resp = run_elect(service, req);
   EXPECT_EQ(resp.head.status, kStatusTooLarge);
 }

@@ -209,10 +209,7 @@ bool all_classes_nontrivial_by_certificates(const graph::Graph& g,
 // returns how many (placement, labeling) pairs had all classes nontrivial.
 std::size_t expect_label_walk_matches(const graph::Graph& g,
                                       std::size_t max_agents = SIZE_MAX) {
-  std::size_t alphabet = 0;
-  for (graph::NodeId x = 0; x < g.node_count(); ++x) {
-    alphabet = std::max(alphabet, g.degree(x));
-  }
+  const std::size_t alphabet = g.max_degree();
   std::size_t nontrivial = 0;
   for (std::size_t r = 0; r <= std::min(max_agents, g.node_count()); ++r) {
     for (const Placement& p : graph::enumerate_placements(g.node_count(), r)) {

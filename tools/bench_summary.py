@@ -11,14 +11,6 @@ measurement bug, so the script warns -- and marks the summary -- when the
 per-file config hashes disagree, and when any file was produced in smoke
 mode (QELECT_BENCH_SMOKE=1), whose timings are single uncalibrated runs.
 
-Campaign result stores -- binary WAL stores (*.results.qws and
-campaign_*/results.qws, one frame log each; format in docs/STORAGE.md)
--- are folded into a `campaigns` section: per-store task/outcome/retry
-counts, with warnings for failed or timed-out tasks and torn tails.  A
-file there that is not a WAL store, or whose header owes records to a
-<store>.snap snapshot that older versions' compaction wrote, is skipped
-with a warning.
-
 Exit status is 0 even on warnings by default: CI archives smoke-mode
 artifacts for schema checks, and gating on wall times of shared runners
 would flake.  Pass --strict to exit non-zero when a >15% regression
@@ -35,9 +27,7 @@ import argparse
 import glob
 import json
 import os
-import struct
 import sys
-import zlib
 
 
 def load(path):
@@ -47,112 +37,6 @@ def load(path):
         if key not in data:
             raise ValueError(f"{path}: missing key {key!r}")
     return data
-
-
-def _empty_campaign_summary(path):
-    return {
-        "store": path,
-        "campaign": None,
-        "spec_hash": None,
-        "tasks": 0,
-        "ok": 0,
-        "failed": 0,
-        "timeout": 0,
-        "retries": 0,
-        "torn_tail": False,
-    }
-
-
-def _wal_str(buf, off):
-    if off + 4 > len(buf):
-        raise ValueError("truncated string")
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if off + n > len(buf):
-        raise ValueError("truncated string")
-    return buf[off:off + n].decode("utf-8", "replace"), off + n
-
-
-def _wal_task(payload):
-    """Decode a type-2 (task) frame payload into a record dict."""
-    idx, = struct.unpack_from("<Q", payload, 1)
-    key, off = _wal_str(payload, 9)
-    outcome, off = _wal_str(payload, off)
-    attempts, = struct.unpack_from("<I", payload, off)
-    off += 12  # u32 attempts + f64 duration_seconds
-    error, off = _wal_str(payload, off)
-    return {"task_index": idx, "key": key, "outcome": outcome,
-            "attempts": attempts, "error": error}
-
-
-def load_campaign(path):
-    """Parse one binary WAL store (docs/STORAGE.md) into a summary dict.
-
-    Mirrors campaign::load_store: a file that does not start with the WAL
-    magic is an error, and so is a header that owes records to <path>.snap
-    (base_records > 0); a bare magic prefix is an empty store; the log's
-    valid prefix ends at the first frame with a bad length or checksum
-    (torn tail); later records for a key win.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != b"QWAL"[:len(raw)]:
-        raise ValueError("not a WAL store")
-    summary = _empty_campaign_summary(path)
-    summary["torn_tail"] = 0 < len(raw) < 4
-    by_key = {}
-    off, header_seen = 4, False
-    while off < len(raw):
-        if off + 8 > len(raw):
-            summary["torn_tail"] = True
-            break
-        length, crc = struct.unpack_from("<II", raw, off)
-        payload = raw[off + 8:off + 8 + length]
-        if length == 0 or len(payload) < length or zlib.crc32(payload) != crc:
-            summary["torn_tail"] = True
-            break
-        off += 8 + length
-        if payload[0] == 1 and not header_seen:
-            header_seen = True
-            _ver, _gen, base_records, spec_hash = struct.unpack_from(
-                "<IQQQ", payload, 1)
-            if base_records > 0:
-                raise ValueError(
-                    f"{base_records} of its records are in {path}.snap, "
-                    f"which is no longer read")
-            summary["campaign"], _ = _wal_str(payload, 29)
-            summary["spec_hash"] = f"{spec_hash:016x}"
-        elif payload[0] == 2:
-            rec = _wal_task(payload)
-            by_key[rec["key"]] = rec
-    for rec in by_key.values():
-        summary["tasks"] += 1
-        outcome = rec["outcome"]
-        key = outcome if outcome in ("ok", "failed", "timeout") else "failed"
-        summary[key] += 1
-        summary["retries"] += max(0, rec["attempts"] - 1)
-    return summary
-
-
-def collect_campaigns(root):
-    paths = sorted(
-        glob.glob(os.path.join(root, "*.results.qws"))
-        + glob.glob(os.path.join(root, "campaign_*", "results.qws")))
-    summaries, warnings = [], []
-    for path in paths:
-        try:
-            summaries.append(load_campaign(path))
-        except (ValueError, OSError, struct.error) as e:
-            warnings.append(f"skipping campaign store {path}: {e}")
-            continue
-        s = summaries[-1]
-        if s["failed"] or s["timeout"]:
-            warnings.append(
-                f"{path}: {s['failed']} failed, {s['timeout']} timed-out "
-                f"task(s)")
-        if s["torn_tail"]:
-            warnings.append(f"{path}: torn tail (killed mid-append)")
-    return summaries, warnings
 
 
 def main():
@@ -166,13 +50,12 @@ def main():
 
     paths = sorted(glob.glob(os.path.join(args.dir, "BENCH_*.json")))
     paths = [p for p in paths if os.path.basename(p) != "BENCH_summary.json"]
-    campaigns, campaign_warnings = collect_campaigns(args.dir)
-    if not paths and not campaigns:
+    if not paths:
         print(f"bench_summary: no BENCH_*.json under {args.dir}",
               file=sys.stderr)
         return 1
 
-    benches, warnings = [], list(campaign_warnings)
+    benches, warnings = [], []
     for path in paths:
         try:
             benches.append(load(path))
@@ -312,26 +195,14 @@ def main():
         "zero_fault_overhead": fault_overheads,
         "serve": serve_cases,
         "coalesce_vs_sequential": coalesce_ratios,
-        "campaigns": campaigns,
-        "campaign_tasks": {
-            "tasks": sum(c["tasks"] for c in campaigns),
-            "ok": sum(c["ok"] for c in campaigns),
-            "failed": sum(c["failed"] for c in campaigns),
-            "timeout": sum(c["timeout"] for c in campaigns),
-            "retries": sum(c["retries"] for c in campaigns),
-        },
         "files": benches,
     }
     with open(args.out, "w") as f:
         json.dump(summary, f, indent=2)
         f.write("\n")
 
-    print(f"bench_summary: {len(benches)} files, {total_cases} cases, "
-          f"{len(campaigns)} campaign store(s) -> {args.out}")
-    for c in campaigns:
-        print(f"  campaign {c['campaign'] or '?'}: {c['tasks']} tasks "
-              f"({c['ok']} ok, {c['failed']} failed, {c['timeout']} timeout, "
-              f"{c['retries']} retries)")
+    print(f"bench_summary: {len(benches)} files, {total_cases} cases "
+          f"-> {args.out}")
     for w in warnings:
         print(f"  WARNING: {w}")
     if speedups:
