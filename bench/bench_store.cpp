@@ -14,10 +14,13 @@
 //       jsonl_commit_durable_each the old writer + fdatasync per record
 //                                 (the minimal fix meeting its per-record
 //                                 acknowledgement contract)
-//       wal_commit_group          the real StoreWriter path: binary
-//                                 append + one fdatasync per kCommitBatch
-//                                 records (group commit, like the
-//                                 engine's per-slab commits)
+//       wal_commit_group          StoreWriter's single-writer path:
+//                                 binary append + one fdatasync per
+//                                 kCommitBatch records (group commit).
+//                                 The engine's shards stage through
+//                                 StagedFrames and commit(stages)
+//                                 instead, which shares this write and
+//                                 fdatasync but not append's lock
 //       wal_commit_durable_each   StoreWriter syncing per record -- the
 //                                 floor group commit amortizes away
 //   * recovery -- wal_load_tail loads a full 10^6-record log, which is

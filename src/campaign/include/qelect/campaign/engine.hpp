@@ -21,11 +21,13 @@
 // up to kMaxSlabReplicas adjacent pending tasks of one instance, run in
 // lockstep and staged as one group, with the scalar path's records.
 //
-// Shards only stage their completions, in completion order -- so a
-// finished task never waits on a slower earlier one.  One commit thread
-// per run makes everything staged durable every 10 ms (one write and one
-// fdatasync, whatever the shard count), and once more after the shards
-// join; only then are those records acknowledged, in staging order.  A
+// Shards only stage their completions, each into a stage of its own that
+// no other shard touches -- so a finished task never waits on a slower
+// earlier one, nor on another shard's lock.  One commit thread per run
+// takes every stage in shard order every 10 ms and makes them durable
+// (one fdatasync for all stages, whatever the shard count), and once more
+// after the shards join; only then are those records acknowledged, in the
+// order they were written: shard by shard, each in completion order.  A
 // kill loses at most the last ~10 ms of completions.  Each record carries
 // its task_index, and the engine tracks the low-water mark (every task
 // below it is terminal).  Any kill point leaves a store whose records

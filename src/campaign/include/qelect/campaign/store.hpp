@@ -16,8 +16,11 @@
 // Records are appended in *commit* order -- worker shards commit out of
 // order, each record carrying its logical task_index -- so the engine
 // never stalls a finished task behind a slow earlier one.  Durability is
-// group commit: StoreWriter::append stages a record, StoreWriter::commit
-// returns once everything staged before it is fdatasync'd, and concurrent
+// group commit: a record is staged, either by StoreWriter::append into the
+// writer's own staged tail or by StagedFrames::append into a stage the
+// caller owns, and StoreWriter::commit returns once everything it covers
+// is fdatasync'd: the writer's tail and the stages passed to it, written
+// in that order, one write(2) each, before one fdatasync, and concurrent
 // committers share one sync.  Recovery reads the longest valid frame
 // prefix: the log ends at the first frame whose length or checksum fails
 // (a torn tail, truncated and re-appended on reopen), so a crash at any
@@ -26,6 +29,9 @@
 // The writer holds only what the log lacks: append encodes a frame into a
 // staged tail, and commit swaps that tail out under the append lock and
 // writes it outside it, so appends never wait on write(2) or fdatasync.
+// A caller that stages from several threads (run_campaign) gives each
+// thread a StagedFrames of its own, so the threads share no lock: each
+// encodes outside the writer, and only commit reads the stages.
 //
 // The log is the whole store.  Compaction (`qelect compact`; a run never
 // compacts) rewrites it with one frame per key -- the later one, as
@@ -47,6 +53,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -117,11 +124,44 @@ std::optional<StoreHeader> load_store_header(const std::string& path);
 /// the same bytes whatever order their frames were committed in.
 std::string store_to_jsonl(const LoadedStore& store);
 
+/// Task frames staged by one caller, outside any lock: append encodes a
+/// record as a complete task frame (the format stays inside store.cpp),
+/// and StoreWriter::commit(stages) writes the frames and empties the
+/// stage, which keeps its capacity.  Not thread-safe: a caller that
+/// shares a stage between threads guards it itself.
+class StagedFrames {
+ public:
+  /// Encodes `record` as one task frame.  NOT yet durable: durability
+  /// attaches when a StoreWriter commits this stage.
+  void append(const TaskRecord& record);
+
+  /// Frames staged since the last commit.
+  std::size_t size() const { return frames_; }
+  bool empty() const { return frames_ == 0; }
+
+  /// Exchanges contents and capacity with `other`.
+  void swap(StagedFrames& other) noexcept {
+    bytes_.swap(other.bytes_);
+    std::swap(frames_, other.frames_);
+  }
+
+ private:
+  friend class StoreWriter;
+
+  void clear() {
+    bytes_.clear();
+    frames_ = 0;
+  }
+
+  std::string bytes_;  // the frames, laid end to end
+  std::size_t frames_ = 0;
+};
+
 /// Append-side of the store.  Opening verifies the spec hash against
 /// `header` (CheckError on mismatch -- wrong store for this campaign, or a
 /// file load_store refuses, which is left untouched), truncates a torn
 /// tail, and creates parent directories as needed.
-/// Thread-safe: appends stage, commit() group-syncs.
+/// Thread-safe: appends stage, commits group-sync.
 class StoreWriter {
  public:
   /// Loads the store at `path`, then opens it as the constructor below.
@@ -146,6 +186,12 @@ class StoreWriter {
   /// flushes and syncs for everyone staged so far.
   void commit();
 
+  /// commit() that also makes `stages` durable: the writer's own staged
+  /// tail and then each stage, in order, go to the log, one write(2)
+  /// each, before one fdatasync, and the stages are left empty.  The
+  /// caller must keep other threads off `stages` until it returns.
+  void commit(std::span<StagedFrames> stages);
+
   /// Rewrites the log at the next generation with one frame per key (the
   /// later one winning), dropping the records re-runs superseded.  Safe
   /// against concurrent appends, which reach the new log at the next
@@ -155,7 +201,7 @@ class StoreWriter {
   const std::string& path() const { return path_; }
   std::uint64_t generation() const { return generation_; }
   /// Records known to the writer: loaded at open (or kept by the last
-  /// compaction) + appended since.
+  /// compaction) + appended or committed from stages since.
   std::size_t record_count() const;
 
  private:
@@ -163,22 +209,24 @@ class StoreWriter {
   /// `frames`, and reopens it for appending.
   void rewrite_locked(std::uint64_t generation,
                       const std::vector<std::string_view>& frames);
-  std::uint64_t write_staged_locked();
+  /// Writes the staged tail and then `stages` to the log, leaving them
+  /// empty; returns the appends now written.
+  std::uint64_t write_staged_locked(std::span<StagedFrames> stages);
 
   std::string path_;
   StoreHeader header_;
 
   mutable std::mutex write_mu_;  // guards staged_, appended_, records_
-  /// Task frames appended since the last write(2), laid end to end: the
-  /// only records the writer holds in memory.
-  std::string staged_;
+  /// Task frames appended since the last write: the only records the
+  /// writer holds in memory.
+  StagedFrames staged_;
   std::uint64_t appended_ = 0;  // records appended through this writer
   std::size_t records_ = 0;
 
   std::mutex sync_mu_;  // serializes write(2) + fdatasync and compaction;
                         // guards every member below
   int fd_ = -1;
-  std::string writing_;  // the tail being written; swapped with staged_
+  StagedFrames writing_;  // the tail being written; swapped with staged_
   std::uint64_t synced_ = 0;  // appends made durable (fdatasync/rewrite)
   std::uint64_t generation_ = 1;
 };

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "qelect/campaign/spec.hpp"
+#include "qelect/campaign/store.hpp"
 #include "qelect/graph/graph.hpp"
 
 namespace qelect::campaign {
@@ -126,6 +127,14 @@ class TaskSpace {
 
 /// Every task of the spec, filled at every index of its TaskSpace.
 std::vector<TaskSpec> expand_tasks(const CampaignSpec& spec);
+
+/// Throws CheckError, naming the store, the record's key and its index,
+/// unless every record of `store` is the task of `space` that its
+/// task_index names.  Keys are a pure function of (spec, index), so any
+/// other record is forged or corrupt; every command that reads a store
+/// refuses it before acting on the store.
+void check_store_records(const TaskSpace& space, const LoadedStore& store,
+                         const std::string& store_path);
 
 /// The fixed instance suite behind the "table1" workload (name, graph,
 /// home bases) -- shared with reports so the matrix can count cells.

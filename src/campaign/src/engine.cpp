@@ -43,16 +43,26 @@ unsigned resolve_shards(unsigned requested, std::size_t units) {
 /// at most about this much of a run's completions, which resume re-runs.
 constexpr std::chrono::milliseconds kCommitInterval{10};
 
-/// A staged record as the commit thread acknowledges it.  At least 10 ms
-/// of completions queue at once (several thousand records on a many-seed
-/// elect campaign), and the two queues keep their peak capacity, so an ok
-/// record keeps only what the counts and the progress event need: staging
-/// whole TaskRecords costs such campaigns peak memory and CPU per task.
+/// A staged record as the commit thread acknowledges it, queued beside
+/// its frame.  At least 10 ms of completions queue at once (several
+/// thousand records on a many-seed elect campaign), and the queues keep
+/// their peak capacity, so an ok record keeps only what the counts and the
+/// progress event need: staging whole TaskRecords costs such campaigns
+/// peak memory and CPU per task.
 struct Staged {
   std::size_t task_index = 0;
-  unsigned shard = 0;
   int attempts = 1;
   std::unique_ptr<TaskRecord> not_ok;  // the record, when it is echoed
+};
+
+/// One shard's completions since the commit thread last took them: their
+/// encoded frames and, in the same order, their acknowledgement entries.
+/// Only the shard and the commit thread lock it, and each stage has cache
+/// lines of its own, so shards share no lock and no written line.
+struct alignas(64) ShardStage {
+  std::mutex mu;
+  StagedFrames frames;
+  std::vector<Staged> entries;
 };
 
 /// One task, all attempts.  Exceptions never escape: every failure mode
@@ -124,21 +134,17 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   }
   const int retries = options.retries >= 0 ? options.retries : spec.retries;
 
-  // Each stored record must be the task its task_index names: keys are a
-  // pure function of (spec, index), so a record no task owns is forged or
-  // corrupt, and the store is refused before the writer touches it.  (The
-  // writer refuses a store of another spec by its hash.)  A failed or
-  // timed-out record used every attempt of the budget it ran under, so it
-  // runs again only under a larger `retries`, and its new record wins.
+  // Each stored record must be the task its task_index names, and the
+  // store is refused before the writer touches it.  (The writer refuses a
+  // store of another spec by its hash.)  A failed or timed-out record used
+  // every attempt of the budget it ran under, so it runs again only under
+  // a larger `retries`, and its new record wins.
   CampaignResult result;
   result.total = total;
   std::vector<bool> terminal(total, false);
   if (prior.header.spec_hash == header.spec_hash) {
+    check_store_records(space, prior, store_path);
     for (const TaskRecord& r : prior.records) {
-      QELECT_CHECK(r.task_index < total && space.key(r.task_index) == r.key,
-                   "result store " + store_path + ": record '" + r.key +
-                       "' at task index " + std::to_string(r.task_index) +
-                       " is not that task of campaign '" + spec.name + "'");
       if (r.ok() || r.attempts > retries) {
         terminal[r.task_index] = true;
         if (!r.ok()) ++result.skipped_not_ok;
@@ -193,24 +199,29 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     options.progress->begin_run(meta);
   }
 
-  // Workers only stage: each completed record is appended to the writer
-  // (encoded, not yet durable) and queued for acknowledgement, both under
-  // `mu`.  One commit thread makes the staged records durable every
-  // kCommitInterval and only then acknowledges them -- counts, progress
-  // event, echo line -- in staging order.  Records carry their
-  // task_index, so commit order need not be task order; the low-water
-  // mark tracks the longest acknowledged task prefix.
+  // Workers only stage: each shard encodes its completed records into its
+  // own stage and queues their acknowledgement entries beside them.  One
+  // commit thread takes every stage in shard order each kCommitInterval,
+  // has the writer make them durable with one fdatasync for them all,
+  // and only then acknowledges them -- counts, progress event, echo line
+  // -- in that order.  Records carry their task_index, so commit order
+  // need not be task order; the low-water mark tracks the longest
+  // acknowledged task prefix.  `mu` guards only workers_done and
+  // first_error.
+  std::vector<ShardStage> stages(shards);
   std::mutex mu;
   std::condition_variable workers_done_cv;
   bool workers_done = false;
-  std::vector<Staged> staged;
-  std::size_t staged_count = 0;
   std::exception_ptr first_error;
   std::size_t low_water = 0;
   while (low_water < total && terminal[low_water]) ++low_water;
   CancelSource stop;
   const CancelToken stop_token = stop.token();
   std::atomic<std::size_t> next_claim{0};
+  // The records the units asked to stage, counted against
+  // options.stop_after: it passes the budget only when some unit's records
+  // did not all fit, that is when the run stopped early.
+  std::atomic<std::size_t> budget_claimed{0};
 
   // The first exception from any thread cancels the run; run_campaign
   // rethrows it once every thread has joined.
@@ -222,8 +233,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     stop.cancel();
   };
 
-  // Commit thread only: `s` is durable now.
-  auto acknowledge = [&](const Staged& s) {
+  // Commit thread only: `s`, staged by `shard`, is durable now.
+  auto acknowledge = [&](const Staged& s, unsigned shard) {
     terminal[s.task_index] = true;
     while (low_water < total && terminal[low_water]) ++low_water;
     ++result.executed;
@@ -239,7 +250,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     if (options.progress != nullptr) {
       trace::TraceEvent event;
       event.step = result.executed - 1;
-      event.agent = s.shard;
+      event.agent = shard;
       event.kind = ok ? trace::TraceEvent::Kind::TaskOk
                       : trace::TraceEvent::Kind::TaskFail;
       event.node = static_cast<graph::NodeId>(s.task_index);
@@ -261,8 +272,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
+  // Swaps each stage with a spare of its own, so both sides keep their
+  // capacity, and writes the frames straight from the spares.
   auto committer = [&] {
-    std::vector<Staged> batch;
+    std::vector<StagedFrames> frames(shards);
+    std::vector<std::vector<Staged>> entries(shards);
     bool last = false;
     try {
       while (!last) {
@@ -271,12 +285,21 @@ CampaignResult run_campaign(const CampaignSpec& spec,
           workers_done_cv.wait_for(lock, kCommitInterval,
                                    [&] { return workers_done; });
           last = workers_done;
-          batch.swap(staged);
         }
-        if (batch.empty()) continue;
-        writer.commit();
-        for (const Staged& s : batch) acknowledge(s);
-        batch.clear();
+        bool staged = false;
+        for (unsigned shard = 0; shard < shards; ++shard) {
+          ShardStage& stage = stages[shard];
+          const std::lock_guard<std::mutex> lock(stage.mu);
+          frames[shard].swap(stage.frames);
+          entries[shard].swap(stage.entries);
+          staged |= !entries[shard].empty();
+        }
+        if (!staged) continue;
+        writer.commit(frames);
+        for (unsigned shard = 0; shard < shards; ++shard) {
+          for (const Staged& s : entries[shard]) acknowledge(s, shard);
+          entries[shard].clear();
+        }
       }
     } catch (...) {
       fail(std::current_exception());
@@ -317,10 +340,12 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
-  // Stages at most stop_after records in all: the one that would pass it
-  // cancels the run instead.  Each claimed unit is filled from `space`
+  // Stages at most stop_after records in all: a unit claims its share of
+  // the budget at once, stages what fits, and the unit that would pass
+  // the budget cancels the run.  Each claimed unit is filled from `space`
   // into `claimed`, whose TaskSpecs keep their buffers from claim to claim.
   auto worker = [&](unsigned shard) {
+    ShardStage& stage = stages[shard];
     std::vector<TaskSpec> claimed;
     std::vector<TaskRecord> records;
     try {
@@ -344,20 +369,23 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                                          timeout_seconds,
                                          options.deterministic));
         }
-        const std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          if (options.stop_after > 0 && staged_count >= options.stop_after) {
-            result.stopped_early = true;
+        std::size_t fits = end - begin;
+        if (options.stop_after > 0) {
+          const std::size_t before =
+              budget_claimed.fetch_add(fits, std::memory_order_relaxed);
+          if (before + fits > options.stop_after) {
+            fits = before < options.stop_after ? options.stop_after - before
+                                               : 0;
             stop.cancel();
-            break;
           }
-          TaskRecord& record = records[slot - begin];
-          record.task_index = pending[slot];
-          writer.append(record);
-          ++staged_count;
-          Staged& s = staged.emplace_back();
-          s.task_index = pending[slot];
-          s.shard = shard;
+        }
+        const std::lock_guard<std::mutex> lock(stage.mu);
+        for (std::size_t i = 0; i < fits; ++i) {
+          TaskRecord& record = records[i];
+          record.task_index = pending[begin + i];
+          stage.frames.append(record);
+          Staged& s = stage.entries.emplace_back();
+          s.task_index = record.task_index;
           s.attempts = record.attempts;
           if (!record.ok()) {
             s.not_ok = std::make_unique<TaskRecord>(std::move(record));
@@ -386,6 +414,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   commit_thread.join();
   if (first_error) std::rethrow_exception(first_error);
 
+  result.stopped_early =
+      options.stop_after > 0 && budget_claimed.load() > options.stop_after;
   result.low_water = low_water;
   result.wall_seconds = seconds_since(wall0);
   if (options.progress != nullptr) {

@@ -225,17 +225,25 @@ Outcomes count_outcomes(const LoadedStore& store) {
   return out;
 }
 
+/// The first `limit` not-ok records in task order, which, unlike commit
+/// order, is the same for every run that wrote the same records.
 void print_failures(const LoadedStore& store, std::size_t limit) {
-  std::size_t shown = 0;
+  std::vector<const TaskRecord*> failures;
   for (const TaskRecord& r : store.records) {
-    if (r.ok()) continue;
-    if (shown == limit) {
+    if (!r.ok()) failures.push_back(&r);
+  }
+  std::sort(failures.begin(), failures.end(),
+            [](const TaskRecord* a, const TaskRecord* b) {
+              return a->task_index < b->task_index;
+            });
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    if (i == limit) {
       std::printf("  ... (further failures omitted)\n");
       return;
     }
+    const TaskRecord& r = *failures[i];
     std::printf("  %s %s: %s\n", r.outcome.c_str(), r.key.c_str(),
                 r.error.c_str());
-    ++shown;
   }
 }
 
@@ -427,9 +435,9 @@ void print_status(const std::string& store_path) {
   }
   QELECT_CHECK(store.has_header,
                "store " + store_path + " has no campaign header");
-  const CampaignSpec spec =
-      CampaignSpec::from_json_text(store.header.spec_json);
-  const std::size_t total = TaskSpace(spec).size();
+  const TaskSpace space(CampaignSpec::from_json_text(store.header.spec_json));
+  check_store_records(space, store, store_path);
+  const std::size_t total = space.size();
   const std::size_t done = store.records.size();  // one record per key
   const Outcomes out = count_outcomes(store);
   std::printf("campaign   %s\n", store.header.name.c_str());
@@ -475,6 +483,7 @@ void print_report(const std::string& store_path,
             "campaign into a fresh store, or report it under a different "
             "name");
   }
+  check_store_records(TaskSpace(spec), store, store_path);
   QELECT_CHECK(json_path.empty() || spec.workload == "degradation",
                "--json is only supported for degradation campaigns");
   const Outcomes out = count_outcomes(store);

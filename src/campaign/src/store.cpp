@@ -54,8 +54,8 @@ std::string hash_hex(std::uint64_t h) {
 //
 // Slicing-by-8: eight derived tables let the loop fold 8 input bytes per
 // iteration with independent lookups instead of one serially-dependent
-// lookup per byte.  The checksum is in StoreWriter::append's critical
-// path, and byte-at-a-time CRC was ~2/3 of the whole append cost.
+// lookup per byte.  The checksum is on every record's append path, and
+// byte-at-a-time CRC was ~2/3 of the whole append cost.
 
 using CrcTables = std::uint32_t[8][256];
 
@@ -744,36 +744,53 @@ void StoreWriter::rewrite_locked(std::uint64_t generation,
   generation_ = generation;
 }
 
+void StagedFrames::append(const TaskRecord& record) {
+  append_task_frame(bytes_, record);
+  ++frames_;
+}
+
 void StoreWriter::append(const TaskRecord& record) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  append_task_frame(staged_, record);
+  staged_.append(record);
   ++appended_;
   ++records_;
 }
 
-std::uint64_t StoreWriter::write_staged_locked() {
+std::uint64_t StoreWriter::write_staged_locked(
+    std::span<StagedFrames> stages) {
   // The swap is the only work under the append lock: appends go on into
-  // the emptied buffer while this one is written.
+  // the emptied tail while this one is written.
   std::uint64_t covered = 0;
   writing_.clear();
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     writing_.swap(staged_);
     covered = appended_;
+    for (const StagedFrames& stage : stages) records_ += stage.size();
   }
-  write_all(fd_, writing_.data(), writing_.size(), path_);
+  // The tail is one more stage, the first; the caller syncs them all once.
+  write_all(fd_, writing_.bytes_.data(), writing_.bytes_.size(), path_);
+  for (StagedFrames& stage : stages) {
+    write_all(fd_, stage.bytes_.data(), stage.bytes_.size(), path_);
+    stage.clear();
+  }
   return covered;
 }
 
-void StoreWriter::commit() {
+void StoreWriter::commit() { commit({}); }
+
+void StoreWriter::commit(std::span<StagedFrames> stages) {
   std::uint64_t goal = 0;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     goal = appended_;
   }
+  const bool staged =
+      std::any_of(stages.begin(), stages.end(),
+                  [](const StagedFrames& stage) { return !stage.empty(); });
   std::lock_guard<std::mutex> sync(sync_mu_);
-  if (synced_ < goal) {
-    const std::uint64_t written = write_staged_locked();
+  if (synced_ < goal || staged) {
+    const std::uint64_t written = write_staged_locked(stages);
     if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
     synced_ = written;
   }
@@ -783,7 +800,7 @@ void StoreWriter::compact() {
   std::lock_guard<std::mutex> sync(sync_mu_);
   // The staged tail goes to the log first, so the log holds every record;
   // the rewrite is built from it alone.
-  const std::uint64_t covered = write_staged_locked();
+  const std::uint64_t covered = write_staged_locked({});
   bool exists = false;
   const std::string log = read_file_or_empty(path_, &exists);
   const std::vector<std::string_view> frames = live_frames(path_, log);

@@ -380,4 +380,17 @@ std::vector<TaskSpec> expand_tasks(const CampaignSpec& spec) {
   return tasks;
 }
 
+void check_store_records(const TaskSpace& space, const LoadedStore& store,
+                         const std::string& store_path) {
+  for (const TaskRecord& r : store.records) {
+    const bool owned =
+        r.task_index < space.size() && space.key(r.task_index) == r.key;
+    QELECT_CHECK(owned, "result store " + store_path + ": record '" + r.key +
+                            "' at task index " +
+                            std::to_string(r.task_index) +
+                            " is not that task of campaign '" +
+                            store.header.name + "'");
+  }
+}
+
 }  // namespace qelect::campaign

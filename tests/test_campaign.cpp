@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -259,6 +260,42 @@ TEST(CampaignReport, RejectsStoreWhoseSpecNoLongerMatchesTheBuiltin) {
     EXPECT_NE(std::string(e.what()).find("no longer matches"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// Two 4-shard runs of one spec commit their records in different orders,
+// yet status lists the same failures: the first ten in task order.
+TEST(CampaignReport, StatusListsFailuresInTaskOrder) {
+  ScratchDir scratch("failure_order");
+  CampaignSpec spec = small_spec();
+  spec.inject = {"ring(5)", 100};  // every attempt of 15 tasks throws
+  spec.retries = 0;
+  EngineOptions opts;
+  opts.deterministic = true;
+  opts.shards = 4;
+  const TaskSpace space(spec);
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < space.size() && expected.size() < 10; ++i) {
+    const std::string key = space.key(i);
+    if (key.find("ring(5)") != std::string::npos) {
+      expected.push_back("  failed " + key + ": injected failure (attempt 1)");
+    }
+  }
+  ASSERT_EQ(expected.size(), 10u);
+  for (const char* name : {"first.qws", "second.qws"}) {
+    const std::string path = scratch.path(name);
+    run_campaign(spec, path, opts);
+    testing::internal::CaptureStdout();
+    print_status(path);
+    std::istringstream out(testing::internal::GetCapturedStdout());
+    std::vector<std::string> listed;
+    bool omitted = false;
+    for (std::string line; std::getline(out, line);) {
+      if (line.rfind("  failed ", 0) == 0) listed.push_back(line);
+      omitted |= line == "  ... (further failures omitted)";
+    }
+    EXPECT_EQ(listed, expected) << name;
+    EXPECT_TRUE(omitted) << name;
   }
 }
 
@@ -785,10 +822,11 @@ TEST(CampaignEngine, KilledThenResumedStoreIsLogicallyIdentical) {
 
 TEST(CampaignEngine, ResumeRefusesARecordThatIsNotItsTask) {
   // Keys are a pure function of (spec, index), so a record whose key is
-  // not the key of its task_index can only be forged or corrupt.  Both
-  // run_campaign and the `qelect resume` path (the spec read back out of
-  // the header) refuse it, naming the key and the index, before the
-  // writer opens the store: not even its torn tail is truncated.
+  // not the key of its task_index can only be forged or corrupt.
+  // run_campaign, the `qelect resume` path (the spec read back out of the
+  // header), status and report all refuse it, naming the key and the
+  // index, before the writer opens the store: not even its torn tail is
+  // truncated.
   ScratchDir scratch("forged");
   const CampaignSpec spec = small_spec();
   const TaskSpace space(spec);
@@ -818,18 +856,30 @@ TEST(CampaignEngine, ResumeRefusesARecordThatIsNotItsTask) {
     std::ofstream(path, std::ios::binary | std::ios::app) << '\x05';
     return path;
   };
+  // Every reader of the store refuses it through the one shared check,
+  // with one message: run_campaign, the resume path, status and report.
   auto expect_refused = [&](const std::string& path, std::uint64_t index,
                             const std::string& key) {
     const std::string before = slurp(path);
     ASSERT_TRUE(load_store(path).torn_tail);
     const CampaignSpec stored =
         CampaignSpec::from_json_text(load_store_header(path)->spec_json);
-    for (const CampaignSpec* s : {&spec, &stored}) {
+    const std::vector<std::function<void()>> readers = {
+        [&] { run_campaign(spec, path, opts); },
+        [&] { run_campaign(stored, path, opts); },
+        [&] { check_store_records(TaskSpace(stored), load_store(path), path); },
+        [&] { print_status(path); },
+        [&] { print_report(path); },
+    };
+    std::set<std::string> messages;
+    for (const std::function<void()>& read : readers) {
       try {
-        run_campaign(*s, path, opts);
+        read();
         ADD_FAILURE() << path << " was accepted";
       } catch (const CheckError& e) {
         const std::string what = e.what();
+        messages.insert(what);
+        EXPECT_NE(what.find(path), std::string::npos) << what;
         EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
         EXPECT_NE(what.find("task index " + std::to_string(index)),
                   std::string::npos)
@@ -837,6 +887,7 @@ TEST(CampaignEngine, ResumeRefusesARecordThatIsNotItsTask) {
       }
       EXPECT_EQ(slurp(path), before) << path;
     }
+    EXPECT_EQ(messages.size(), 1u);
   };
   const std::size_t total = space.size();
   // A task's key at an index past the expansion.
@@ -853,6 +904,35 @@ TEST(CampaignEngine, ResumeRefusesARecordThatIsNotItsTask) {
   const std::string full = scratch.path("full.qws");
   run_campaign(spec, full, opts);
   EXPECT_EQ(export_of(honest), export_of(full));
+}
+
+// Slab claims stop as exactly as scalar ones: at 4 shards a unit claims
+// its share of the budget at once and stages only the part that fits.
+TEST(CampaignEngine, StopAfterIsExactAtFourShardsWithSlabs) {
+  ScratchDir scratch("stop_slabs");
+  const CampaignSpec spec = seed_sweep(2, 70);  // slabs of 64 and 6 tasks
+  ASSERT_TRUE(batch_eligible(spec, spec.timeout_seconds));
+  EngineOptions opts;
+  opts.deterministic = true;
+  opts.shards = 4;
+  const std::string full = scratch.path("full.qws");
+  run_campaign(spec, full, opts);
+
+  EngineOptions stop = opts;
+  stop.stop_after = 100;  // not a multiple of kMaxSlabReplicas
+  trace::VectorSink sink;
+  stop.progress = &sink;
+  const std::string killed = scratch.path("killed.qws");
+  const CampaignResult partial = run_campaign(spec, killed, stop);
+  EXPECT_TRUE(partial.stopped_early);
+  EXPECT_EQ(partial.executed, 100u);
+  EXPECT_EQ(sink.events().size(), 100u);
+  EXPECT_EQ(load_store(killed).records.size(), 100u);
+
+  const CampaignResult resumed = run_campaign(spec, killed, opts);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(resumed.skipped, 100u);
+  EXPECT_EQ(export_of(killed), export_of(full));
 }
 
 TEST(CampaignEngine, TruncationAtFrameBoundaryResumesLogicallyIdentical) {

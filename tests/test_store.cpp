@@ -585,7 +585,9 @@ TEST(WalStore, FrameClaimingMoreMetricsThanItHoldsIsATornTail) {
 
 // The writer holds only the frames the log lacks, so its memory does not
 // grow with the log: 131,072 elect-shaped records (a ~30 MB log) appended
-// with a commit every 4,096.
+// with a commit every 4,096, once through append and once through four
+// caller stages, as the engine's shards stage them.  Both runs must stay
+// within the bound of the peak RSS the test started at.
 TEST(WalStore, WriterMemoryStaysFlatAsTheLogGrows) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizer allocators hold freed memory";
@@ -599,6 +601,16 @@ TEST(WalStore, WriterMemoryStaysFlatAsTheLogGrows) {
     for (std::size_t i = 0; i < kRecords; ++i) {
       writer.append(elect_record(i));
       if ((i + 1) % 4096 == 0) writer.commit();
+    }
+    EXPECT_EQ(writer.record_count(), kRecords);
+  }
+  EXPECT_LT(peak_rss_mib() - before, 16.0);
+  {
+    StoreWriter writer(scratch.path("staged.qws"), test_header());
+    std::vector<StagedFrames> stages(4);
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      stages[i % stages.size()].append(elect_record(i));
+      if ((i + 1) % 4096 == 0) writer.commit(stages);
     }
     EXPECT_EQ(writer.record_count(), kRecords);
   }
@@ -704,32 +716,52 @@ TEST(WalStore, ConcurrentAppendCommitAndCompactionLoseNothing) {
 TEST(WalStore, FileBytesArePinned) {
   ScratchDir scratch("pinned");
   const std::string path = scratch.path("s.qws");
-  std::vector<std::uint64_t> hashes;
   // The pins were taken with the published FNV-1a 64 basis.
   constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
-  auto pin = [&] {
-    hashes.push_back(util::fnv1a64(slurp(path), kBasis));
+  // Commits records [begin, end) in order: through append, or with the
+  // first through append and the rest split over three caller stages.
+  auto commit = [](StoreWriter& writer, std::size_t begin, std::size_t end,
+                   bool through_stages) {
+    if (!through_stages) {
+      for (std::size_t i = begin; i < end; ++i) writer.append(test_record(i));
+      writer.commit();
+      return;
+    }
+    writer.append(test_record(begin));
+    std::vector<StagedFrames> stages(3);
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      stages[(i - begin - 1) * stages.size() / (end - begin - 1)].append(
+          test_record(i));
+    }
+    writer.commit(stages);
+    for (const StagedFrames& stage : stages) EXPECT_TRUE(stage.empty());
   };
-  {
-    StoreWriter writer(path, test_header());
-    for (std::size_t i = 0; i < 20; ++i) writer.append(test_record(i));
-    writer.commit();
-    pin();
-    writer.compact();
-    pin();
-    for (std::size_t i = 20; i < 30; ++i) writer.append(test_record(i));
-    writer.commit();
+  for (const bool through_stages : {false, true}) {
+    SCOPED_TRACE(through_stages ? "caller stages" : "append");
+    fs::remove(path);
+    std::vector<std::uint64_t> hashes;
+    auto pin = [&] {
+      hashes.push_back(util::fnv1a64(slurp(path), kBasis));
+    };
+    {
+      StoreWriter writer(path, test_header());
+      commit(writer, 0, 20, through_stages);
+      pin();
+      writer.compact();
+      pin();
+      commit(writer, 20, 30, through_stages);
+    }
+    {
+      StoreWriter writer(path, test_header());
+      commit(writer, 30, 35, through_stages);
+      writer.compact();
+      pin();
+      EXPECT_EQ(writer.record_count(), 35u);
+    }
+    EXPECT_EQ(hashes, (std::vector<std::uint64_t>{0xed9060da92e53245ull,
+                                                  0xdaa3e02898ec29c6ull,
+                                                  0xe3e50b365674e655ull}));
   }
-  {
-    StoreWriter writer(path, test_header());
-    for (std::size_t i = 30; i < 35; ++i) writer.append(test_record(i));
-    writer.commit();
-    writer.compact();
-    pin();
-  }
-  EXPECT_EQ(hashes, (std::vector<std::uint64_t>{0xed9060da92e53245ull,
-                                                0xdaa3e02898ec29c6ull,
-                                                0xe3e50b365674e655ull}));
 }
 
 }  // namespace

@@ -17,8 +17,9 @@
 // raising --retries re-runs exactly those.  run and resume exit 1 while
 // the store holds such a record, run by this invocation or skipped.
 // Stores are binary WAL files (see docs/STORAGE.md), and every command
-// that takes a store refuses any other file; `export` writes a store as
-// JSONL text in task order.
+// that takes a store refuses any other file, and a store holding a record
+// that is not the task its index names; `export` writes a store as JSONL
+// text in task order.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -140,6 +141,17 @@ int cmd_resume(int argc, char** argv) {
   return run_with(spec, std::move(flags));
 }
 
+/// The store at `path`, refused unless it has a header and every record
+/// is the task its index names.
+campaign::LoadedStore load_checked_store(const std::string& path) {
+  campaign::LoadedStore store = campaign::load_store(path);
+  QELECT_CHECK(store.exists && store.has_header, "no store at " + path);
+  campaign::check_store_records(
+      campaign::TaskSpace(CampaignSpec::from_json_text(store.header.spec_json)),
+      store, path);
+  return store;
+}
+
 int cmd_export(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string store_path = argv[2];
@@ -153,9 +165,7 @@ int cmd_export(int argc, char** argv) {
       throw CheckError("unknown flag '" + flag + "'");
     }
   }
-  const auto store = campaign::load_store(store_path);
-  QELECT_CHECK(store.exists && store.has_header,
-               "no store at " + store_path);
+  const campaign::LoadedStore store = load_checked_store(store_path);
   const std::string text = campaign::store_to_jsonl(store);
   if (out_path.empty()) {
     std::fwrite(text.data(), 1, text.size(), stdout);
@@ -173,9 +183,7 @@ int cmd_export(int argc, char** argv) {
 int cmd_compact(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string store_path = argv[2];
-  const auto store = campaign::load_store(store_path);
-  QELECT_CHECK(store.exists && store.has_header,
-               "no store at " + store_path);
+  const campaign::LoadedStore store = load_checked_store(store_path);
   campaign::StoreWriter writer(store_path, store.header, store);
   writer.compact();
   std::printf("compacted %s: %zu records -> generation %llu\n",
