@@ -42,7 +42,7 @@ int main() {
   const auto result = campaign::run_campaign(
       campaign::builtin_spec("landscape"), store_path, {});
   const auto rows =
-      campaign::landscape_rows(campaign::load_store(store_path));
+      campaign::landscape_rows(campaign::load_checked_store(store_path));
   campaign::print_landscape(rows);
 
   std::size_t grand_open = 0, grand_instances = 0;

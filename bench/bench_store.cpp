@@ -14,13 +14,13 @@
 //       jsonl_commit_durable_each the old writer + fdatasync per record
 //                                 (the minimal fix meeting its per-record
 //                                 acknowledgement contract)
-//       wal_commit_group          StoreWriter's single-writer path:
+//       wal_commit_group          StoreWriter's own staged tail:
 //                                 binary append + one fdatasync per
 //                                 kCommitBatch records (group commit).
-//                                 The engine's shards stage through
-//                                 StagedFrames and commit(stages)
-//                                 instead, which shares this write and
-//                                 fdatasync but not append's lock
+//                                 The engine's shards stage into
+//                                 StagedFrames instead, which share the
+//                                 tail's write, its fdatasync and the
+//                                 writer's lock, once per commit
 //       wal_commit_durable_each   StoreWriter syncing per record -- the
 //                                 floor group commit amortizes away
 //   * recovery -- wal_load_tail loads a full 10^6-record log, which is

@@ -62,8 +62,8 @@ int main() {
   std::filesystem::remove(store_path);
   const auto result = campaign::run_campaign(
       campaign::builtin_spec("table1"), store_path, {});
-  const auto store = campaign::load_store(store_path);
-  const campaign::Table1Matrix matrix = campaign::table1_matrix(store);
+  const campaign::Table1Matrix matrix =
+      campaign::table1_matrix(campaign::load_checked_store(store_path));
   campaign::print_table1(matrix);
   if (!result.complete() || result.failed + result.timeout > 0) {
     std::printf("WARNING: campaign incomplete (%zu failed, %zu timeout)\n",

@@ -2,10 +2,13 @@
 //
 // Reports are pure store consumers -- they read committed TaskRecords and
 // never re-run anything, so `qelect report` on a finished (or half-
-// finished) store is instant.  The Table 1 matrix and the landscape table
-// print the same layout as bench_table1 / bench_landscape, which is what
-// lets those benches route through the campaign engine without changing
-// their observable output.
+// finished) store is instant.  The folds take a CheckedStore and read each
+// record's task (workload, graph, fault point) from its TaskSpace by
+// task_index, never from the key, and they read the records in task
+// order, so stores with equal exports give equal reports.  The Table 1
+// matrix and the landscape table print the same layout as bench_table1 /
+// bench_landscape, which is what lets those benches route through the
+// campaign engine without changing their observable output.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +16,25 @@
 #include <vector>
 
 #include "qelect/campaign/store.hpp"
+#include "qelect/campaign/task.hpp"
 #include "qelect/fault/injector.hpp"
 
 namespace qelect::campaign {
+
+/// A store whose every record has been checked against the spec in its
+/// header: `space.fill(r.task_index, task)` is the task of record `r`.
+struct CheckedStore {
+  LoadedStore store;
+  CampaignSpec spec;
+  TaskSpace space;
+};
+
+/// Opens the store at `path` for a command that reads one (status,
+/// report, export, compact): throws CheckError for a missing store, a
+/// store without a campaign header, or a record check_store_records
+/// refuses.  It lives with the reports, not in task.cpp, so binaries that
+/// only run tasks (qelectd) link no store reader.
+CheckedStore load_checked_store(const std::string& path);
 
 /// The Table 1 feasibility matrix, folded out of a "table1" store.
 struct Table1Matrix {
@@ -41,8 +60,9 @@ struct Table1Matrix {
   }
 };
 
-/// Folds every "table1/..." record in the store into the matrix.
-Table1Matrix table1_matrix(const LoadedStore& store);
+/// Folds a table1 store's records into the matrix, each by its task's
+/// cell workload.
+Table1Matrix table1_matrix(const CheckedStore& checked);
 
 /// Prints the narrative cell evidence plus the reproduced TextTable,
 /// matching bench_table1's layout verdict for verdict.
@@ -61,9 +81,10 @@ struct LandscapeRow {
   std::size_t failed = 0;  // records with a non-ok outcome
 };
 
-/// Groups the store's "analyze" records by the n metric (non-analyze
-/// records are ignored).  Rows come back sorted by n.
-std::vector<LandscapeRow> landscape_rows(const LoadedStore& store);
+/// Groups an analyze store's records by node count: the n metric, or for
+/// a failed record (which has no metrics) its task's graph.  Rows come
+/// back sorted by n.
+std::vector<LandscapeRow> landscape_rows(const CheckedStore& checked);
 
 /// Prints the landscape classification table (bench_landscape's layout,
 /// plus a failures column when any task failed).
@@ -94,9 +115,10 @@ struct DegradationRow {
   }
 };
 
-/// Folds the store's "degradation/..." records into survival-matrix rows,
-/// sorted by (graph label, fault label).
-std::vector<DegradationRow> degradation_rows(const LoadedStore& store);
+/// Folds a degradation store's records into survival-matrix rows, one per
+/// (graph label, fault label) of their tasks, sorted by that pair.  Sums
+/// run in task order, so the means do not depend on commit order.
+std::vector<DegradationRow> degradation_rows(const CheckedStore& checked);
 
 /// Prints the survival matrix as a TextTable plus a first-violation
 /// histogram line per row that has violations.
@@ -109,15 +131,18 @@ std::string degradation_json(const std::string& campaign,
 
 /// Prints a progress/outcome summary for any store: spec identity, task
 /// counts by outcome, retries, pending count against the re-expanded spec.
+/// A missing store prints that the campaign has not started; any other
+/// opens through load_checked_store, and its failures list in task order.
 void print_status(const std::string& store_path);
 
 /// Prints the workload-appropriate report for the store: the Table 1
 /// matrix for "table1" campaigns, the landscape table for "analyze", a
 /// per-graph moves-vs-budget table for "moves", the survival matrix for
-/// "degradation", and an outcome summary for everything else.  Throws
-/// CheckError (nonzero `qelect` exit) when the store's embedded spec no
-/// longer matches its recorded hash or the current built-in definition of
-/// the campaign -- a report over a stale store would silently mis-group.
+/// "degradation", and an outcome summary for everything else.  Opens the
+/// store through load_checked_store, and also throws CheckError (nonzero
+/// `qelect` exit) when the store's embedded spec no longer matches its
+/// recorded hash or the current built-in definition of the campaign -- a
+/// report over a stale store would silently mis-group.
 /// Non-empty `json_path` additionally writes the degradation survival
 /// matrix as JSON (degradation stores only).
 void print_report(const std::string& store_path,

@@ -20,17 +20,17 @@
 // writer's own staged tail or by StagedFrames::append into a stage the
 // caller owns, and StoreWriter::commit returns once everything it covers
 // is fdatasync'd: the writer's tail and the stages passed to it, written
-// in that order, one write(2) each, before one fdatasync, and concurrent
-// committers share one sync.  Recovery reads the longest valid frame
-// prefix: the log ends at the first frame whose length or checksum fails
-// (a torn tail, truncated and re-appended on reopen), so a crash at any
-// byte loses at most the records a commit never acknowledged.
+// in that order, one write(2) each, before one fdatasync.  Recovery reads
+// the longest valid frame prefix: the log ends at the first frame whose
+// length or checksum fails (a torn tail, truncated and re-appended on
+// reopen), so a crash at any byte loses at most the records a commit never
+// acknowledged.
 //
-// The writer holds only what the log lacks: append encodes a frame into a
-// staged tail, and commit swaps that tail out under the append lock and
-// writes it outside it, so appends never wait on write(2) or fdatasync.
-// A caller that stages from several threads (run_campaign) gives each
-// thread a StagedFrames of its own, so the threads share no lock: each
+// The writer holds only what the log lacks: the staged tail, which one
+// lock guards together with the file, the record count and the
+// generation.  An append waits while another thread commits.  A caller
+// that stages from several threads (run_campaign) gives each thread a
+// StagedFrames of its own instead, so the threads share no lock: each
 // encodes outside the writer, and only commit reads the stages.
 //
 // The log is the whole store.  Compaction (`qelect compact`; a run never
@@ -119,9 +119,15 @@ LoadedStore load_store(const std::string& path);
 /// WAL store or a corrupt header.
 std::optional<StoreHeader> load_store_header(const std::string& path);
 
+/// The store's records in task_index order, as pointers into
+/// `store.records` (a stable sort: records that share an index keep their
+/// commit order).  Exports, failure lists and report folds read a store in
+/// this order, so stores holding the same records read the same whatever
+/// order their frames were committed in.
+std::vector<const TaskRecord*> records_in_task_order(const LoadedStore& store);
+
 /// Serializes the store as JSONL text: header line, then one record line
-/// per task in task_index order, so stores holding the same records export
-/// the same bytes whatever order their frames were committed in.
+/// per task in task_index order.
 std::string store_to_jsonl(const LoadedStore& store);
 
 /// Task frames staged by one caller, outside any lock: append encodes a
@@ -161,7 +167,7 @@ class StagedFrames {
 /// `header` (CheckError on mismatch -- wrong store for this campaign, or a
 /// file load_store refuses, which is left untouched), truncates a torn
 /// tail, and creates parent directories as needed.
-/// Thread-safe: appends stage, commits group-sync.
+/// Thread-safe: one lock serializes appends, commits and compaction.
 class StoreWriter {
  public:
   /// Loads the store at `path`, then opens it as the constructor below.
@@ -177,29 +183,27 @@ class StoreWriter {
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
-  /// Stages one record.  NOT yet durable: durability (and the crash
-  /// guarantee) attaches at commit().
+  /// Stages one record in the writer's tail.  NOT yet durable: durability
+  /// (and the crash guarantee) attaches at commit().
   void append(const TaskRecord& record);
 
   /// Makes every record appended before this call durable (fdatasync).
-  /// Concurrent commits coalesce: whichever thread holds the sync lock
-  /// flushes and syncs for everyone staged so far.
   void commit();
 
   /// commit() that also makes `stages` durable: the writer's own staged
-  /// tail and then each stage, in order, go to the log, one write(2)
-  /// each, before one fdatasync, and the stages are left empty.  The
-  /// caller must keep other threads off `stages` until it returns.
+  /// tail and then each non-empty stage, in order, go to the log, one
+  /// write(2) each, before one fdatasync, and the stages are left empty.
+  /// Returns at once when there is nothing to write.  The caller must keep
+  /// other threads off `stages` until it returns.
   void commit(std::span<StagedFrames> stages);
 
-  /// Rewrites the log at the next generation with one frame per key (the
-  /// later one winning), dropping the records re-runs superseded.  Safe
-  /// against concurrent appends, which reach the new log at the next
-  /// commit.
+  /// Writes the staged tail, then rewrites the log at the next generation
+  /// with one frame per key (the later one winning), dropping the records
+  /// re-runs superseded.
   void compact();
 
   const std::string& path() const { return path_; }
-  std::uint64_t generation() const { return generation_; }
+  std::uint64_t generation() const;
   /// Records known to the writer: loaded at open (or kept by the last
   /// compaction) + appended or committed from stages since.
   std::size_t record_count() const;
@@ -210,24 +214,18 @@ class StoreWriter {
   void rewrite_locked(std::uint64_t generation,
                       const std::vector<std::string_view>& frames);
   /// Writes the staged tail and then `stages` to the log, leaving them
-  /// empty; returns the appends now written.
-  std::uint64_t write_staged_locked(std::span<StagedFrames> stages);
+  /// empty.
+  void write_staged_locked(std::span<StagedFrames> stages);
 
   std::string path_;
   StoreHeader header_;
 
-  mutable std::mutex write_mu_;  // guards staged_, appended_, records_
+  mutable std::mutex mu_;  // guards every member below
   /// Task frames appended since the last write: the only records the
   /// writer holds in memory.
   StagedFrames staged_;
-  std::uint64_t appended_ = 0;  // records appended through this writer
-  std::size_t records_ = 0;
-
-  std::mutex sync_mu_;  // serializes write(2) + fdatasync and compaction;
-                        // guards every member below
   int fd_ = -1;
-  StagedFrames writing_;  // the tail being written; swapped with staged_
-  std::uint64_t synced_ = 0;  // appends made durable (fdatasync/rewrite)
+  std::size_t records_ = 0;
   std::uint64_t generation_ = 1;
 };
 

@@ -5,12 +5,14 @@
 //
 //   analyze/all-connected(5,12)/p=0.3/s=1
 //
-// Keys are the join points of the whole subsystem: the result store maps
-// key -> outcome, resume skips keys already present, fault injection
-// matches on key substrings, and reports group by key prefixes.  Expansion
-// is pure -- same spec, same tasks, same keys, same order -- which is what
-// makes a killed-and-resumed campaign's store byte-identical to an
-// uninterrupted one.
+// A key is a pure function of (spec, task index), and only this file
+// knows its format: the result store keeps one record per key, resume
+// matches each record to its task by task_index (and refuses a record
+// whose key is not that task's), fault injection matches on key
+// substrings, and reports read each record's task from the TaskSpace by
+// its task_index, not from its key.  Expansion is pure -- same spec, same
+// tasks, same keys, same order -- which is what makes a killed-and-resumed
+// campaign's store byte-identical to an uninterrupted one.
 //
 // The tasks are an index space (TaskSpace), not a list: the space holds
 // the instances (graph x placement, or table1's 30 cells) with each key's
@@ -137,7 +139,8 @@ void check_store_records(const TaskSpace& space, const LoadedStore& store,
                          const std::string& store_path);
 
 /// The fixed instance suite behind the "table1" workload (name, graph,
-/// home bases) -- shared with reports so the matrix can count cells.
+/// home bases); bench_table1 times it, and tests count the matrix's
+/// cells by it.
 struct Table1Instance {
   std::string name;
   GraphRef graph;

@@ -43,12 +43,6 @@ class WorldPool {
   /// have been acquired.
   sim::World& acquire(const TaskSpec& task, bool quantitative);
 
-  /// Same, for callers that already hold a graph (no GraphRef rebuild on
-  /// miss).  `key` must uniquely identify the graph's structure.
-  sim::World& acquire(const std::string& key, const graph::Graph& g,
-                      const std::vector<graph::NodeId>& home_bases,
-                      std::uint64_t color_seed, bool quantitative);
-
   /// Snapshot of the pool's counters (`compiles` = Worlds built), which
   /// the qelectd STATS opcode exports per worker shard.
   util::CacheStats stats() const;
@@ -63,10 +57,6 @@ class WorldPool {
     std::unique_ptr<sim::World> world;
     std::uint64_t stamp = 0;  // LRU clock
   };
-
-  template <typename Build>
-  sim::World& acquire_impl(const std::string& key, std::uint64_t color_seed,
-                           Build&& build);
 
   std::size_t capacity_;
   std::uint64_t clock_ = 0;

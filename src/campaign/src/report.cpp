@@ -1,5 +1,7 @@
 #include "qelect/campaign/report.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -7,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "qelect/campaign/builtin.hpp"
 #include "qelect/campaign/json.hpp"
@@ -18,73 +21,46 @@
 
 namespace qelect::campaign {
 
-namespace {
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.rfind(prefix, 0) == 0;
+CheckedStore load_checked_store(const std::string& path) {
+  LoadedStore store = load_store(path);
+  QELECT_CHECK(store.exists, "no store at " + path);
+  QELECT_CHECK(store.has_header,
+               "store " + path + " has no campaign header");
+  CampaignSpec spec = CampaignSpec::from_json_text(store.header.spec_json);
+  TaskSpace space(spec);
+  check_store_records(space, store, path);
+  return {std::move(store), std::move(spec), std::move(space)};
 }
 
-/// Key segment between the workload prefix and the placement suffix, e.g.
-/// "analyze/all-connected(5,12)/p=0.3/s=1" -> "all-connected(5,12)".
-std::string graph_label_of(const std::string& key) {
-  const std::size_t first = key.find('/');
-  if (first == std::string::npos) return {};
-  const std::size_t second = key.find('/', first + 1);
-  if (second == std::string::npos) return key.substr(first + 1);
-  return key.substr(first + 1, second - first - 1);
-}
-
-/// Trailing fault-point label: ".../f=crash-0.01" -> "crash-0.01"; empty
-/// for fault-free keys.
-std::string fault_label_of(const std::string& key) {
-  const std::size_t pos = key.rfind("/f=");
-  if (pos == std::string::npos) return {};
-  return key.substr(pos + 3);
-}
-
-/// First integer inside the label's parens: "ring(6)" -> 6,
-/// "all-connected(5,12)" -> 5.  Returns 0 when unparseable.
-std::size_t label_n(const std::string& label) {
-  const std::size_t open = label.find('(');
-  if (open == std::string::npos) return 0;
-  std::size_t n = 0, i = open + 1;
-  while (i < label.size() && label[i] >= '0' && label[i] <= '9') {
-    n = n * 10 + static_cast<std::size_t>(label[i] - '0');
-    ++i;
-  }
-  return n;
-}
-
-}  // namespace
-
-Table1Matrix table1_matrix(const LoadedStore& store) {
+Table1Matrix table1_matrix(const CheckedStore& checked) {
   Table1Matrix m;
-  for (const TaskRecord& r : store.records) {
-    if (!starts_with(r.key, "table1/")) continue;
-    if (!r.ok()) {
+  TaskSpec task;
+  for (const TaskRecord* r : records_in_task_order(checked.store)) {
+    if (!r->ok()) {
       ++m.missing;
       continue;
     }
-    if (starts_with(r.key, "table1/anonymous")) {
-      m.anon_holds = r.metric_or("holds", 0) == 1;
-    } else if (starts_with(r.key, "table1/k2")) {
-      m.k2_impossible = r.metric_or("impossible", 0) == 1;
-    } else if (starts_with(r.key, "table1/petersen")) {
+    checked.space.fill(r->task_index, task);
+    if (task.workload == "anon-lockstep") {
+      m.anon_holds = r->metric_or("holds", 0) == 1;
+    } else if (task.workload == "k2-exhaustive") {
+      m.k2_impossible = r->metric_or("impossible", 0) == 1;
+    } else if (task.workload == "petersen-witness") {
       m.petersen_gcd =
-          static_cast<std::uint64_t>(r.metric_or("final_gcd", 0));
-      m.petersen_elect_fails = r.metric_or("elect_fails", 0) == 1;
-      m.petersen_adhoc_elects = r.metric_or("adhoc_elects", 0) == 1;
-    } else if (starts_with(r.key, "table1/cayley/")) {
-      if (r.metric_or("is_cayley", 0) == 1) {
+          static_cast<std::uint64_t>(r->metric_or("final_gcd", 0));
+      m.petersen_elect_fails = r->metric_or("elect_fails", 0) == 1;
+      m.petersen_adhoc_elects = r->metric_or("adhoc_elects", 0) == 1;
+    } else if (task.workload == "cayley-dichotomy") {
+      if (r->metric_or("is_cayley", 0) == 1) {
         ++m.cayley_checked;
-        if (r.metric_or("agrees", 0) == 1) ++m.cayley_agreed;
+        if (r->metric_or("agrees", 0) == 1) ++m.cayley_agreed;
       }
-    } else if (starts_with(r.key, "table1/elect/")) {
+    } else if (task.workload == "elect") {
       ++m.live_total;
-      if (r.metric_or("matches_oracle", 0) == 1) ++m.live_ok;
-    } else if (starts_with(r.key, "table1/quant/")) {
+      if (r->metric_or("matches_oracle", 0) == 1) ++m.live_ok;
+    } else if (task.workload == "quantitative") {
       ++m.quant_total;
-      if (r.metric_or("clean_election", 0) == 1) ++m.quant_ok;
+      if (r->metric_or("clean_election", 0) == 1) ++m.quant_ok;
     }
   }
   return m;
@@ -137,26 +113,25 @@ void print_table1(const Table1Matrix& m) {
   table.print();
 }
 
-std::vector<LandscapeRow> landscape_rows(const LoadedStore& store) {
+std::vector<LandscapeRow> landscape_rows(const CheckedStore& checked) {
   std::map<std::size_t, LandscapeRow> by_n;
   std::map<std::size_t, std::set<std::string>> labels_by_n;
-  for (const TaskRecord& r : store.records) {
-    if (!starts_with(r.key, "analyze/")) continue;
-    const std::string label = graph_label_of(r.key);
-    // Failed records carry no metrics; fall back to the n encoded in the
-    // graph label so failures still land in the right row.
-    const std::size_t n = r.ok()
-                              ? static_cast<std::size_t>(r.metric_or("n", 0))
-                              : label_n(label);
+  TaskSpec task;
+  for (const TaskRecord* r : records_in_task_order(checked.store)) {
+    checked.space.fill(r->task_index, task);
+    // A failed record carries no metrics, so its n is its graph's.
+    const std::size_t n =
+        r->ok() ? static_cast<std::size_t>(r->metric_or("n", 0))
+                : task.graph.build().node_count();
     LandscapeRow& row = by_n[n];
     row.n = n;
-    labels_by_n[n].insert(label);
-    if (!r.ok()) {
+    labels_by_n[n].insert(task.graph.label());
+    if (!r->ok()) {
       ++row.failed;
       continue;
     }
     ++row.instances;
-    const double cls = r.metric_or("class", -1);
+    const double cls = r->metric_or("class", -1);
     if (cls == kClassElect) {
       ++row.elect;
     } else if (cls == kClassImpossCayley) {
@@ -228,41 +203,36 @@ Outcomes count_outcomes(const LoadedStore& store) {
 /// The first `limit` not-ok records in task order, which, unlike commit
 /// order, is the same for every run that wrote the same records.
 void print_failures(const LoadedStore& store, std::size_t limit) {
-  std::vector<const TaskRecord*> failures;
-  for (const TaskRecord& r : store.records) {
-    if (!r.ok()) failures.push_back(&r);
-  }
-  std::sort(failures.begin(), failures.end(),
-            [](const TaskRecord* a, const TaskRecord* b) {
-              return a->task_index < b->task_index;
-            });
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    if (i == limit) {
+  std::size_t listed = 0;
+  for (const TaskRecord* r : records_in_task_order(store)) {
+    if (r->ok()) continue;
+    if (listed++ == limit) {
       std::printf("  ... (further failures omitted)\n");
       return;
     }
-    const TaskRecord& r = *failures[i];
-    std::printf("  %s %s: %s\n", r.outcome.c_str(), r.key.c_str(),
-                r.error.c_str());
+    std::printf("  %s %s: %s\n", r->outcome.c_str(), r->key.c_str(),
+                r->error.c_str());
   }
 }
 
 /// Per-graph moves-vs-budget table for the Theorem 3.1 campaigns.
-void print_moves(const LoadedStore& store) {
+void print_moves(const CheckedStore& checked) {
   struct Agg {
     std::size_t tasks = 0, completed = 0, within = 0;
     double max_moves = 0, max_ratio = 0;
     std::size_t edges = 0;
   };
   std::map<std::string, Agg> by_label;
-  for (const TaskRecord& r : store.records) {
-    if (!starts_with(r.key, "moves/") || !r.ok()) continue;
-    Agg& a = by_label[graph_label_of(r.key)];
+  TaskSpec task;
+  for (const TaskRecord* r : records_in_task_order(checked.store)) {
+    if (!r->ok()) continue;
+    checked.space.fill(r->task_index, task);
+    Agg& a = by_label[task.graph.label()];
     ++a.tasks;
-    a.edges = static_cast<std::size_t>(r.metric_or("edges", 0));
-    if (r.metric_or("completed", 0) == 1) ++a.completed;
-    a.max_moves = std::max(a.max_moves, r.metric_or("moves", 0));
-    const double ratio = r.metric_or("moves_per_budget", 0);
+    a.edges = static_cast<std::size_t>(r->metric_or("edges", 0));
+    if (r->metric_or("completed", 0) == 1) ++a.completed;
+    a.max_moves = std::max(a.max_moves, r->metric_or("moves", 0));
+    const double ratio = r->metric_or("moves_per_budget", 0);
     a.max_ratio = std::max(a.max_ratio, ratio);
     if (ratio <= 1.0) ++a.within;
   }
@@ -305,31 +275,30 @@ void print_elect(const LoadedStore& store) {
 
 }  // namespace
 
-std::vector<DegradationRow> degradation_rows(const LoadedStore& store) {
+std::vector<DegradationRow> degradation_rows(const CheckedStore& checked) {
   std::map<std::pair<std::string, std::string>, DegradationAgg> cells;
-  for (const TaskRecord& r : store.records) {
-    if (!starts_with(r.key, "degradation/")) continue;
-    const std::string graph = graph_label_of(r.key);
-    const std::string fault = fault_label_of(r.key);
-    DegradationAgg& agg = cells[{graph, fault}];
-    agg.row.graph = graph;
-    agg.row.fault = fault;
-    if (!r.ok()) {
+  TaskSpec task;
+  for (const TaskRecord* r : records_in_task_order(checked.store)) {
+    checked.space.fill(r->task_index, task);
+    DegradationAgg& agg = cells[{task.graph.label(), task.fault_label}];
+    agg.row.graph = task.graph.label();
+    agg.row.fault = task.fault_label;
+    if (!r->ok()) {
       ++agg.row.failed;
       continue;
     }
     ++agg.row.tasks;
-    if (r.metric_or("completed", 0) == 1) ++agg.row.completed;
-    if (r.metric_or("correct", 0) == 1) ++agg.row.correct;
-    agg.row.crashed += static_cast<std::size_t>(r.metric_or("crashed", 0));
+    if (r->metric_or("completed", 0) == 1) ++agg.row.completed;
+    if (r->metric_or("correct", 0) == 1) ++agg.row.correct;
+    agg.row.crashed += static_cast<std::size_t>(r->metric_or("crashed", 0));
     agg.row.faults_injected +=
-        static_cast<std::size_t>(r.metric_or("faults_total", 0));
-    const double inflation = r.metric_or("move_inflation", 0);
+        static_cast<std::size_t>(r->metric_or("faults_total", 0));
+    const double inflation = r->metric_or("move_inflation", 0);
     agg.inflation_sum += inflation;
     agg.row.max_inflation = std::max(agg.row.max_inflation, inflation);
-    if (r.metric_or("violated", 0) == 1) {
+    if (r->metric_or("violated", 0) == 1) {
       ++agg.row.violated;
-      const double cause = r.metric_or("cause_kind", -1);
+      const double cause = r->metric_or("cause_kind", -1);
       if (cause >= 0 && cause < fault::kFaultKindCount) {
         ++agg.row.cause_hist[static_cast<std::size_t>(cause)];
       } else {
@@ -428,16 +397,14 @@ std::string degradation_json(const std::string& campaign,
 }
 
 void print_status(const std::string& store_path) {
-  const LoadedStore store = load_store(store_path);
-  if (!store.exists) {
+  // A file that cannot be read is no store, as load_store reads it.
+  if (::access(store_path.c_str(), R_OK) != 0) {
     std::printf("%s: no store (campaign not started)\n", store_path.c_str());
     return;
   }
-  QELECT_CHECK(store.has_header,
-               "store " + store_path + " has no campaign header");
-  const TaskSpace space(CampaignSpec::from_json_text(store.header.spec_json));
-  check_store_records(space, store, store_path);
-  const std::size_t total = space.size();
+  const CheckedStore checked = load_checked_store(store_path);
+  const LoadedStore& store = checked.store;
+  const std::size_t total = checked.space.size();
   const std::size_t done = store.records.size();  // one record per key
   const Outcomes out = count_outcomes(store);
   std::printf("campaign   %s\n", store.header.name.c_str());
@@ -460,12 +427,9 @@ void print_status(const std::string& store_path) {
 
 void print_report(const std::string& store_path,
                   const std::string& json_path) {
-  const LoadedStore store = load_store(store_path);
-  QELECT_CHECK(store.exists, "no store at " + store_path);
-  QELECT_CHECK(store.has_header,
-               "store " + store_path + " has no campaign header");
-  const CampaignSpec spec =
-      CampaignSpec::from_json_text(store.header.spec_json);
+  const CheckedStore checked = load_checked_store(store_path);
+  const LoadedStore& store = checked.store;
+  const CampaignSpec& spec = checked.spec;
   // A report over a stale store silently mis-groups, so mismatches are
   // hard errors (nonzero qelect exit), not warnings.
   QELECT_CHECK(
@@ -483,20 +447,19 @@ void print_report(const std::string& store_path,
             "campaign into a fresh store, or report it under a different "
             "name");
   }
-  check_store_records(TaskSpace(spec), store, store_path);
   QELECT_CHECK(json_path.empty() || spec.workload == "degradation",
                "--json is only supported for degradation campaigns");
   const Outcomes out = count_outcomes(store);
   if (spec.workload == "table1") {
-    print_table1(table1_matrix(store));
+    print_table1(table1_matrix(checked));
   } else if (spec.workload == "analyze") {
-    print_landscape(landscape_rows(store));
+    print_landscape(landscape_rows(checked));
   } else if (spec.workload == "moves") {
-    print_moves(store);
+    print_moves(checked);
   } else if (spec.workload == "elect") {
     print_elect(store);
   } else if (spec.workload == "degradation") {
-    const std::vector<DegradationRow> rows = degradation_rows(store);
+    const std::vector<DegradationRow> rows = degradation_rows(checked);
     print_degradation(rows);
     if (!json_path.empty()) {
       std::ofstream file(json_path, std::ios::trunc);

@@ -618,9 +618,8 @@ std::optional<StoreHeader> load_store_header(const std::string& path) {
   return wal.header;
 }
 
-std::string store_to_jsonl(const LoadedStore& store) {
-  QELECT_CHECK(store.has_header,
-               "cannot export a store without a campaign header");
+std::vector<const TaskRecord*> records_in_task_order(
+    const LoadedStore& store) {
   std::vector<const TaskRecord*> order;
   order.reserve(store.records.size());
   for (const TaskRecord& r : store.records) order.push_back(&r);
@@ -628,9 +627,15 @@ std::string store_to_jsonl(const LoadedStore& store) {
                    [](const TaskRecord* a, const TaskRecord* b) {
                      return a->task_index < b->task_index;
                    });
+  return order;
+}
+
+std::string store_to_jsonl(const LoadedStore& store) {
+  QELECT_CHECK(store.has_header,
+               "cannot export a store without a campaign header");
   std::string out = header_to_json(store.header);
   out.push_back('\n');
-  for (const TaskRecord* r : order) {
+  for (const TaskRecord* r : records_in_task_order(store)) {
     out += r->to_json();
     out.push_back('\n');
   }
@@ -689,7 +694,7 @@ StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header)
 StoreWriter::StoreWriter(const std::string& path, const StoreHeader& header,
                          const LoadedStore& prior)
     : path_(path), header_(header) {
-  std::lock_guard<std::mutex> sync(sync_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (prior.exists && prior.has_header) {
     QELECT_CHECK(prior.header.spec_hash == header.spec_hash,
                  "result store " + path +
@@ -750,68 +755,54 @@ void StagedFrames::append(const TaskRecord& record) {
 }
 
 void StoreWriter::append(const TaskRecord& record) {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   staged_.append(record);
-  ++appended_;
   ++records_;
 }
 
-std::uint64_t StoreWriter::write_staged_locked(
-    std::span<StagedFrames> stages) {
-  // The swap is the only work under the append lock: appends go on into
-  // the emptied tail while this one is written.
-  std::uint64_t covered = 0;
-  writing_.clear();
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    writing_.swap(staged_);
-    covered = appended_;
-    for (const StagedFrames& stage : stages) records_ += stage.size();
-  }
+void StoreWriter::write_staged_locked(std::span<StagedFrames> stages) {
   // The tail is one more stage, the first; the caller syncs them all once.
-  write_all(fd_, writing_.bytes_.data(), writing_.bytes_.size(), path_);
+  write_all(fd_, staged_.bytes_.data(), staged_.bytes_.size(), path_);
+  staged_.clear();
   for (StagedFrames& stage : stages) {
     write_all(fd_, stage.bytes_.data(), stage.bytes_.size(), path_);
+    records_ += stage.size();
     stage.clear();
   }
-  return covered;
 }
 
 void StoreWriter::commit() { commit({}); }
 
 void StoreWriter::commit(std::span<StagedFrames> stages) {
-  std::uint64_t goal = 0;
-  {
-    std::lock_guard<std::mutex> lock(write_mu_);
-    goal = appended_;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (staged_.empty() &&
+      std::all_of(stages.begin(), stages.end(),
+                  [](const StagedFrames& stage) { return stage.empty(); })) {
+    return;
   }
-  const bool staged =
-      std::any_of(stages.begin(), stages.end(),
-                  [](const StagedFrames& stage) { return !stage.empty(); });
-  std::lock_guard<std::mutex> sync(sync_mu_);
-  if (synced_ < goal || staged) {
-    const std::uint64_t written = write_staged_locked(stages);
-    if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
-    synced_ = written;
-  }
+  write_staged_locked(stages);
+  if (::fdatasync(fd_) != 0) sys_fail("fdatasync failed", path_);
 }
 
 void StoreWriter::compact() {
-  std::lock_guard<std::mutex> sync(sync_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // The staged tail goes to the log first, so the log holds every record;
   // the rewrite is built from it alone.
-  const std::uint64_t covered = write_staged_locked({});
+  write_staged_locked({});
   bool exists = false;
   const std::string log = read_file_or_empty(path_, &exists);
   const std::vector<std::string_view> frames = live_frames(path_, log);
   rewrite_locked(generation_ + 1, frames);
-  synced_ = covered;
-  std::lock_guard<std::mutex> lock(write_mu_);
-  records_ = frames.size() + (appended_ - covered);
+  records_ = frames.size();
+}
+
+std::uint64_t StoreWriter::generation() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return generation_;
 }
 
 std::size_t StoreWriter::record_count() const {
-  std::lock_guard<std::mutex> lock(write_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return records_;
 }
 

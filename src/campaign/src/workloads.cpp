@@ -221,13 +221,9 @@ Metrics run_cayley_dichotomy(const graph::Graph& g,
 }
 
 Metrics run_petersen_witness(const TaskSpec& task) {
-  const graph::Graph g = graph::petersen();
-  const std::vector<graph::NodeId> home_bases{0, 5};
-  const auto plan =
-      core::protocol_plan(g, graph::Placement(10, home_bases));
   // One pooled arena serves both runs: run() fully resets between them.
-  sim::World& w = WorldPool::local().acquire("petersen", g, home_bases,
-                                             task.color_seed, false);
+  sim::World& w = WorldPool::local().acquire(task, /*quantitative=*/false);
+  const auto plan = core::protocol_plan(w.graph(), w.placement());
   const auto relect = w.run(core::make_elect_protocol(), run_config(task));
   const auto radhoc = w.run(core::make_petersen_protocol(), run_config(task));
   return {{"final_gcd", static_cast<double>(plan.final_gcd)},

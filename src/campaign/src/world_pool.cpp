@@ -23,9 +23,9 @@ std::string structural_key(const std::string& graph_label,
 
 }  // namespace
 
-template <typename Build>
-sim::World& WorldPool::acquire_impl(const std::string& key,
-                                    std::uint64_t color_seed, Build&& build) {
+sim::World& WorldPool::acquire(const TaskSpec& task, bool quantitative) {
+  const std::string key =
+      structural_key(task.graph.label(), task.home_bases, quantitative);
   ++clock_;
   for (Entry& e : entries_) {
     if (e.key == key) {
@@ -33,7 +33,7 @@ sim::World& WorldPool::acquire_impl(const std::string& key,
       e.stamp = clock_;
       // reset(seed) re-mints labels only when the seed changed; either way
       // the next run starts from pristine state with all buffers kept.
-      e.world->reset(color_seed);
+      e.world->reset(task.color_seed);
       return *e.world;
     }
   }
@@ -45,35 +45,18 @@ sim::World& WorldPool::acquire_impl(const std::string& key,
     entries_.erase(lru);
     ++stats_.evictions;
   }
-  entries_.push_back(Entry{key, build(), clock_});
+  graph::Graph g = task.graph.build();
+  graph::Placement p(g.node_count(), task.home_bases);
+  entries_.push_back(Entry{
+      key,
+      std::make_unique<sim::World>(
+          quantitative ? sim::World::quantitative(std::move(g), std::move(p),
+                                                  task.color_seed)
+                       : sim::World(std::move(g), std::move(p),
+                                    task.color_seed)),
+      clock_});
   ++stats_.compiles;
   return *entries_.back().world;
-}
-
-sim::World& WorldPool::acquire(const TaskSpec& task, bool quantitative) {
-  const std::string key =
-      structural_key(task.graph.label(), task.home_bases, quantitative);
-  return acquire_impl(key, task.color_seed, [&] {
-    graph::Graph g = task.graph.build();
-    graph::Placement p(g.node_count(), task.home_bases);
-    return std::make_unique<sim::World>(
-        quantitative
-            ? sim::World::quantitative(std::move(g), std::move(p),
-                                       task.color_seed)
-            : sim::World(std::move(g), std::move(p), task.color_seed));
-  });
-}
-
-sim::World& WorldPool::acquire(const std::string& key, const graph::Graph& g,
-                               const std::vector<graph::NodeId>& home_bases,
-                               std::uint64_t color_seed, bool quantitative) {
-  const std::string full_key = structural_key(key, home_bases, quantitative);
-  return acquire_impl(full_key, color_seed, [&] {
-    graph::Placement p(g.node_count(), home_bases);
-    return std::make_unique<sim::World>(
-        quantitative ? sim::World::quantitative(g, std::move(p), color_seed)
-                     : sim::World(g, std::move(p), color_seed));
-  });
 }
 
 util::CacheStats WorldPool::stats() const {

@@ -20,6 +20,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -297,6 +298,68 @@ TEST(CampaignReport, StatusListsFailuresInTaskOrder) {
     EXPECT_EQ(listed, expected) << name;
     EXPECT_TRUE(omitted) << name;
   }
+}
+
+// A failed record has no n metric.  It lands in its graph's row, by the
+// graph's node count: hypercube(3) has 8 nodes and torus(3,3) 9, though
+// both labels open with a 3.
+TEST(CampaignReport, FailedRecordsLandInTheirGraphsRow) {
+  ScratchDir scratch("failed_rows");
+  CampaignSpec spec;
+  spec.name = "test-failed-rows";
+  spec.workload = "analyze";
+  spec.graphs.push_back({"hypercube", 3, 3, {}});
+  spec.graphs.push_back({"torus", 0, 0, {3, 3}});
+  spec.placements.mode = PlacementAxis::Mode::Enumerate;
+  spec.placements.agents_min = 2;
+  spec.placements.agents_max = 2;
+  spec.retries = 0;
+  spec.inject = {"/p=0.1/", 5};  // home bases {0, 1}: one task per graph
+  EngineOptions opts;
+  opts.deterministic = true;
+  opts.shards = 1;
+  const std::string path = scratch.path("results.qws");
+  EXPECT_EQ(run_campaign(spec, path, opts).failed, 2u);
+  const std::vector<LandscapeRow> rows =
+      landscape_rows(load_checked_store(path));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].n, 8u);
+  EXPECT_EQ(rows[0].graphs, 1u);
+  EXPECT_EQ(rows[0].instances, 27u);
+  EXPECT_EQ(rows[0].failed, 1u);
+  EXPECT_EQ(rows[1].n, 9u);
+  EXPECT_EQ(rows[1].graphs, 1u);
+  EXPECT_EQ(rows[1].instances, 35u);
+  EXPECT_EQ(rows[1].failed, 1u);
+}
+
+// One run's records committed into a second store in reverse order: the
+// exports are equal, and so is the survival matrix, whose means are
+// floating-point sums taken in task order.
+TEST(CampaignReport, SurvivalMatrixIgnoresCommitOrder) {
+  ScratchDir scratch("survival_order");
+  EngineOptions opts;
+  opts.deterministic = true;
+  opts.shards = 1;
+  const std::string forward = scratch.path("forward.qws");
+  run_campaign(builtin_spec("degradation-smoke"), forward, opts);
+  const LoadedStore store = load_store(forward);
+  const std::string reversed = scratch.path("reversed.qws");
+  {
+    StoreWriter writer(reversed, store.header);
+    StagedFrames stage;
+    for (auto r = store.records.rbegin(); r != store.records.rend(); ++r) {
+      stage.append(*r);
+    }
+    writer.commit(std::span(&stage, 1));
+  }
+  ASSERT_NE(slurp(forward), slurp(reversed));
+  ASSERT_EQ(export_of(forward), export_of(reversed));
+  auto survival = [](const std::string& path) {
+    return degradation_json("degradation-smoke",
+                            degradation_rows(load_checked_store(path)));
+  };
+  EXPECT_EQ(survival(forward), survival(reversed));
 }
 
 TEST(CampaignReport, RejectsStoreWithTamperedHeader) {
@@ -706,7 +769,7 @@ TEST(CampaignLandscape, UpToFiveNodesMatchesExperiments) {
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.failed + result.timeout, 0u);
   const std::vector<LandscapeRow> rows =
-      landscape_rows(load_store(scratch.path("results.qws")));
+      landscape_rows(load_checked_store(scratch.path("results.qws")));
   ASSERT_EQ(rows.size(), 4u);
   struct Expected {
     std::size_t n, graphs, instances, elect, imposs_cayley, imposs_labeling;
@@ -868,6 +931,7 @@ TEST(CampaignEngine, ResumeRefusesARecordThatIsNotItsTask) {
         [&] { run_campaign(spec, path, opts); },
         [&] { run_campaign(stored, path, opts); },
         [&] { check_store_records(TaskSpace(stored), load_store(path), path); },
+        [&] { load_checked_store(path); },
         [&] { print_status(path); },
         [&] { print_report(path); },
     };
@@ -1287,7 +1351,7 @@ TEST(CampaignTable1, MatrixMatchesDirectComputation) {
       run_campaign(builtin_spec("table1"), path, {});
   EXPECT_TRUE(result.complete());
   EXPECT_EQ(result.failed + result.timeout, 0u);
-  const Table1Matrix m = table1_matrix(load_store(path));
+  const Table1Matrix m = table1_matrix(load_checked_store(path));
 
   // The matrix cells the paper's Table 1 asserts, re-derived directly.
   EXPECT_TRUE(m.anon_holds);

@@ -341,16 +341,18 @@ TEST(World, NestedCheckFailureEscapesTheRunInOneThrow) {
 }
 
 TEST(World, PooledWorldRunsCleanAfterANestedThrow) {
-  const graph::Graph g = graph::ring(6);
-  const std::vector<graph::NodeId> bases{0, 2};
+  campaign::TaskSpec task;
+  task.graph = {"ring", {6}};
+  task.home_bases = {0, 2};
+  task.color_seed = 11;
   campaign::WorldPool pool;
-  World& pooled = pool.acquire("ring(6)", g, bases, 11, false);
+  World& pooled = pool.acquire(task, false);
   NestedProbe probe;
   EXPECT_NE(nested_check_error(pooled, probe), "");
 
-  World& again = pool.acquire("ring(6)", g, bases, 11, false);
+  World& again = pool.acquire(task, false);
   ASSERT_EQ(&again, &pooled);
-  World fresh(g, graph::Placement(6, bases), 11);
+  World fresh(graph::ring(6), graph::Placement(6, task.home_bases), 11);
   const Protocol elect = core::make_elect_protocol();
   const RunResult reused = again.run(elect, RunConfig{});
   const RunResult expected = fresh.run(elect, RunConfig{});

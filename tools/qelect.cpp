@@ -141,17 +141,6 @@ int cmd_resume(int argc, char** argv) {
   return run_with(spec, std::move(flags));
 }
 
-/// The store at `path`, refused unless it has a header and every record
-/// is the task its index names.
-campaign::LoadedStore load_checked_store(const std::string& path) {
-  campaign::LoadedStore store = campaign::load_store(path);
-  QELECT_CHECK(store.exists && store.has_header, "no store at " + path);
-  campaign::check_store_records(
-      campaign::TaskSpace(CampaignSpec::from_json_text(store.header.spec_json)),
-      store, path);
-  return store;
-}
-
 int cmd_export(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string store_path = argv[2];
@@ -165,7 +154,8 @@ int cmd_export(int argc, char** argv) {
       throw CheckError("unknown flag '" + flag + "'");
     }
   }
-  const campaign::LoadedStore store = load_checked_store(store_path);
+  const campaign::LoadedStore store =
+      campaign::load_checked_store(store_path).store;
   const std::string text = campaign::store_to_jsonl(store);
   if (out_path.empty()) {
     std::fwrite(text.data(), 1, text.size(), stdout);
@@ -183,7 +173,8 @@ int cmd_export(int argc, char** argv) {
 int cmd_compact(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string store_path = argv[2];
-  const campaign::LoadedStore store = load_checked_store(store_path);
+  const campaign::LoadedStore store =
+      campaign::load_checked_store(store_path).store;
   campaign::StoreWriter writer(store_path, store.header, store);
   writer.compact();
   std::printf("compacted %s: %zu records -> generation %llu\n",
